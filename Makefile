@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet lint race bench bench-smoke bench-json bench-guard sabred-smoke crash-smoke stream-smoke clean help
+.PHONY: check build test vet lint race bench bench-smoke bench-json bench-guard sabred-smoke crash-smoke stream-smoke fuzz-smoke clean help
 
 check: vet lint build race
 
@@ -100,6 +100,14 @@ crash-smoke:
 stream-smoke:
 	$(GO) run ./cmd/sabredsmoke $(if $(SMOKE_RACE),-race,) -stream $(if $(STREAM_FIXTURE),-stream-fixture $(STREAM_FIXTURE),)
 
+# Parser-vs-scanner fuzz smoke: FuzzParseScan mutates QASM inputs
+# for a fixed budget and fails on any input where Parse and GateScanner
+# disagree, a parsed circuit does not survive Format∘Parse, or either
+# panics. Crashers land in internal/qasm/testdata/fuzz/FuzzParseScan;
+# commit them as regression inputs.
+fuzz-smoke:
+	$(GO) test ./internal/qasm -run '^$$' -fuzz '^FuzzParseScan$$' -fuzztime 20s
+
 clean:
 	$(GO) clean ./...
 
@@ -119,4 +127,5 @@ help:
 	@echo "crash-smoke  SIGKILL + durable-log replay drill (always race-built)"
 	@echo "stream-smoke million-gate chunked /compile + webhook-chunk job smoke"
 	@echo "             (STREAM_FIXTURE=f reuses a cached trace, SMOKE_RACE=1 for -race)"
+	@echo "fuzz-smoke   FuzzParseScan for 20s: Parse vs GateScanner"
 	@echo "clean        go clean ./..."

@@ -660,13 +660,12 @@ func buildCompileResponse(in *compileInput, res *batch.Result) compileResponse {
 // circuit per dashboard poll would be pure waste.
 func buildCompileSummary(in *compileInput, res *batch.Result) compileResponse {
 	rep := metrics.Compare(in.circ, res.Final)
-	orig := metrics.Measure(in.circ)
 	return compileResponse{
 		Name:          in.circ.Name(),
 		Device:        in.dev.Name(),
 		DeviceQubits:  in.dev.NumQubits(),
-		OriginalGates: orig.Gates,
-		OriginalDepth: orig.Depth,
+		OriginalGates: rep.RefGates,
+		OriginalDepth: rep.RefDepth,
 		Swaps:         res.SwapCount,
 		Bridges:       res.BridgeCount,
 		AddedGates:    res.AddedGates,

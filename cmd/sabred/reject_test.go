@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -57,6 +58,31 @@ func TestCompileRejectsInvalidParams(t *testing.T) {
 		resp, _ := postQASM(t, ts.URL+"/compile"+query, tinyQASM)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("query %s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+}
+
+// TestCompileRejectsRepeatedOperands: a multi-qubit qelib1 gate
+// applied to one qubit twice is a parse error — 400 from both the whole
+// circuit and the streaming endpoint — not a panic that drops the
+// connection.
+func TestCompileRejectsRepeatedOperands(t *testing.T) {
+	ts, _ := newTestServer(t)
+	for _, stmt := range []string{
+		"ccx q[0],q[0],q[1];", "cswap q[1],q[2],q[1];", "cu1(0.5) q[2],q[2];", "cy q[0],q[0];",
+		"ch q[1],q[1];", "crz(0.5) q[0],q[0];", "cu3(1,2,3) q[2],q[2];", "rzz(0.5) q[1],q[1];",
+	} {
+		src := "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\n" + stmt + "\n"
+		for _, query := range []string{"?device=tokyo", "?device=tokyo&stream=1"} {
+			resp, err := http.Post(ts.URL+"/compile"+query, "text/plain", strings.NewReader(src))
+			if err != nil {
+				t.Fatalf("%s %s: %v", query, stmt, err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "qasm:5:1: ") {
+				t.Errorf("%s %s: status %d, body %q; want 400 naming line 5", query, stmt, resp.StatusCode, body)
+			}
 		}
 	}
 }

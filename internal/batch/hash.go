@@ -3,9 +3,11 @@ package batch
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
@@ -38,43 +40,39 @@ func KeyOf(job Job) Key {
 	// Defensive for callers hashing unresolved jobs directly; inside
 	// the engine this is a no-op (process resolves before hashing).
 	job = job.ResolveCalibration()
-	h := sha256.New()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	i64 := func(v int64) { u64(uint64(v)) }
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
+	e := keyEncoders.Get().(*keyEncoder)
+	defer keyEncoders.Put(e)
+	// Reset both halves: an encoder a panicking KeyOf returned to the
+	// pool may hold a partial encoding.
+	e.h.Reset()
+	e.buf = e.buf[:0]
 
-	u64(keyVersion)
+	e.u64(keyVersion)
 
 	// Device: name alone is not unique (custom devices may collide), so
 	// the size and full edge list are folded in. Edges() is canonical:
 	// construction order with each edge normalized to A < B. Every
 	// variable-length section carries a length prefix so distinct
 	// (device, circuit) byte streams can never alias each other.
-	name := job.Device.Name()
-	u64(uint64(len(name)))
-	h.Write([]byte(name))
-	i64(int64(job.Device.NumQubits()))
-	u64(uint64(len(job.Device.Edges())))
-	for _, e := range job.Device.Edges() {
-		i64(int64(e.A))
-		i64(int64(e.B))
+	e.str(job.Device.Name())
+	e.i64(int64(job.Device.NumQubits()))
+	e.u64(uint64(len(job.Device.Edges())))
+	for _, d := range job.Device.Edges() {
+		e.i64(int64(d.A))
+		e.i64(int64(d.B))
 	}
 
 	// Circuit structure. The name is excluded: it is reporting metadata
 	// and does not affect routing.
 	c := job.Circuit
-	i64(int64(c.NumQubits()))
-	i64(int64(c.NumGates()))
+	e.i64(int64(c.NumQubits()))
+	e.i64(int64(c.NumGates()))
 	for _, g := range c.Gates() {
-		u64(uint64(g.Kind))
-		i64(int64(g.Q0))
-		i64(int64(g.Q1))
+		e.u64(uint64(g.Kind))
+		e.i64(int64(g.Q0))
+		e.i64(int64(g.Q1))
 		for _, p := range g.Params {
-			f64(p)
+			e.f64(p)
 		}
 	}
 
@@ -84,27 +82,27 @@ func KeyOf(job Job) Key {
 	if job.Trials > 0 {
 		o.Trials = job.Trials
 	}
-	u64(uint64(o.Heuristic))
-	i64(int64(o.ExtendedSetSize))
-	f64(o.ExtendedSetWeight)
-	f64(o.DecayDelta)
-	i64(int64(o.DecayResetInterval))
-	i64(int64(o.Trials))
-	i64(int64(o.Traversals))
-	i64(o.Seed)
-	i64(int64(o.MaxStall))
+	e.u64(uint64(o.Heuristic))
+	e.i64(int64(o.ExtendedSetSize))
+	e.f64(o.ExtendedSetWeight)
+	e.f64(o.DecayDelta)
+	e.i64(int64(o.DecayResetInterval))
+	e.i64(int64(o.Trials))
+	e.i64(int64(o.Traversals))
+	e.i64(o.Seed)
+	e.i64(int64(o.MaxStall))
 	if o.UseBridge {
-		u64(1)
+		e.u64(1)
 	} else {
-		u64(0)
+		e.u64(0)
 	}
-	f64(o.MaxEdgeError)
-	hashNoise(h, u64, f64, o.Noise)
+	e.f64(o.MaxEdgeError)
+	hashNoise(e, o.Noise)
 	// Calibration snapshot version: distinguishes results routed under
 	// successive recalibrations even beyond the noise content above
 	// (and is what lets a service observe the expected cache miss after
 	// a recalibration lands).
-	u64(job.CalVersion)
+	e.u64(job.CalVersion)
 
 	// Routing backend, in canonical registry form so aliases (bka,
 	// trials) and the implicit default ("" = sabre) share cache
@@ -115,39 +113,87 @@ func KeyOf(job Job) Key {
 	if err != nil {
 		routeName = strings.ToLower(strings.TrimSpace(job.Route))
 	}
-	u64(uint64(len(routeName)))
-	h.Write([]byte(routeName))
+	e.str(routeName)
 
 	// Post-routing pass list, normalized so spelling variants share
 	// cache entries. The effective trial count is covered above via
 	// o.Trials; callers overriding Job.Trials must fold it in first
 	// (the engine does).
 	passes := normalizePasses(job.Passes)
-	u64(uint64(len(passes)))
+	e.u64(uint64(len(passes)))
 	for _, name := range passes {
-		u64(uint64(len(name)))
-		h.Write([]byte(name))
+		e.str(name)
 	}
+	return e.sum()
+}
 
+// keyBufSize is KeyOf's encoding buffer. A job of up to a few
+// thousand gates is hashed with a single Write; a larger one in blocks
+// of this size, so hashing never holds a second copy of a large
+// circuit.
+const keyBufSize = 64 << 10
+
+// keyEncoder appends the canonical key encoding — little-endian 8-byte
+// words and length-prefixed strings — to a buffer and hashes it a
+// block at a time, instead of one sha256 Write per field.
+type keyEncoder struct {
+	h   hash.Hash
+	buf []byte
+}
+
+// keyEncoders recycles encoders across KeyOf calls, which run on every
+// request, cache hits included.
+var keyEncoders = sync.Pool{New: func() any {
+	return &keyEncoder{h: sha256.New(), buf: make([]byte, 0, keyBufSize)}
+}}
+
+func (e *keyEncoder) u64(v uint64) {
+	if len(e.buf)+8 > cap(e.buf) {
+		e.flush()
+	}
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+}
+
+func (e *keyEncoder) i64(v int64)   { e.u64(uint64(v)) }
+func (e *keyEncoder) f64(v float64) { e.u64(math.Float64bits(v)) }
+
+// str encodes a length-prefixed string.
+func (e *keyEncoder) str(s string) {
+	e.u64(uint64(len(s)))
+	if len(e.buf)+len(s) > cap(e.buf) {
+		e.flush()
+	}
+	e.buf = append(e.buf, s...)
+}
+
+func (e *keyEncoder) flush() {
+	e.h.Write(e.buf)
+	e.buf = e.buf[:0]
+}
+
+// sum returns the digest, appended into the emptied buffer rather
+// than a Key, which the hash interface would move to the heap.
+func (e *keyEncoder) sum() Key {
+	e.flush()
 	var k Key
-	h.Sum(k[:0])
+	copy(k[:], e.h.Sum(e.buf))
 	return k
 }
 
 // hashNoise folds a noise model into the digest with its edge map in
 // sorted order (Go map iteration order is randomized).
-func hashNoise(h interface{ Write([]byte) (int, error) }, u64 func(uint64), f64 func(float64), m *arch.NoiseModel) {
+func hashNoise(e *keyEncoder, m *arch.NoiseModel) {
 	if m == nil {
-		u64(0)
+		e.u64(0)
 		return
 	}
-	u64(1)
-	f64(m.Default)
-	u64(uint64(len(m.EdgeError)))
+	e.u64(1)
+	e.f64(m.Default)
+	e.u64(uint64(len(m.EdgeError)))
 	edges := make([]arch.Edge, 0, len(m.EdgeError))
 	//sabre:nondeterm-ok keys collected then sorted below
-	for e := range m.EdgeError {
-		edges = append(edges, e)
+	for d := range m.EdgeError {
+		edges = append(edges, d)
 	}
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i].A != edges[j].A {
@@ -155,9 +201,9 @@ func hashNoise(h interface{ Write([]byte) (int, error) }, u64 func(uint64), f64 
 		}
 		return edges[i].B < edges[j].B
 	})
-	for _, e := range edges {
-		u64(uint64(e.A)<<32 | uint64(uint32(e.B)))
-		f64(m.EdgeError[e])
+	for _, d := range edges {
+		e.u64(uint64(d.A)<<32 | uint64(uint32(d.B)))
+		e.f64(m.EdgeError[d])
 	}
 }
 

@@ -85,6 +85,15 @@ func (c *Circuit) AppendTrusted(gs ...Gate) *Circuit {
 	return c
 }
 
+// FromTrusted returns a circuit over n qubits that takes over gates
+// without copying or validating them. As for AppendTrusted, the caller
+// guarantees every gate is valid; it must not use the slice afterwards.
+func FromTrusted(n int, gates []Gate) *Circuit {
+	c := New(n)
+	c.gates = gates
+	return c
+}
+
 // Clone returns a deep copy.
 func (c *Circuit) Clone() *Circuit {
 	out := &Circuit{numQubits: c.numQubits, name: c.name, gates: make([]Gate, len(c.gates))}

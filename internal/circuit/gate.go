@@ -84,14 +84,18 @@ func (k Kind) NumParams() int { return kindParams[k] }
 // "can always be executed locally").
 func (k Kind) TwoQubit() bool { return kindArity[k] == 2 }
 
+var kindByName = func() map[string]Kind {
+	m := make(map[string]Kind, numKinds)
+	for k, n := range kindNames {
+		m[n] = Kind(k)
+	}
+	return m
+}()
+
 // KindByName maps a QASM mnemonic ("cx", "u3", ...) to its Kind.
 func KindByName(name string) (Kind, bool) {
-	for k, n := range kindNames {
-		if n == name {
-			return Kind(k), true
-		}
-	}
-	return 0, false
+	k, ok := kindByName[name]
+	return k, ok
 }
 
 // Gate is one operation in a circuit. For single-qubit kinds Q1 is -1.

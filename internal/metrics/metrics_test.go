@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/arch"
@@ -31,6 +32,46 @@ func TestMeasureFig3(t *testing.T) {
 	r := Measure(fig3Original())
 	if r.Gates != 6 || r.Depth != 5 || r.TwoQubitGates != 6 {
 		t.Fatalf("fig3 original: %+v", r)
+	}
+}
+
+// TestMeasureMatchesDecomposedCircuit: the one-pass count equals
+// measuring the SWAP-decomposed copy.
+func TestMeasureMatchesDecomposedCircuit(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 100; trial++ {
+		n := 2 + rng.Intn(10)
+		c := circuit.New(n)
+		for i := rng.Intn(200); i > 0; i-- {
+			a, b := rng.Intn(n), rng.Intn(n-1)
+			if b >= a {
+				b++
+			}
+			switch rng.Intn(4) {
+			case 0:
+				c.Append(circuit.Swap(a, b))
+			case 1:
+				c.Append(circuit.CX(a, b))
+			case 2:
+				c.Append(circuit.G1(circuit.KindBarrier, a))
+			default:
+				c.Append(circuit.G1(circuit.KindRZ, a, 0.5))
+			}
+		}
+		d := c.DecomposeSwaps()
+		r := Measure(c)
+		if r.Gates != d.NumGates() || r.TwoQubitGates != d.CountTwoQubit() || r.Depth != d.Depth() {
+			t.Fatalf("trial %d: Measure %+v, decomposed gates=%d two-qubit=%d depth=%d",
+				trial, r, d.NumGates(), d.CountTwoQubit(), d.Depth())
+		}
+	}
+}
+
+// TestMeasureAllocs: Measure allocates only its per-qubit depth levels.
+func TestMeasureAllocs(t *testing.T) {
+	c := fig3Routed()
+	if allocs := testing.AllocsPerRun(100, func() { _ = Measure(c) }); allocs != 1 {
+		t.Fatalf("Measure: %v allocs, want 1", allocs)
 	}
 }
 

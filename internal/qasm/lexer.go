@@ -11,7 +11,6 @@ package qasm
 
 import (
 	"fmt"
-	"strings"
 	"unicode"
 )
 
@@ -85,13 +84,40 @@ func (k tokenKind) String() string {
 	}
 }
 
-// token is one lexical unit with its source position.
+// token is one lexical unit with its source position. text is a slice
+// of the lexer's source, never a copy: for Parse that is the input
+// string, for GateScanner the statement buffer viewed in place, which
+// the next statement overwrites. Whatever the parser keeps beyond the
+// current statement (register, gate and parameter names) it copies
+// with strings.Clone.
 type token struct {
 	kind tokenKind
 	text string
 	line int
 	col  int
 }
+
+// punct maps single-byte punctuation to its token kind (tokEOF = not
+// punctuation). '-' and '=' need a second byte and are handled apart.
+var punct = [256]tokenKind{
+	';': tokSemicolon, ',': tokComma, '(': tokLParen, ')': tokRParen,
+	'[': tokLBracket, ']': tokRBracket, '{': tokLBrace, '}': tokRBrace,
+	'+': tokPlus, '*': tokStar, '/': tokSlash, '^': tokCaret,
+}
+
+// identStart and identPart classify identifier bytes. Bytes, not runes:
+// a byte >= 0x80 counts as a letter when its Latin-1 rune does, which is
+// the dialect this package has always accepted.
+var identStart, identPart [256]bool
+
+func init() {
+	for c := 0; c < 256; c++ {
+		identStart[c] = c == '_' || unicode.IsLetter(rune(c))
+		identPart[c] = identStart[c] || isDigit(byte(c))
+	}
+}
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 // lexer converts QASM source into a token stream.
 type lexer struct {
@@ -120,146 +146,111 @@ func errf(line, col int, format string, args ...any) *Error {
 	return &Error{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (l *lexer) peekByte() (byte, bool) {
-	if l.pos >= len(l.src) {
-		return 0, false
-	}
-	return l.src[l.pos], true
-}
-
-func (l *lexer) advance() byte {
-	c := l.src[l.pos]
-	l.pos++
-	if c == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
-	}
-	return c
-}
-
 // next returns the next token, skipping whitespace and comments.
+//
+//sabre:hotpath
 func (l *lexer) next() (token, error) {
-	for {
-		c, ok := l.peekByte()
-		if !ok {
-			return token{kind: tokEOF, line: l.line, col: l.col}, nil
-		}
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance()
-		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
-			for {
-				c, ok := l.peekByte()
-				if !ok || c == '\n' {
-					break
-				}
-				l.advance()
+	src := l.src
+	for l.pos < len(src) {
+		switch c := src[l.pos]; {
+		case c == '\n':
+			l.pos++
+			l.line++
+			l.col = 1
+		case c == ' ' || c == '\t' || c == '\r':
+			l.pos++
+			l.col++
+		case c == '/' && l.pos+1 < len(src) && src[l.pos+1] == '/':
+			end := l.pos + 2
+			for end < len(src) && src[end] != '\n' {
+				end++
 			}
+			l.col += end - l.pos
+			l.pos = end
 		default:
 			return l.lexToken()
 		}
 	}
+	return token{kind: tokEOF, line: l.line, col: l.col}, nil
 }
 
+// lexToken lexes the token starting at l.pos, which is neither
+// whitespace nor a comment.
+//
+//sabre:hotpath
 func (l *lexer) lexToken() (token, error) {
-	line, col := l.line, l.col
-	c := l.advance()
+	src, start, line, col := l.src, l.pos, l.line, l.col
+	c := src[start]
+	end := start + 1
+	kind := punct[c]
 	switch {
-	case c == ';':
-		return token{tokSemicolon, ";", line, col}, nil
-	case c == ',':
-		return token{tokComma, ",", line, col}, nil
-	case c == '(':
-		return token{tokLParen, "(", line, col}, nil
-	case c == ')':
-		return token{tokRParen, ")", line, col}, nil
-	case c == '[':
-		return token{tokLBracket, "[", line, col}, nil
-	case c == ']':
-		return token{tokRBracket, "]", line, col}, nil
-	case c == '{':
-		return token{tokLBrace, "{", line, col}, nil
-	case c == '}':
-		return token{tokRBrace, "}", line, col}, nil
-	case c == '+':
-		return token{tokPlus, "+", line, col}, nil
-	case c == '*':
-		return token{tokStar, "*", line, col}, nil
-	case c == '/':
-		return token{tokSlash, "/", line, col}, nil
-	case c == '^':
-		return token{tokCaret, "^", line, col}, nil
+	case kind != tokEOF:
 	case c == '-':
-		if nc, ok := l.peekByte(); ok && nc == '>' {
-			l.advance()
-			return token{tokArrow, "->", line, col}, nil
+		kind = tokMinus
+		if end < len(src) && src[end] == '>' {
+			kind = tokArrow
+			end++
 		}
-		return token{tokMinus, "-", line, col}, nil
 	case c == '=':
-		if nc, ok := l.peekByte(); ok && nc == '=' {
-			l.advance()
-			return token{tokEquals, "==", line, col}, nil
+		if end >= len(src) || src[end] != '=' {
+			return token{}, errUnexpected(line, col, c)
 		}
-		return token{}, errf(line, col, "unexpected character %q", c)
+		kind = tokEquals
+		end++
 	case c == '"':
-		var sb strings.Builder
-		for {
-			nc, ok := l.peekByte()
-			if !ok {
-				return token{}, errf(line, col, "unterminated string literal")
+		// Strings may span lines; the token text drops the quotes.
+		l.col++
+		for end < len(src) && src[end] != '"' {
+			if src[end] == '\n' {
+				l.line++
+				l.col = 1
+			} else {
+				l.col++
 			}
-			l.advance()
-			if nc == '"' {
-				return token{tokString, sb.String(), line, col}, nil
-			}
-			sb.WriteByte(nc)
+			end++
 		}
+		if end == len(src) {
+			return token{}, errUnterminated(line, col)
+		}
+		l.pos = end + 1
+		l.col++
+		return token{kind: tokString, text: src[start+1 : end], line: line, col: col}, nil
 	case isDigit(c) || c == '.':
-		var sb strings.Builder
-		sb.WriteByte(c)
+		kind = tokNumber
 		seenExp := false
-		for {
-			nc, ok := l.peekByte()
-			if !ok {
-				break
-			}
+		for end < len(src) {
+			nc := src[end]
 			if isDigit(nc) || nc == '.' {
-				sb.WriteByte(nc)
-				l.advance()
+				end++
 				continue
 			}
 			if (nc == 'e' || nc == 'E') && !seenExp {
 				seenExp = true
-				sb.WriteByte(nc)
-				l.advance()
-				if sc, ok := l.peekByte(); ok && (sc == '+' || sc == '-') {
-					sb.WriteByte(sc)
-					l.advance()
+				end++
+				if end < len(src) && (src[end] == '+' || src[end] == '-') {
+					end++
 				}
 				continue
 			}
 			break
 		}
-		return token{tokNumber, sb.String(), line, col}, nil
-	case isIdentStart(c):
-		var sb strings.Builder
-		sb.WriteByte(c)
-		for {
-			nc, ok := l.peekByte()
-			if !ok || !isIdentPart(nc) {
-				break
-			}
-			sb.WriteByte(nc)
-			l.advance()
+	case identStart[c]:
+		kind = tokIdent
+		for end < len(src) && identPart[src[end]] {
+			end++
 		}
-		return token{tokIdent, sb.String(), line, col}, nil
 	default:
-		return token{}, errf(line, col, "unexpected character %q", c)
+		return token{}, errUnexpected(line, col, c)
 	}
+	l.col += end - start
+	l.pos = end
+	return token{kind: kind, text: src[start:end], line: line, col: col}, nil
 }
 
-func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
-func isIdentStart(c byte) bool { return c == '_' || unicode.IsLetter(rune(c)) }
-func isIdentPart(c byte) bool  { return isIdentStart(c) || isDigit(c) }
+func errUnexpected(line, col int, c byte) error {
+	return errf(line, col, "unexpected character %q", c)
+}
+
+func errUnterminated(line, col int) error {
+	return errf(line, col, "unterminated string literal")
+}

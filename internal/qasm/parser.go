@@ -3,6 +3,7 @@ package qasm
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -16,49 +17,86 @@ type gateDef struct {
 	params []string   // formal parameter names
 	args   []string   // formal qubit argument names
 	body   []gateCall // calls in terms of formals
+	nodes  []exprNode // expression arena the calls' params index into
 }
 
-// gateCall is one statement inside a gate body, unresolved.
+// gateCall is one statement inside a gate body. A call to a defined
+// gate binds when the definition is parsed, to a gate defined before
+// it, so inlining can never recurse forever.
 type gateCall struct {
-	name   string
-	params []expr
-	args   []string
-	line   int
-	col    int
+	name      string
+	def       *gateDef
+	params    []int32 // expression roots in the definition's nodes
+	args      []int   // indices into the definition's args
+	line, col int
 }
 
-// parser consumes tokens and emits a circuit.
+// qreg is a quantum register's slice of the flat wire space.
+type qreg struct {
+	name      string
+	off, size int
+}
+
+// operand is a parsed qubit operand: wires first, first+1, ...,
+// first+n-1, where n is 1 for an indexed qubit and the register size
+// for a whole register.
+type operand struct{ first, n int }
+
+// paramSlab is how many gate parameters one slab allocation holds.
+const paramSlab = 256
+
+// parser consumes tokens and emits a circuit. Parse runs it over the
+// whole source; GateScanner runs the same parser one statement at a
+// time, so both accept the same dialect and emit the same gates.
 type parser struct {
-	lex    *lexer
-	tok    token
-	peeked *token
+	lex lexer
+	tok token
 
-	regOffset map[string]int // qreg name -> first flat wire index
-	regSize   map[string]int
-	cregSize  map[string]int
-	numWires  int
+	regs     map[string]qreg
+	cregs    map[string]int
+	numWires int
+	defs     map[string]*gateDef
 
-	defs  map[string]*gateDef
 	gates []circuit.Gate
+
+	// Per-statement scratch, reused so that a statement allocates
+	// nothing beyond what its gates keep.
+	ops   []operand
+	wires []int
+	vals  []float64
+	nodes []exprNode
+
+	// slab backs the Params of emitted gates. Gates keep their
+	// parameters, so the slab is only appended to and, once full,
+	// replaced.
+	slab []float64
+}
+
+func newParser() parser {
+	return parser{
+		regs:  make(map[string]qreg),
+		cregs: make(map[string]int),
+		defs:  make(map[string]*gateDef),
+	}
 }
 
 // Parse reads OpenQASM 2.0 source and returns the flattened circuit.
 // Measurements and barriers are preserved as gates; classical registers
 // are validated but carry no data in this IR.
 func Parse(src string) (*circuit.Circuit, error) {
-	p := &parser{
-		lex:       newLexer(src),
-		regOffset: make(map[string]int),
-		regSize:   make(map[string]int),
-		cregSize:  make(map[string]int),
-		defs:      make(map[string]*gateDef),
-	}
-	if err := p.run(); err != nil {
+	p := newParser()
+	// Most statements are one gate, so this skips the doubling copies.
+	// The shortest one-gate statement, `h q[0];`, is 7 bytes: input that
+	// is mostly semicolons reserves no more than a valid program of its
+	// length could fill.
+	p.gates = make([]circuit.Gate, 0, min(strings.Count(src, ";"), len(src)/7))
+	if err := p.run(src, 1, 1); err != nil {
 		return nil, err
 	}
-	c := circuit.New(p.numWires)
-	c.Append(p.gates...)
-	return c, nil
+	// The parser has range-checked every wire and rejected repeated
+	// operands, so the gates are valid by construction, and the circuit
+	// takes the slice over instead of copying it.
+	return circuit.FromTrusted(p.numWires, p.gates), nil
 }
 
 // ParseFile reads and parses a QASM file; the circuit is named after
@@ -89,24 +127,27 @@ func ParseReader(r io.Reader) (*circuit.Circuit, error) {
 	return Parse(string(data))
 }
 
-func (p *parser) run() error {
-	if err := p.advance(); err != nil {
-		return err
-	}
-	for p.tok.kind != tokEOF {
+// run parses every statement of src, whose first byte sits at line:col
+// of the input. A statement ends on its own final token and the next
+// token is read only once it is done, so a statement's errors always
+// precede the next one's: Parse and GateScanner, which hands the parser
+// one statement at a time, fail alike.
+func (p *parser) run(src string, line, col int) error {
+	p.lex = lexer{src: src, line: line, col: col}
+	for {
+		if err := p.advance(); err != nil {
+			return err
+		}
+		if p.tok.kind == tokEOF {
+			return nil
+		}
 		if err := p.statement(); err != nil {
 			return err
 		}
 	}
-	return nil
 }
 
 func (p *parser) advance() error {
-	if p.peeked != nil {
-		p.tok = *p.peeked
-		p.peeked = nil
-		return nil
-	}
 	t, err := p.lex.next()
 	if err != nil {
 		return err
@@ -115,23 +156,20 @@ func (p *parser) advance() error {
 	return nil
 }
 
-func (p *parser) peek() (token, error) {
-	if p.peeked == nil {
-		t, err := p.lex.next()
-		if err != nil {
-			return token{}, err
-		}
-		p.peeked = &t
-	}
-	return *p.peeked, nil
-}
-
 func (p *parser) expect(k tokenKind) (token, error) {
-	if p.tok.kind != k {
-		return token{}, errf(p.tok.line, p.tok.col, "expected %v, found %v %q", k, p.tok.kind, p.tok.text)
+	if err := p.check(k); err != nil {
+		return token{}, err
 	}
 	t := p.tok
 	return t, p.advance()
+}
+
+// check reports an error unless the current token is a k.
+func (p *parser) check(k tokenKind) error {
+	if p.tok.kind != k {
+		return errf(p.tok.line, p.tok.col, "expected %v, found %v %q", k, p.tok.kind, p.tok.text)
+	}
+	return nil
 }
 
 func (p *parser) statement() error {
@@ -156,7 +194,7 @@ func (p *parser) statement() error {
 	case "barrier":
 		return p.barrier()
 	case "reset":
-		return p.reset()
+		return errf(p.tok.line, p.tok.col, "reset is not supported by this subset")
 	case "if":
 		return errf(p.tok.line, p.tok.col, "classical control (if) is not supported by this subset")
 	default:
@@ -175,8 +213,7 @@ func (p *parser) header() error {
 	if v.text != "2.0" && v.text != "2" {
 		return errf(v.line, v.col, "unsupported OPENQASM version %q (want 2.0)", v.text)
 	}
-	_, err = p.expect(tokSemicolon)
-	return err
+	return p.check(tokSemicolon)
 }
 
 func (p *parser) include() error {
@@ -190,8 +227,7 @@ func (p *parser) include() error {
 	if name.text != "qelib1.inc" {
 		return errf(name.line, name.col, "unsupported include %q (only qelib1.inc)", name.text)
 	}
-	_, err = p.expect(tokSemicolon)
-	return err
+	return p.check(tokSemicolon)
 }
 
 func (p *parser) qreg() error {
@@ -202,18 +238,20 @@ func (p *parser) qreg() error {
 	if err != nil {
 		return err
 	}
-	if _, dup := p.regSize[name.text]; dup {
+	if _, dup := p.regs[name.text]; dup {
 		return errf(name.line, name.col, "qreg %q redeclared", name.text)
 	}
 	size, err := p.bracketSize()
 	if err != nil {
 		return err
 	}
-	p.regOffset[name.text] = p.numWires
-	p.regSize[name.text] = size
+	if size > math.MaxInt-p.numWires {
+		return errf(name.line, name.col, "qreg %q overflows the wire count", name.text)
+	}
+	reg := qreg{name: strings.Clone(name.text), off: p.numWires, size: size}
+	p.regs[reg.name] = reg
 	p.numWires += size
-	_, err = p.expect(tokSemicolon)
-	return err
+	return p.check(tokSemicolon)
 }
 
 func (p *parser) creg() error {
@@ -228,9 +266,8 @@ func (p *parser) creg() error {
 	if err != nil {
 		return err
 	}
-	p.cregSize[name.text] = size
-	_, err = p.expect(tokSemicolon)
-	return err
+	p.cregs[strings.Clone(name.text)] = size
+	return p.check(tokSemicolon)
 }
 
 func (p *parser) bracketSize() (int, error) {
@@ -251,15 +288,17 @@ func (p *parser) bracketSize() (int, error) {
 	return size, nil
 }
 
-// opaque declarations are parsed and ignored (no body to inline).
+// opaque declarations have no body to inline: the declaration is read
+// and ignored. It may hold only names, commas and parentheses, so no
+// brace or semicolon can hide in one and GateScanner's statement
+// boundaries always match the parser's.
 func (p *parser) opaque() error {
-	for p.tok.kind != tokSemicolon && p.tok.kind != tokEOF {
+	for p.tok.kind == tokIdent || p.tok.kind == tokComma || p.tok.kind == tokLParen || p.tok.kind == tokRParen {
 		if err := p.advance(); err != nil {
 			return err
 		}
 	}
-	_, err := p.expect(tokSemicolon)
-	return err
+	return p.check(tokSemicolon)
 }
 
 func (p *parser) gateDefStmt() error {
@@ -271,6 +310,7 @@ func (p *parser) gateDefStmt() error {
 		return err
 	}
 	def := &gateDef{}
+	p.nodes = p.nodes[:0]
 	if p.tok.kind == tokLParen {
 		if err := p.advance(); err != nil {
 			return err
@@ -280,7 +320,7 @@ func (p *parser) gateDefStmt() error {
 			if err != nil {
 				return err
 			}
-			def.params = append(def.params, id.text)
+			def.params = append(def.params, strings.Clone(id.text))
 			if p.tok.kind == tokComma {
 				if err := p.advance(); err != nil {
 					return err
@@ -292,7 +332,7 @@ func (p *parser) gateDefStmt() error {
 		}
 	}
 	for p.tok.kind == tokIdent {
-		def.args = append(def.args, p.tok.text)
+		def.args = append(def.args, strings.Clone(p.tok.text))
 		if err := p.advance(); err != nil {
 			return err
 		}
@@ -311,7 +351,10 @@ func (p *parser) gateDefStmt() error {
 		}
 		if p.tok.kind == tokIdent && p.tok.text == "barrier" {
 			// Barriers inside gate bodies are scheduling hints; skip.
-			for p.tok.kind != tokSemicolon && p.tok.kind != tokEOF {
+			if err := p.advance(); err != nil {
+				return err
+			}
+			for p.tok.kind == tokIdent || p.tok.kind == tokComma {
 				if err := p.advance(); err != nil {
 					return err
 				}
@@ -327,10 +370,11 @@ func (p *parser) gateDefStmt() error {
 		}
 		def.body = append(def.body, call)
 	}
-	if err := p.advance(); err != nil { // consume '}'
-		return err
+	def.nodes = append([]exprNode(nil), p.nodes...)
+	for i := range def.nodes {
+		def.nodes[i].name = strings.Clone(def.nodes[i].name)
 	}
-	p.defs[name.text] = def
+	p.defs[strings.Clone(name.text)] = def
 	return nil
 }
 
@@ -339,17 +383,17 @@ func (p *parser) gateBodyCall(def *gateDef) (gateCall, error) {
 	if err != nil {
 		return gateCall{}, err
 	}
-	call := gateCall{name: name.text, line: name.line, col: name.col}
+	call := gateCall{name: strings.Clone(name.text), def: p.defs[name.text], line: name.line, col: name.col}
 	if p.tok.kind == tokLParen {
 		if err := p.advance(); err != nil {
 			return gateCall{}, err
 		}
 		for p.tok.kind != tokRParen {
-			e, err := p.parseExpr()
+			root, err := p.parseExpr()
 			if err != nil {
 				return gateCall{}, err
 			}
-			call.params = append(call.params, e)
+			call.params = append(call.params, root)
 			if p.tok.kind == tokComma {
 				if err := p.advance(); err != nil {
 					return gateCall{}, err
@@ -361,16 +405,15 @@ func (p *parser) gateBodyCall(def *gateDef) (gateCall, error) {
 		}
 	}
 	for p.tok.kind == tokIdent {
-		arg := p.tok.text
-		found := false
-		for _, a := range def.args {
-			if a == arg {
-				found = true
-				break
+		// A repeated formal name binds to its last occurrence.
+		arg := -1
+		for i, a := range def.args {
+			if a == p.tok.text {
+				arg = i
 			}
 		}
-		if !found {
-			return gateCall{}, errf(p.tok.line, p.tok.col, "unknown qubit argument %q in gate body", arg)
+		if arg < 0 {
+			return gateCall{}, errf(p.tok.line, p.tok.col, "unknown qubit argument %q in gate body", p.tok.text)
 		}
 		call.args = append(call.args, arg)
 		if err := p.advance(); err != nil {
@@ -388,42 +431,30 @@ func (p *parser) gateBodyCall(def *gateDef) (gateCall, error) {
 	return call, nil
 }
 
-// operand is a parsed qubit operand: either one wire or a whole register.
-type operand struct {
-	wires []int
-	line  int
-	col   int
-}
-
 func (p *parser) operand() (operand, error) {
 	name, err := p.expect(tokIdent)
 	if err != nil {
 		return operand{}, err
 	}
-	off, ok := p.regOffset[name.text]
+	reg, ok := p.regs[name.text]
 	if !ok {
 		return operand{}, errf(name.line, name.col, "unknown quantum register %q", name.text)
 	}
-	size := p.regSize[name.text]
 	if p.tok.kind == tokLBracket {
-		idx, err := p.bracketSize2()
+		idx, err := p.index()
 		if err != nil {
 			return operand{}, err
 		}
-		if idx < 0 || idx >= size {
-			return operand{}, errf(name.line, name.col, "index %d out of range for %s[%d]", idx, name.text, size)
+		if idx < 0 || idx >= reg.size {
+			return operand{}, errf(name.line, name.col, "index %d out of range for %s[%d]", idx, name.text, reg.size)
 		}
-		return operand{wires: []int{off + idx}, line: name.line, col: name.col}, nil
+		return operand{first: reg.off + idx, n: 1}, nil
 	}
-	wires := make([]int, size)
-	for i := range wires {
-		wires[i] = off + i
-	}
-	return operand{wires: wires, line: name.line, col: name.col}, nil
+	return operand{first: reg.off, n: reg.size}, nil
 }
 
-// bracketSize2 parses "[n]" allowing zero.
-func (p *parser) bracketSize2() (int, error) {
+// index parses "[n]" allowing zero.
+func (p *parser) index() (int, error) {
 	if _, err := p.expect(tokLBracket); err != nil {
 		return 0, err
 	}
@@ -457,18 +488,18 @@ func (p *parser) measure() error {
 	if err != nil {
 		return err
 	}
-	if _, ok := p.cregSize[name.text]; !ok {
+	if _, ok := p.cregs[name.text]; !ok {
 		return errf(name.line, name.col, "unknown classical register %q", name.text)
 	}
 	if p.tok.kind == tokLBracket {
-		if _, err := p.bracketSize2(); err != nil {
+		if _, err := p.index(); err != nil {
 			return err
 		}
 	}
-	if _, err := p.expect(tokSemicolon); err != nil {
+	if err := p.check(tokSemicolon); err != nil {
 		return err
 	}
-	for _, w := range src.wires {
+	for w := src.first; w < src.first+src.n; w++ {
 		p.gates = append(p.gates, circuit.G1(circuit.KindMeasure, w))
 	}
 	return nil
@@ -478,13 +509,13 @@ func (p *parser) barrier() error {
 	if err := p.advance(); err != nil {
 		return err
 	}
-	var wires []int
+	p.ops = p.ops[:0]
 	for {
 		op, err := p.operand()
 		if err != nil {
 			return err
 		}
-		wires = append(wires, op.wires...)
+		p.ops = append(p.ops, op)
 		if p.tok.kind != tokComma {
 			break
 		}
@@ -492,41 +523,43 @@ func (p *parser) barrier() error {
 			return err
 		}
 	}
-	if _, err := p.expect(tokSemicolon); err != nil {
+	if err := p.check(tokSemicolon); err != nil {
 		return err
 	}
-	for _, w := range wires {
-		p.gates = append(p.gates, circuit.G1(circuit.KindBarrier, w))
+	for _, op := range p.ops {
+		for w := op.first; w < op.first+op.n; w++ {
+			p.gates = append(p.gates, circuit.G1(circuit.KindBarrier, w))
+		}
 	}
 	return nil
-}
-
-func (p *parser) reset() error {
-	return errf(p.tok.line, p.tok.col, "reset is not supported by this subset")
 }
 
 // application parses a gate application statement and appends the
 // resulting elementary gates.
 func (p *parser) application() error {
 	name := p.tok
+	if p.quickApply(name.text) {
+		return nil
+	}
 	if err := p.advance(); err != nil {
 		return err
 	}
-	var params []float64
+	p.vals = p.vals[:0]
 	if p.tok.kind == tokLParen {
 		if err := p.advance(); err != nil {
 			return err
 		}
 		for p.tok.kind != tokRParen {
-			e, err := p.parseExpr()
+			p.nodes = p.nodes[:0]
+			root, err := p.parseExpr()
 			if err != nil {
 				return err
 			}
-			v, err := e.eval(nil)
+			v, err := evalParam(p.nodes, root, nil, nil)
 			if err != nil {
 				return err
 			}
-			params = append(params, v)
+			p.vals = append(p.vals, v)
 			if p.tok.kind == tokComma {
 				if err := p.advance(); err != nil {
 					return err
@@ -537,13 +570,13 @@ func (p *parser) application() error {
 			return err
 		}
 	}
-	var ops []operand
+	p.ops = p.ops[:0]
 	for {
 		op, err := p.operand()
 		if err != nil {
 			return err
 		}
-		ops = append(ops, op)
+		p.ops = append(p.ops, op)
 		if p.tok.kind != tokComma {
 			break
 		}
@@ -551,10 +584,105 @@ func (p *parser) application() error {
 			return err
 		}
 	}
-	if _, err := p.expect(tokSemicolon); err != nil {
+	if err := p.check(tokSemicolon); err != nil {
 		return err
 	}
-	return p.broadcast(name, params, ops)
+	return p.broadcast(name, p.keepParams(p.vals), p.ops)
+}
+
+// quickApply parses the common statement `name a[i];` or
+// `name a[i],b[j];` — a parameterless IR gate on declared, in-range,
+// distinct qubits, separated by blanks only — straight from the source
+// bytes following the gate name. It emits exactly the gate application
+// would, and reports false without consuming anything for every other
+// statement, so the general parser sees all the rest and every error.
+//
+//sabre:hotpath
+func (p *parser) quickApply(name string) bool {
+	k, ok := elementary(name)
+	if !ok || k.NumParams() != 0 {
+		return false
+	}
+	src, start := p.lex.src, p.lex.pos
+	i := skipBlanks(src, start)
+	if i == start {
+		return false
+	}
+	q0, i, ok := p.quickOperand(src, i)
+	if !ok {
+		return false
+	}
+	i = skipBlanks(src, i)
+	q1 := -1
+	if k.TwoQubit() {
+		if i >= len(src) || src[i] != ',' {
+			return false
+		}
+		q1, i, ok = p.quickOperand(src, skipBlanks(src, i+1))
+		if !ok || q1 == q0 {
+			return false
+		}
+		i = skipBlanks(src, i)
+	}
+	if i >= len(src) || src[i] != ';' {
+		return false
+	}
+	i++
+	p.gates = append(p.gates, circuit.Gate{Kind: k, Q0: q0, Q1: q1})
+	p.lex.col += i - start
+	p.lex.pos = i
+	return true
+}
+
+// quickOperand reads `reg[digits]` at src[i:] for quickApply, returning
+// the flat wire and the offset after ']'.
+//
+//sabre:hotpath
+func (p *parser) quickOperand(src string, i int) (wire, next int, ok bool) {
+	j := i
+	for j < len(src) && identPart[src[j]] {
+		j++
+	}
+	if j == i || !identStart[src[i]] || j >= len(src) || src[j] != '[' {
+		return 0, 0, false
+	}
+	reg, ok := p.regs[src[i:j]]
+	if !ok {
+		return 0, 0, false
+	}
+	j++
+	idx, digits := 0, j
+	for j < len(src) && isDigit(src[j]) && j-digits < 9 {
+		idx = idx*10 + int(src[j]-'0')
+		j++
+	}
+	if j == digits || j >= len(src) || src[j] != ']' || idx >= reg.size {
+		return 0, 0, false
+	}
+	return reg.off + idx, j + 1, true
+}
+
+// skipBlanks skips the whitespace that does not start a new line.
+func skipBlanks(src string, i int) int {
+	for i < len(src) && (src[i] == ' ' || src[i] == '\t' || src[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// keepParams copies vals into the parameter slab and returns the copy
+// (nil for none). Capacity is clipped so an append to one gate's
+// Params can never overwrite another's.
+func (p *parser) keepParams(vals []float64) []float64 {
+	if len(vals) == 0 {
+		return nil
+	}
+	if cap(p.slab)-len(p.slab) < len(vals) {
+		p.slab = make([]float64, 0, max(paramSlab, len(vals)))
+	}
+	start := len(p.slab)
+	p.slab = append(p.slab, vals...)
+	return p.slab[start:len(p.slab):len(p.slab)]
 }
 
 // broadcast expands whole-register operands: all register operands must
@@ -562,136 +690,140 @@ func (p *parser) application() error {
 func (p *parser) broadcast(name token, params []float64, ops []operand) error {
 	length := 1
 	for _, op := range ops {
-		if len(op.wires) > 1 {
-			if length > 1 && len(op.wires) != length {
+		if op.n > 1 {
+			if length > 1 && op.n != length {
 				return errf(name.line, name.col, "mismatched register lengths in %q application", name.text)
 			}
-			length = len(op.wires)
+			length = op.n
 		}
 	}
+	def := p.defs[name.text]
 	for i := 0; i < length; i++ {
-		wires := make([]int, len(ops))
-		for j, op := range ops {
-			if len(op.wires) == 1 {
-				wires[j] = op.wires[0]
-			} else {
-				wires[j] = op.wires[i]
+		p.wires = p.wires[:0]
+		for _, op := range ops {
+			w := op.first
+			if op.n > 1 {
+				w += i
 			}
+			p.wires = append(p.wires, w)
 		}
-		if err := p.emit(name, params, wires); err != nil {
+		if err := p.emit(name.text, def, name.line, name.col, params, p.wires); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// emit appends one elementary gate (or an inlined definition) acting on
-// resolved wires.
-func (p *parser) emit(name token, params []float64, wires []int) error {
-	switch name.text {
+// elementary maps a gate name to its IR kind; measure and barrier are
+// statements, not gates.
+func elementary(name string) (circuit.Kind, bool) {
+	k, ok := circuit.KindByName(name)
+	return k, ok && k != circuit.KindMeasure && k != circuit.KindBarrier
+}
+
+// emit appends one elementary gate, or the inlined body of def, acting
+// on resolved wires. Built-in gates take precedence over a definition
+// of the same name.
+func (p *parser) emit(name string, def *gateDef, line, col int, params []float64, wires []int) error {
+	for i := 1; i < len(wires); i++ {
+		for _, w := range wires[:i] {
+			if w == wires[i] {
+				return errf(line, col, "%s applied to the same qubit twice", name)
+			}
+		}
+	}
+	switch name {
 	case "id", "u0":
 		return nil // identity
 	case "ccx":
 		if len(wires) != 3 {
-			return errf(name.line, name.col, "ccx needs 3 qubits, got %d", len(wires))
+			return errf(line, col, "ccx needs 3 qubits, got %d", len(wires))
 		}
 		p.gates = append(p.gates, ToffoliDecomposition(wires[0], wires[1], wires[2])...)
 		return nil
 	case "cu1":
 		if len(wires) != 2 || len(params) != 1 {
-			return errf(name.line, name.col, "cu1 needs 1 param and 2 qubits")
+			return errf(line, col, "cu1 needs 1 param and 2 qubits")
 		}
 		p.gates = append(p.gates, CU1Decomposition(params[0], wires[0], wires[1])...)
 		return nil
 	case "cy":
 		if len(wires) != 2 || len(params) != 0 {
-			return errf(name.line, name.col, "cy needs 2 qubits and no params")
+			return errf(line, col, "cy needs 2 qubits and no params")
 		}
 		p.gates = append(p.gates, circuit.CYDecomposition(wires[0], wires[1])...)
 		return nil
 	case "ch":
 		if len(wires) != 2 || len(params) != 0 {
-			return errf(name.line, name.col, "ch needs 2 qubits and no params")
+			return errf(line, col, "ch needs 2 qubits and no params")
 		}
 		p.gates = append(p.gates, circuit.CHDecomposition(wires[0], wires[1])...)
 		return nil
 	case "crz":
 		if len(wires) != 2 || len(params) != 1 {
-			return errf(name.line, name.col, "crz needs 1 param and 2 qubits")
+			return errf(line, col, "crz needs 1 param and 2 qubits")
 		}
 		p.gates = append(p.gates, circuit.CRZDecomposition(params[0], wires[0], wires[1])...)
 		return nil
 	case "cu3":
 		if len(wires) != 2 || len(params) != 3 {
-			return errf(name.line, name.col, "cu3 needs 3 params and 2 qubits")
+			return errf(line, col, "cu3 needs 3 params and 2 qubits")
 		}
 		p.gates = append(p.gates, circuit.CU3Decomposition(params[0], params[1], params[2], wires[0], wires[1])...)
 		return nil
 	case "cswap":
 		if len(wires) != 3 || len(params) != 0 {
-			return errf(name.line, name.col, "cswap needs 3 qubits and no params")
+			return errf(line, col, "cswap needs 3 qubits and no params")
 		}
 		p.gates = append(p.gates, circuit.CSwapDecomposition(wires[0], wires[1], wires[2])...)
 		return nil
 	case "rzz":
 		if len(wires) != 2 || len(params) != 1 {
-			return errf(name.line, name.col, "rzz needs 1 param and 2 qubits")
+			return errf(line, col, "rzz needs 1 param and 2 qubits")
 		}
 		p.gates = append(p.gates, circuit.RZZDecomposition(params[0], wires[0], wires[1])...)
 		return nil
 	case "u", "U":
-		name.text = "u3"
+		name = "u3"
 	}
-	if k, ok := circuit.KindByName(name.text); ok && name.text != "measure" && name.text != "barrier" {
+	if k, ok := elementary(name); ok {
 		if len(wires) != k.Arity() {
-			return errf(name.line, name.col, "%s needs %d qubits, got %d", name.text, k.Arity(), len(wires))
+			return errf(line, col, "%s needs %d qubits, got %d", name, k.Arity(), len(wires))
 		}
 		if len(params) != k.NumParams() {
-			return errf(name.line, name.col, "%s needs %d params, got %d", name.text, k.NumParams(), len(params))
+			return errf(line, col, "%s needs %d params, got %d", name, k.NumParams(), len(params))
 		}
 		if k.Arity() == 1 {
 			p.gates = append(p.gates, circuit.G1(k, wires[0], params...))
 		} else {
-			if wires[0] == wires[1] {
-				return errf(name.line, name.col, "%s applied to the same qubit twice", name.text)
-			}
 			p.gates = append(p.gates, circuit.Gate{Kind: k, Q0: wires[0], Q1: wires[1]})
 		}
 		return nil
 	}
-	def, ok := p.defs[name.text]
-	if !ok {
-		return errf(name.line, name.col, "unknown gate %q", name.text)
+	if def == nil {
+		return errf(line, col, "unknown gate %q", name)
 	}
 	if len(wires) != len(def.args) {
-		return errf(name.line, name.col, "%s needs %d qubits, got %d", name.text, len(def.args), len(wires))
+		return errf(line, col, "%s needs %d qubits, got %d", name, len(def.args), len(wires))
 	}
 	if len(params) != len(def.params) {
-		return errf(name.line, name.col, "%s needs %d params, got %d", name.text, len(def.params), len(params))
-	}
-	env := make(map[string]float64, len(def.params))
-	for i, formal := range def.params {
-		env[formal] = params[i]
-	}
-	bind := make(map[string]int, len(def.args))
-	for i, formal := range def.args {
-		bind[formal] = wires[i]
+		return errf(line, col, "%s needs %d params, got %d", name, len(def.params), len(params))
 	}
 	for _, call := range def.body {
-		callParams := make([]float64, len(call.params))
-		for i, e := range call.params {
-			v, err := e.eval(env)
+		p.vals = p.vals[:0]
+		for _, root := range call.params {
+			v, err := evalParam(def.nodes, root, def.params, params)
 			if err != nil {
 				return err
 			}
-			callParams[i] = v
+			p.vals = append(p.vals, v)
 		}
+		callParams := p.keepParams(p.vals)
 		callWires := make([]int, len(call.args))
 		for i, a := range call.args {
-			callWires[i] = bind[a]
+			callWires[i] = wires[a]
 		}
-		sub := token{kind: tokIdent, text: call.name, line: call.line, col: call.col}
-		if err := p.emit(sub, callParams, callWires); err != nil {
+		if err := p.emit(call.name, call.def, call.line, call.col, callParams, callWires); err != nil {
 			return err
 		}
 	}

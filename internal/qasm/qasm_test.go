@@ -3,9 +3,11 @@ package qasm
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/circuit"
 )
@@ -255,6 +257,23 @@ func TestParseErrors(t *testing.T) {
 		{"measure unknown creg", "OPENQASM 2.0;\nqreg q[1];\nmeasure q[0] -> c[0];\n", "unknown classical register"},
 		{"division by zero", "OPENQASM 2.0;\nqreg q[1];\nrz(1/0) q[0];\n", "division by zero"},
 		{"stray char", "OPENQASM 2.0;\nqreg q[1];\n@ q[0];\n", "unexpected character"},
+		{"non-finite angle", "OPENQASM 2.0;\nqreg q[1];\nrz(exp(1000)) q[0];\n", "qasm:3:4: parameter evaluates to +Inf"},
+		{"brace in opaque", "OPENQASM 2.0;\nopaque g { a;\n", "expected ';'"},
+		{"recursive gate", "OPENQASM 2.0;\nqreg q[1];\ngate g a { g a; }\ng q[0];\n", "qasm:3:12: unknown gate \"g\""},
+	}
+	// Every multi-qubit gate applied to one qubit twice fails at the
+	// statement, in Parse and GateScanner alike.
+	for _, stmt := range []string{
+		"ccx q[0],q[0],q[1];", "ccx q[0],q[1],q[1];", "ccx q[1],q[0],q[1];", "cswap q[1],q[2],q[1];",
+		"cu1(0.5) q[2],q[2];", "cy q[0],q[0];", "ch q[1],q[1];", "crz(0.5) q[0],q[0];",
+		"cu3(1,2,3) q[2],q[2];", "rzz(0.5) q[1],q[1];", "swap q[1],q[1];", "cz q[2],q[2];",
+		"pair q[0],q[0];",
+	} {
+		cases = append(cases, struct{ name, src, want string }{
+			"repeated operand " + stmt,
+			"OPENQASM 2.0;\nqreg q[3];\ngate pair a,b { h a; h b; }\n  " + stmt + "\n",
+			"qasm:4:3: " + strings.Fields(strings.Split(stmt, "(")[0])[0] + " applied to the same qubit twice",
+		})
 	}
 	for _, tc := range cases {
 		_, err := Parse(tc.src)
@@ -265,6 +284,28 @@ func TestParseErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
 		}
+		if _, _, serr := drainScanner(t, tc.src); serr == nil || serr.Error() != err.Error() {
+			t.Errorf("%s: GateScanner error %v, Parse error %v", tc.name, serr, err)
+		}
+	}
+}
+
+// TestParseSemicolonFlood: a body of nothing but semicolons fails at its
+// first byte, and the gate slice Parse reserves from the input stays
+// within what a valid program of the same length could fill: one gate
+// per 7-byte `h q[0];`.
+func TestParseSemicolonFlood(t *testing.T) {
+	src := strings.Repeat(";", 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Parse(src)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.HasPrefix(err.Error(), "qasm:1:1: ") {
+		t.Fatalf("Parse(1 MiB of ';') = %v, want an error at 1:1", err)
+	}
+	limit := uint64(len(src)/7)*uint64(unsafe.Sizeof(circuit.Gate{})) + 64<<10
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("Parse(1 MiB of ';') allocated %d bytes, want at most %d", got, limit)
 	}
 }
 
@@ -355,8 +396,8 @@ func TestFormatParam(t *testing.T) {
 		{3 * math.Pi / 4, "3*pi/4"},
 	}
 	for _, tc := range cases {
-		if got := formatParam(tc.v); got != tc.want {
-			t.Errorf("formatParam(%g) = %q, want %q", tc.v, got, tc.want)
+		if got := string(appendParam(nil, tc.v)); got != tc.want {
+			t.Errorf("appendParam(%g) = %q, want %q", tc.v, got, tc.want)
 		}
 	}
 }

@@ -3,26 +3,40 @@ package qasm
 import (
 	"bufio"
 	"io"
+	"math"
+	"unsafe"
 
 	"repro/internal/circuit"
 )
 
+// scanBufSize is GateScanner's initial read buffer. It grows only to
+// hold a statement longer than itself.
+const scanBufSize = 32 << 10
+
 // GateScanner is an incremental OpenQASM 2.0 gate-stream parser: it
 // pulls statements off an io.Reader one at a time and yields the
 // flattened elementary gates, never materializing the whole file or a
-// whole-circuit gate slice. Steady-state memory is bounded by the
-// longest single statement (plus the persistent register/gate-def
-// tables), so a multi-gigabyte trace streams in O(1).
+// whole-circuit gate slice. A bufio.Scanner splits the input into
+// statements, and each is lexed in place in the scanner's reused
+// buffer, so steady-state memory is bounded by the longest single
+// statement (plus the persistent register/gate-def tables) and a
+// parameterless statement allocates nothing: a multi-gigabyte trace
+// streams in O(1) memory.
 //
-// The scanner accepts exactly the dialect Parse accepts and yields
-// exactly the gates Parse would put in the circuit, in the same order:
-// for any source, draining a GateScanner and Parse(src).Gates() are
-// element-wise identical. Header statements (OPENQASM, include, qreg,
-// creg, gate, opaque) yield no gates but mutate parser state;
-// NumQubits grows as qreg declarations arrive and is final once the
-// first gate is yielded (declarations after the first application are
-// legal QASM and handled, so callers that need the final width up
-// front should size to the device instead).
+// The scanner runs Parse's parser, one statement at a time, so it
+// accepts exactly the dialect Parse accepts and yields exactly the
+// gates Parse would put in the circuit, in the same order: for any
+// source, draining a GateScanner and Parse(src).Gates() are
+// element-wise identical, and an input fails both or neither, with
+// the error at the same position. Statements end at a ';' outside
+// braces or at the '}' closing a gate body, skipping comments and
+// string literals; the parser keeps braces out of every other
+// statement so these boundaries are always its own. Header statements
+// (OPENQASM, include, qreg, creg, gate, opaque) yield no gates but
+// mutate parser state; NumQubits grows as qreg declarations arrive and
+// is final once the first gate is yielded (declarations after the
+// first application are legal QASM and handled, so callers that need
+// the final width up front should size to the device instead).
 //
 // Usage follows bufio.Scanner:
 //
@@ -33,30 +47,21 @@ import (
 //	}
 //	if err := sc.Err(); err != nil { ... }
 type GateScanner struct {
-	r *bufio.Reader
-	p *parser
+	sc        *bufio.Scanner
+	line, col int // input position after the statements split off so far
 
-	stmt []byte // reusable statement buffer
-	line int    // 1-based line number at the read head
-
+	p    parser
 	idx  int // next unread gate in p.gates
 	gate circuit.Gate
 	err  error
-	eof  bool
 }
 
 // NewGateScanner returns a scanner reading QASM statements from r.
 func NewGateScanner(r io.Reader) *GateScanner {
-	return &GateScanner{
-		r: bufio.NewReader(r),
-		p: &parser{
-			regOffset: make(map[string]int),
-			regSize:   make(map[string]int),
-			cregSize:  make(map[string]int),
-			defs:      make(map[string]*gateDef),
-		},
-		line: 1,
-	}
+	s := &GateScanner{sc: bufio.NewScanner(r), line: 1, col: 1, p: newParser()}
+	s.sc.Buffer(make([]byte, scanBufSize), math.MaxInt)
+	s.sc.Split(s.split)
+	return s
 }
 
 // Scan advances to the next gate, parsing further statements as
@@ -64,24 +69,26 @@ func NewGateScanner(r io.Reader) *GateScanner {
 // (check Err to distinguish).
 func (s *GateScanner) Scan() bool {
 	for s.idx >= len(s.p.gates) {
-		if s.err != nil || s.eof {
+		if s.err != nil {
+			return false
+		}
+		if !s.sc.Scan() {
+			s.err = s.sc.Err()
 			return false
 		}
 		s.p.gates = s.p.gates[:0]
 		s.idx = 0
-		stmt, startLine, ok, err := s.nextStatement()
-		if err != nil {
+		stmt := s.sc.Bytes()
+		if err := s.p.run(unsafe.String(unsafe.SliceData(stmt), len(stmt)), s.line, s.col); err != nil {
+			// Once a read has failed, the statement is cut short because
+			// of it: report the read error.
+			if rerr := s.sc.Err(); rerr != nil {
+				err = rerr
+			}
 			s.err = err
 			return false
 		}
-		if !ok {
-			s.eof = true
-			return false
-		}
-		if err := s.parseStatement(stmt, startLine); err != nil {
-			s.err = err
-			return false
-		}
+		s.line, s.col = s.p.lex.line, s.p.lex.col
 	}
 	s.gate = s.p.gates[s.idx]
 	s.idx++
@@ -108,89 +115,72 @@ func (s *GateScanner) Next() (circuit.Gate, bool, error) {
 	return circuit.Gate{}, false, s.err
 }
 
-// parseStatement runs the persistent parser over one statement's text.
-// The lexer is rebased to the statement's source line so errors point
-// at the original file position.
-func (s *GateScanner) parseStatement(stmt string, startLine int) error {
-	p := s.p
-	p.lex = &lexer{src: stmt, line: startLine, col: 1}
-	p.peeked = nil
-	if err := p.advance(); err != nil {
-		return err
-	}
-	for p.tok.kind != tokEOF {
-		if err := p.statement(); err != nil {
-			return err
+// split is the bufio.SplitFunc that cuts the input into statements,
+// without their leading whitespace. At end of input an unterminated
+// statement is returned as is, for the parser to report what it lacks.
+// The scanner offers a statement again once more input has arrived, so
+// the position moves only past what split consumes.
+func (s *GateScanner) split(data []byte, atEOF bool) (int, []byte, error) {
+	start, line, col := 0, s.line, s.col
+	for ; start < len(data); start++ {
+		if c := data[start]; c == '\n' {
+			line++
+			col = 1
+		} else if c == ' ' || c == '\t' || c == '\r' {
+			col++
+		} else {
+			break
 		}
 	}
-	return nil
+	n := statementEnd(data[start:])
+	if n < 0 {
+		if !atEOF && start < len(data) {
+			return 0, nil, nil // the statement goes on past the buffered input
+		}
+		n = len(data) - start // whitespace only, or unterminated at end of input
+	}
+	s.line, s.col = line, col
+	if n == 0 {
+		return start, nil, nil
+	}
+	return start + n, data[start : start+n], nil
 }
 
-// nextStatement scans the raw byte stream up to the next statement
-// boundary: a ';' at brace depth zero, or the '}' closing a top-level
-// brace block (gate definitions carry no trailing semicolon). Line
-// comments and string literals are tracked so their contents never
-// count as structure. Leading whitespace is skipped so startLine is
-// the statement's first significant line. ok=false reports clean EOF
-// (possibly after trailing trivia).
-func (s *GateScanner) nextStatement() (stmt string, startLine int, ok bool, err error) {
-	s.stmt = s.stmt[:0]
-	startLine = s.line
-	depth := 0
-	sawBrace := false
-	inComment := false
-	inString := false
-	for {
-		b, rerr := s.r.ReadByte()
-		if rerr != nil {
-			if rerr == io.EOF {
-				if len(s.stmt) == 0 {
-					return "", startLine, false, nil
-				}
-				// Unterminated trailing statement: hand it to the
-				// parser, which reports the missing semicolon with a
-				// real position.
-				return string(s.stmt), startLine, true, nil
-			}
-			return "", startLine, false, rerr
-		}
-		if b == '\n' {
-			s.line++
-			inComment = false
-		}
-		if len(s.stmt) == 0 && (b == ' ' || b == '\t' || b == '\r' || b == '\n') {
-			startLine = s.line
+// statementEnd returns the length of the statement at the start of b:
+// through its ';' at brace depth zero, or through the '}' closing a
+// top-level brace block (gate definitions carry no trailing
+// semicolon). It returns -1 when b holds no end yet. Line comments and
+// string literals are tracked so their contents never count as
+// structure.
+func statementEnd(b []byte) int {
+	depth, comment, quoted := 0, false, false
+	for i, c := range b {
+		if comment {
+			comment = c != '\n'
 			continue
 		}
-		s.stmt = append(s.stmt, b)
-		if inComment {
-			continue
-		}
-		switch b {
+		switch c {
 		case '"':
-			inString = !inString
+			quoted = !quoted
 		case '/':
-			if !inString && len(s.stmt) >= 2 && s.stmt[len(s.stmt)-2] == '/' {
-				inComment = true
-			}
+			comment = !quoted && i > 0 && b[i-1] == '/'
 		case '{':
-			if !inString {
+			if !quoted {
 				depth++
-				sawBrace = true
 			}
 		case '}':
-			if !inString {
-				depth--
-				if depth <= 0 && sawBrace {
-					return string(s.stmt), startLine, true, nil
+			if !quoted && depth > 0 {
+				if depth--; depth == 0 {
+					return i + 1
 				}
 			}
 		case ';':
-			if !inString && depth == 0 {
-				return string(s.stmt), startLine, true, nil
+			if !quoted && depth == 0 {
+				return i + 1
 			}
 		}
 	}
+	return -1
 }
 
 // ScanGates streams the gates of QASM source r into fn, stopping on
@@ -205,82 +195,4 @@ func ScanGates(r io.Reader, fn func(circuit.Gate) error) error {
 		}
 	}
 	return sc.Err()
-}
-
-// StreamWriter serializes routed gates as OpenQASM 2.0 incrementally:
-// the header is written up front, gates are appended chunk by chunk,
-// and the concatenation of all chunks is a complete program. Because
-// a streaming writer cannot look ahead to count measurements, the
-// classical register line is emitted unconditionally — unlike Write,
-// which omits it from measurement-free circuits. Both streaming
-// compilation paths (windowed and materialized) share this writer, so
-// their outputs stay byte-comparable by construction.
-type StreamWriter struct {
-	w   *bufio.Writer
-	err error
-}
-
-// NewStreamWriter writes the program header (version, include, qreg
-// and creg of width max(numQubits,1)) to w and returns the writer.
-func NewStreamWriter(w io.Writer, numQubits int) *StreamWriter {
-	sw := &StreamWriter{w: bufio.NewWriter(w)}
-	n := maxInt(numQubits, 1)
-	sw.w.WriteString("OPENQASM 2.0;\n")
-	sw.w.WriteString("include \"qelib1.inc\";\n")
-	writeRegLine(sw.w, "qreg q", n)
-	writeRegLine(sw.w, "creg c", n)
-	sw.err = sw.w.Flush()
-	return sw
-}
-
-// WriteGates appends one chunk of gates. Errors are sticky.
-func (sw *StreamWriter) WriteGates(gates []circuit.Gate) error {
-	if sw.err != nil {
-		return sw.err
-	}
-	for _, g := range gates {
-		if err := writeGate(sw.w, g); err != nil {
-			sw.err = err
-			return err
-		}
-	}
-	sw.err = sw.w.Flush()
-	return sw.err
-}
-
-// Emit is WriteGates under the name core.StreamSink expects, so a
-// StreamWriter plugs directly into the streaming router as its sink.
-func (sw *StreamWriter) Emit(gates []circuit.Gate) error { return sw.WriteGates(gates) }
-
-// Flush forces buffered output through to the underlying writer.
-func (sw *StreamWriter) Flush() error {
-	if sw.err != nil {
-		return sw.err
-	}
-	sw.err = sw.w.Flush()
-	return sw.err
-}
-
-// writeRegLine writes "<prefix>[<n>];\n" without fmt overhead.
-func writeRegLine(w *bufio.Writer, prefix string, n int) {
-	w.WriteString(prefix)
-	w.WriteByte('[')
-	var buf [20]byte
-	w.Write(appendInt(buf[:0], n))
-	w.WriteString("];\n")
-}
-
-// appendInt appends the decimal form of non-negative n.
-func appendInt(dst []byte, n int) []byte {
-	if n == 0 {
-		return append(dst, '0')
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for n > 0 {
-		i--
-		tmp[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return append(dst, tmp[i:]...)
 }

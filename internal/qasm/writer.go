@@ -1,10 +1,9 @@
 package qasm
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"strings"
 
 	"repro/internal/circuit"
@@ -15,94 +14,197 @@ import (
 // SWAP gates are emitted with the qelib1 `swap` mnemonic (callers that
 // need pure {1q, CX} output should DecomposeSwaps first).
 func Write(w io.Writer, c *circuit.Circuit) error {
-	bw := bufio.NewWriter(w)
-	n := c.NumQubits()
-	fmt.Fprintln(bw, "OPENQASM 2.0;")
-	fmt.Fprintln(bw, "include \"qelib1.inc\";")
-	fmt.Fprintf(bw, "qreg q[%d];\n", maxInt(n, 1))
-	if c.CountKind(circuit.KindMeasure) > 0 {
-		fmt.Fprintf(bw, "creg c[%d];\n", maxInt(n, 1))
-	}
-	for _, g := range c.Gates() {
-		if err := writeGate(bw, g); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	sw := newStreamWriter(w, c.NumQubits(), c.CountKind(circuit.KindMeasure) > 0)
+	return sw.WriteGates(c.Gates())
 }
 
-// Format returns the QASM text of the circuit.
+// Format returns the QASM text of the circuit, as Write writes it. The
+// text is built in one allocation sized from an upper bound on its
+// length.
 func Format(c *circuit.Circuit) string {
+	var line [lineBound]byte
+	gates := c.Gates()
+	digits := len(strconv.AppendInt(line[:0], int64(c.NumQubits()), 10))
+	size := headerBound + len(gates)*(gateBound+2*digits)
+	for _, g := range gates {
+		size += len(g.Params) * paramBound
+	}
 	var sb strings.Builder
-	// strings.Builder never fails.
-	_ = Write(&sb, c)
+	sb.Grow(size)
+	sb.Write(appendHeader(line[:0], c.NumQubits(), c.CountKind(circuit.KindMeasure) > 0))
+	for _, g := range gates {
+		sb.Write(appendGate(line[:0], g))
+	}
 	return sb.String()
 }
 
-func writeGate(w io.Writer, g circuit.Gate) error {
+// Length bounds behind Format's single allocation: the header with
+// both registers of a 20-digit width; a gate line less its qubit
+// digits and parameters ("measure q[] -> c[];\n" is the longest); one
+// parameter with its separator, where %.17g never needs more than 24
+// bytes ("-2.2250738585072014e-308"); and the stack buffer a single
+// line is encoded in.
+const (
+	headerBound = 128
+	gateBound   = 24
+	paramBound  = 25
+	lineBound   = 160
+)
+
+// appendHeader appends the program header: version, include, and the
+// qreg (plus, with creg, a matching classical register) of width
+// max(n, 1).
+func appendHeader(dst []byte, n int, creg bool) []byte {
+	n = max(n, 1)
+	dst = append(dst, "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q["...)
+	dst = strconv.AppendInt(dst, int64(n), 10)
+	dst = append(dst, "];\n"...)
+	if creg {
+		dst = append(dst, "creg c["...)
+		dst = strconv.AppendInt(dst, int64(n), 10)
+		dst = append(dst, "];\n"...)
+	}
+	return dst
+}
+
+// appendGate appends one gate statement. It is the one per-gate
+// encoder behind Format, Write and StreamWriter.
+//
+//sabre:hotpath
+func appendGate(dst []byte, g circuit.Gate) []byte {
 	switch g.Kind {
 	case circuit.KindMeasure:
-		_, err := fmt.Fprintf(w, "measure q[%d] -> c[%d];\n", g.Q0, g.Q0)
-		return err
+		dst = append(dst, "measure q["...)
+		dst = strconv.AppendInt(dst, int64(g.Q0), 10)
+		dst = append(dst, "] -> c["...)
+		dst = strconv.AppendInt(dst, int64(g.Q0), 10)
+		dst = append(dst, "];\n"...)
+		return dst
 	case circuit.KindBarrier:
-		_, err := fmt.Fprintf(w, "barrier q[%d];\n", g.Q0)
-		return err
+		dst = append(dst, "barrier q["...)
+		dst = strconv.AppendInt(dst, int64(g.Q0), 10)
+		dst = append(dst, "];\n"...)
+		return dst
 	}
-	var sb strings.Builder
-	sb.WriteString(g.Kind.String())
+	dst = append(dst, g.Kind.String()...)
 	if len(g.Params) > 0 {
-		sb.WriteByte('(')
-		for i, p := range g.Params {
-			if i > 0 {
-				sb.WriteByte(',')
+		for i, v := range g.Params {
+			if i == 0 {
+				dst = append(dst, '(')
+			} else {
+				dst = append(dst, ',')
 			}
-			sb.WriteString(formatParam(p))
+			dst = appendParam(dst, v)
 		}
-		sb.WriteByte(')')
+		dst = append(dst, ')')
 	}
-	fmt.Fprintf(&sb, " q[%d]", g.Q0)
+	dst = append(dst, " q["...)
+	dst = strconv.AppendInt(dst, int64(g.Q0), 10)
 	if g.TwoQubit() {
-		fmt.Fprintf(&sb, ",q[%d]", g.Q1)
+		dst = append(dst, "],q["...)
+		dst = strconv.AppendInt(dst, int64(g.Q1), 10)
 	}
-	sb.WriteString(";\n")
-	_, err := io.WriteString(w, sb.String())
-	return err
+	dst = append(dst, "];\n"...)
+	return dst
 }
 
-// formatParam renders an angle, using exact multiples of pi when the
+// piDenominators are the denominators appendParam tries, in order.
+var piDenominators = [...]float64{1, 2, 3, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
+
+// appendParam appends an angle, using exact multiples of pi when the
 // value is one (pi/2, -pi/4, ...) so round-trips stay bit-exact for
-// the common cases.
-func formatParam(v float64) string {
+// the common cases, and %.17g otherwise.
+//
+//sabre:hotpath
+func appendParam(dst []byte, v float64) []byte {
 	if v == 0 {
-		return "0"
+		dst = append(dst, '0')
+		return dst
 	}
 	ratio := v / math.Pi
-	for _, den := range []float64{1, 2, 3, 4, 8, 16, 32, 64, 128, 256, 512, 1024} {
+	for _, den := range piDenominators {
 		num := ratio * den
-		if num == math.Trunc(num) && math.Abs(num) <= 1024 {
-			n := int64(num)
-			switch {
-			case den == 1 && n == 1:
-				return "pi"
-			case den == 1 && n == -1:
-				return "-pi"
-			case den == 1:
-				return fmt.Sprintf("%d*pi", n)
-			case n == 1:
-				return fmt.Sprintf("pi/%d", int64(den))
-			case n == -1:
-				return fmt.Sprintf("-pi/%d", int64(den))
-			default:
-				return fmt.Sprintf("%d*pi/%d", n, int64(den))
-			}
+		if num != math.Trunc(num) || math.Abs(num) > 1024 {
+			continue
 		}
+		n := int64(num)
+		switch {
+		case n == -1:
+			dst = append(dst, '-')
+		case n != 1:
+			dst = strconv.AppendInt(dst, n, 10)
+			dst = append(dst, '*')
+		}
+		dst = append(dst, "pi"...)
+		if den != 1 {
+			dst = append(dst, '/')
+			dst = strconv.AppendInt(dst, int64(den), 10)
+		}
+		return dst
 	}
-	return fmt.Sprintf("%.17g", v)
+	dst = strconv.AppendFloat(dst, v, 'g', 17, 64)
+	return dst
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// streamFlushBytes is how much encoded text StreamWriter buffers before
+// writing it through, so one chunk of any size costs bounded memory.
+const streamFlushBytes = 32 << 10
+
+// StreamWriter serializes routed gates as OpenQASM 2.0 incrementally:
+// the header is written up front, gates are appended chunk by chunk,
+// and the concatenation of all chunks is a complete program. Because
+// a streaming writer cannot look ahead to count measurements, the
+// classical register line is emitted unconditionally — unlike Write,
+// which omits it from measurement-free circuits. Both streaming
+// compilation paths (windowed and materialized) share this writer, so
+// their outputs stay byte-comparable by construction.
+type StreamWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+// NewStreamWriter writes the program header (version, include, qreg
+// and creg of width max(numQubits,1)) to w and returns the writer.
+func NewStreamWriter(w io.Writer, numQubits int) *StreamWriter {
+	return newStreamWriter(w, numQubits, true)
+}
+
+func newStreamWriter(w io.Writer, numQubits int, creg bool) *StreamWriter {
+	sw := &StreamWriter{w: w, buf: make([]byte, 0, streamFlushBytes+lineBound)}
+	sw.buf = appendHeader(sw.buf, numQubits, creg)
+	sw.flush()
+	return sw
+}
+
+// WriteGates appends one chunk of gates and writes it through. Errors
+// are sticky.
+func (sw *StreamWriter) WriteGates(gates []circuit.Gate) error {
+	for _, g := range gates {
+		if sw.err != nil {
+			return sw.err
+		}
+		sw.buf = appendGate(sw.buf, g)
+		if len(sw.buf) >= streamFlushBytes {
+			sw.flush()
+		}
 	}
-	return b
+	return sw.flush()
+}
+
+// Emit is WriteGates under the name core.StreamSink expects, so a
+// StreamWriter plugs directly into the streaming router as its sink.
+func (sw *StreamWriter) Emit(gates []circuit.Gate) error { return sw.WriteGates(gates) }
+
+// Flush returns the sticky error. WriteGates leaves nothing buffered,
+// so there is nothing else to flush.
+func (sw *StreamWriter) Flush() error { return sw.err }
+
+// flush writes the buffered text through, once no error has occurred.
+func (sw *StreamWriter) flush() error {
+	if sw.err == nil && len(sw.buf) > 0 {
+		_, sw.err = sw.w.Write(sw.buf)
+	}
+	sw.buf = sw.buf[:0]
+	return sw.err
 }
