@@ -49,16 +49,16 @@ func sampleMin(fn func(tb *testing.B)) (nsOp, allocsOp, bytesOp int64) {
 
 // measureRow benchmarks one workload × router combination (best of
 // measureSamples runs). The pseudo-router "sabre-exhaustive" is the
-// sabre backend with Options.ExhaustiveScoring set — the
-// pre-delta-scoring reference kept in the trajectory so regressions
-// of the incremental scorer show up as a shrinking gap.
+// sabre backend with Options.Scoring set to ScoringExhaustive — the
+// from-scratch reference kept in the trajectory so regressions of the
+// incremental scorer show up as a shrinking gap.
 func measureRow(b workloads.Benchmark, dev *arch.Device, opts core.Options, rname string) benchRow {
 	circ := b.Build()
 	ropts := opts
 	backend := rname
 	if rname == "sabre-exhaustive" {
 		backend = "sabre"
-		ropts.ExhaustiveScoring = true
+		ropts.Scoring = core.ScoringExhaustive
 	}
 	router, err := route.New(backend)
 	if err != nil {
@@ -103,9 +103,9 @@ func measureRow(b workloads.Benchmark, dev *arch.Device, opts core.Options, rnam
 const scoreRoundWorkload = "score_round"
 
 // scoreRoundEngines are the "routers" of the score_round rows: one per
-// scoring engine, so the snapshot tracks the bitset default, the delta
-// oracle and the exhaustive reference at microbenchmark granularity.
-var scoreRoundEngines = []string{"bitset", "delta", "exhaustive"}
+// scoring engine, so the snapshot tracks the bitset default and the
+// exhaustive reference at microbenchmark granularity.
+var scoreRoundEngines = []string{"bitset", "exhaustive"}
 
 // measureScoreRound benchmarks one steady-state SWAP-selection round
 // under the named scoring engine. The whole-compilation columns
@@ -116,8 +116,6 @@ func measureScoreRound(engine string) benchRow {
 	switch engine {
 	case "bitset":
 		scoring = core.ScoringBitset
-	case "delta":
-		scoring = core.ScoringDelta
 	case "exhaustive":
 		scoring = core.ScoringExhaustive
 	default:

@@ -44,6 +44,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -53,6 +54,7 @@ import (
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/baseline"
 	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/exp"
@@ -325,7 +327,9 @@ func runBatch(benches []workloads.Benchmark, dev *arch.Device, opts core.Options
 // the table reports added gates (and decomposed depth) per backend.
 // Jobs carry explicit per-router names into the cache key, and seeds
 // derive from job content, so the table is deterministic at any
-// -workers.
+// -workers. A search that exceeds its node budget is the paper's "Out
+// of Memory": its cell reads OOM, as in exp.FormatTable2, and its
+// router's total reads "-"; any other error aborts the table.
 func runRouters(benches []workloads.Benchmark, dev *arch.Device, opts core.Options, routers, passes []string, workers int, seed int64) {
 	if len(routers) == 0 || len(benches) == 0 {
 		fatal(fmt.Errorf("-routers needs at least one router and one benchmark"))
@@ -354,10 +358,16 @@ func runRouters(benches []workloads.Benchmark, dev *arch.Device, opts core.Optio
 	}
 	fmt.Println()
 	totals := make([]int, len(routers))
+	oom := make([]bool, len(routers))
 	for bi, b := range benches {
 		fmt.Printf("%-16s %6d", b.Name, metrics.Measure(jobs[bi*len(routers)].Circuit).Gates)
 		for ri := range routers {
 			res := results[bi*len(routers)+ri]
+			if errors.Is(res.Err, baseline.ErrBudget) {
+				fmt.Printf(" %9s %6s", "OOM", "-")
+				oom[ri] = true
+				continue
+			}
 			if res.Err != nil {
 				fatal(fmt.Errorf("%s: %w", res.Tag, res.Err))
 			}
@@ -369,6 +379,10 @@ func runRouters(benches []workloads.Benchmark, dev *arch.Device, opts core.Optio
 	}
 	fmt.Printf("%-16s %6s", "total g_add", "")
 	for ri := range routers {
+		if oom[ri] {
+			fmt.Printf(" %9s %6s", "-", "")
+			continue
+		}
 		fmt.Printf(" %9d %6s", totals[ri], "")
 	}
 	fmt.Printf("\n%d jobs in %v\n", len(results), elapsed.Round(time.Millisecond))
@@ -415,9 +429,9 @@ type benchSnapshot struct {
 // runBenchJSON measures every workload × router combination with the
 // testing package's benchmark harness (best of several runs, per-metric
 // minima — see sampleMin) and writes the snapshot to file. The pseudo-router "sabre-exhaustive" is the sabre backend with
-// Options.ExhaustiveScoring set — the pre-delta-scoring reference —
-// kept in the trajectory so regressions of the incremental scorer show
-// up as a shrinking gap. Every snapshot additionally carries one
+// Options.Scoring set to ScoringExhaustive — the from-scratch
+// reference — kept in the trajectory so regressions of the incremental
+// scorer show up as a shrinking gap. Every snapshot additionally carries one
 // "score_round" pseudo-workload row per scoring engine — the isolated
 // SWAP-selection round of core.ScoreRoundProbe, the same fixture
 // BenchmarkScoreRound uses — so the hot path is gated at microbenchmark

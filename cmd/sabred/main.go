@@ -107,7 +107,7 @@
 // Million-gate traces should not be materialized on either side of
 // the wire; ?stream=1 selects the windowed streaming compiler:
 //
-//	POST /compile?stream=1&device=tokyo[&chunk=1024&lookahead=256&window=4096]
+//	POST /compile?stream=1&device=tokyo[&chunk=1024&lookahead=256]
 //	    Body: raw OpenQASM 2.0 of any length (no body cap, no JSON
 //	    envelope). The routed program streams back incrementally as
 //	    text/plain; routing statistics (X-Sabre-Swaps, X-Sabre-Gates-In,

@@ -9,7 +9,7 @@ package main
 // million-gate trace compiles in O(device + window) daemon memory and
 // the client sees output before the input has finished uploading.
 //
-//	POST /compile?stream=1&device=tokyo[&seed=7&chunk=1024&lookahead=256&window=4096]
+//	POST /compile?stream=1&device=tokyo[&seed=7&chunk=1024&lookahead=256]
 //	    Body: OpenQASM 2.0 source, any length. JSON envelopes are not
 //	    accepted on the streaming path (the body IS the gate stream).
 //	    Response: 200, Content-Type text/plain, the routed program as
@@ -69,15 +69,15 @@ func streamMode(r *http.Request) (string, error) {
 	return "", fmt.Errorf("bad stream %q (1|materialized)", v)
 }
 
-// streamQueryOptions builds core.StreamOptions from ?window=,
-// ?lookahead=, ?chunk=. Zero/absent fields keep the defaults.
+// streamQueryOptions builds core.StreamOptions from ?lookahead= and
+// ?chunk=. Zero/absent fields keep the defaults.
 func streamQueryOptions(r *http.Request) (core.StreamOptions, error) {
 	var sopts core.StreamOptions
 	q := r.URL.Query()
 	for _, p := range []struct {
 		name string
 		dst  *int
-	}{{"window", &sopts.Window}, {"lookahead", &sopts.Lookahead}, {"chunk", &sopts.ChunkGates}} {
+	}{{"lookahead", &sopts.Lookahead}, {"chunk", &sopts.ChunkGates}} {
 		v := q.Get(p.name)
 		if v == "" {
 			continue

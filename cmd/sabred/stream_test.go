@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -128,7 +129,7 @@ func TestCompileStreamRejects(t *testing.T) {
 		{"bad stream value", "/compile?stream=definitely", "text/plain", "OPENQASM 2.0;", http.StatusBadRequest},
 		{"json envelope", "/compile?stream=1", "application/json", `{"qasm":"x"}`, http.StatusBadRequest},
 		{"bad device", "/compile?stream=1&device=nope", "text/plain", "OPENQASM 2.0;", http.StatusBadRequest},
-		{"bad window", "/compile?stream=1&window=-3", "text/plain", "OPENQASM 2.0;", http.StatusBadRequest},
+		{"bad lookahead", "/compile?stream=1&lookahead=-3", "text/plain", "OPENQASM 2.0;", http.StatusBadRequest},
 		{"bad chunk", "/compile?stream=1&chunk=x", "text/plain", "OPENQASM 2.0;", http.StatusBadRequest},
 		{"parse error pre-byte", "/compile?stream=1", "text/plain", "this is not qasm", http.StatusBadRequest},
 	}
@@ -142,6 +143,32 @@ func TestCompileStreamRejects(t *testing.T) {
 		if resp.StatusCode != tc.status {
 			t.Fatalf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
 		}
+	}
+}
+
+// TestCompileStreamMemoryIgnoresURL: a streaming request's memory
+// follows the gates it routes, not its URL. The retired ?window= hint
+// pre-sized the slot arena at about 100 B per requested slot, so one
+// one-gate request with window=1048576 allocated 105 MB; the arena now
+// grows only with the live window.
+func TestCompileStreamMemoryIgnoresURL(t *testing.T) {
+	_, srv := newTestServer(t)
+	body := "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncx q[0],q[1];\n"
+	post := func(url string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.handleCompileStream(rec, httptest.NewRequest(http.MethodPost, url, strings.NewReader(body)), "windowed")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", url, rec.Code, rec.Body)
+		}
+		return rec
+	}
+	post("/compile?stream=1") // pay the lazily built device and pool state
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	post("/compile?stream=1&window=1048576")
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		t.Fatalf("one-gate streaming request allocated %d bytes, want < 4 MiB", alloc)
 	}
 }
 

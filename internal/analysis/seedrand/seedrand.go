@@ -15,7 +15,7 @@
 //     deterministic; flagged at the import.
 //
 // This catches exactly the class of bug that would silently break the
-// three-way golden scoring suite: an innocent rand.Intn tie-break or
+// golden scoring suite: an innocent rand.Intn tie-break or
 // a time-derived seed routes differently on every run, and no fixture
 // diff points at the cause.
 package seedrand

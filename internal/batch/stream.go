@@ -49,8 +49,8 @@ var streamScratches = sync.Pool{New: func() any { return core.NewScratch() }}
 // round granularity, exactly like the materialized router.
 //
 // A fully zero Options selects the paper's defaults, mirroring Job
-// handling; the streaming router then pins the options to streaming
-// semantics (single trial, bitset scoring) itself.
+// handling; the streaming router then applies streaming semantics
+// (single trial, one forward traversal) itself.
 func (e *Engine) CompileStream(ctx context.Context, job StreamJob, sink core.StreamSink) (*core.StreamResult, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed

@@ -17,11 +17,11 @@ func steadyStateRouter(tb testing.TB, scoring Scoring) *router {
 // TestScoreRoundZeroAllocs is the hot-loop allocation guard: once the
 // scratch is warm, a steady-state SWAP-selection round — candidate
 // collection, extended-set lookup, index + base-sum rebuild, and
-// scoring every candidate — must not touch the heap at all, under any
-// of the three scoring engines. If an allocation creeps back into the
+// scoring every candidate — must not touch the heap at all, under
+// either scoring engine. If an allocation creeps back into the
 // round (a map, a fresh slice, a closure capture), this fails loudly.
 func TestScoreRoundZeroAllocs(t *testing.T) {
-	for _, scoring := range []Scoring{ScoringBitset, ScoringDelta, ScoringExhaustive} {
+	for _, scoring := range []Scoring{ScoringBitset, ScoringExhaustive} {
 		t.Run(scoring.String(), func(t *testing.T) {
 			r := steadyStateRouter(t, scoring)
 			allocs := testing.AllocsPerRun(200, func() {
@@ -59,32 +59,12 @@ func TestApplySwapZeroAllocs(t *testing.T) {
 	}
 }
 
-// The bitset engine is the default: a zero-value Scoring (or
-// DefaultOptions) must resolve to it, and the legacy ExhaustiveScoring
-// flag must still select the exhaustive oracle after normalization.
-func TestScoringModeResolution(t *testing.T) {
-	if got := DefaultOptions().normalized().Scoring; got != ScoringBitset {
-		t.Fatalf("default scoring = %v, want bitset", got)
-	}
-	o := DefaultOptions()
-	o.ExhaustiveScoring = true
-	if got := o.normalized().Scoring; got != ScoringExhaustive {
-		t.Fatalf("ExhaustiveScoring normalized to %v, want exhaustive", got)
-	}
-	o = DefaultOptions()
-	o.ExhaustiveScoring = true
-	o.Scoring = ScoringDelta
-	if got := o.normalized().Scoring; got != ScoringDelta {
-		t.Fatalf("explicit Scoring lost to legacy flag: got %v, want delta", got)
-	}
-}
-
 // BenchmarkScoreRound measures one SWAP-selection round in isolation
-// under each engine: branch-free bitset gather (the default), delta
-// scoring (base + O(deg) per candidate), and the exhaustive reference
-// (O(|F|+|E|) per candidate). Same state, same winner.
+// under each engine: branch-free bitset gather (the default, base +
+// O(deg) per candidate) and the exhaustive reference (O(|F|+|E|) per
+// candidate). Same state, same winner.
 func BenchmarkScoreRound(b *testing.B) {
-	for _, scoring := range []Scoring{ScoringBitset, ScoringDelta, ScoringExhaustive} {
+	for _, scoring := range []Scoring{ScoringBitset, ScoringExhaustive} {
 		b.Run(fmt.Sprint(scoring), func(b *testing.B) {
 			r := steadyStateRouter(b, scoring)
 			b.ReportAllocs()

@@ -4,117 +4,46 @@ import (
 	"math"
 
 	"repro/internal/arch"
-	"repro/internal/mapping"
 )
 
 // This file implements the heuristic cost function H (Eq. 1 and Eq. 2)
-// with incremental delta scoring. The paper's §IV-C1 point is that the
+// with incremental scoring. The paper's §IV-C1 point is that the
 // candidate list is O(N); the remaining per-round cost was our own:
 // re-summing the whole front layer and extended set for every
 // candidate made a round O(|cand|·(|F|+|E|)). Instead, the base sums
 //
 //	Σ_{g∈F} D[π(q1)][π(q2)]   and   Σ_{g∈E} D[π(q1)][π(q2)]
 //
-// are computed once per round (buildRoundIndex), and a candidate SWAP
-// on edge (A, B) rescores as base + Δ, where Δ ranges only over the
-// gates touching the two swapped logical qubits — O(deg) per
-// candidate, found through a per-qubit gate index built in the same
+// are computed once per round (buildRoundIndexBitset), and a candidate
+// SWAP on edge (A, B) rescores as base + Δ, where Δ ranges only over
+// the gates touching the two swapped logical qubits — O(deg) per
+// candidate, found through a per-qubit partner index built in the same
 // pass as the sums.
 //
 // Determinism contract: with hop-count distances (the default and the
-// paper's configuration) every sum is an integer, accumulated in
-// int64 and converted to float64 only at the end, so base+Δ is
-// bit-identical to the from-scratch sum no matter the accumulation
-// order. The weighted (noise-model) sums accumulate in float64 in
+// paper's configuration) every sum is an integer, so base+Δ is exact
+// and equals the from-scratch sum no matter the accumulation order.
+// The weighted (noise-model) sums accumulate in float64 in
 // front/extended order for the base, exactly as the exhaustive scorer
-// does, so bases match bit-for-bit; the delta then adds the (few)
-// changed terms at the end, which re-associates the accumulation and
-// can differ from the from-scratch sum by ~1 ulp (see
-// Options.ExhaustiveScoring for the resulting contract).
-// Options.ExhaustiveScoring keeps the O(|F|+|E|)-per-candidate
-// reference scorer selectable for validation; the golden determinism
-// suite asserts both scorers route the entire workload suite
-// byte-identically, including the noise configurations.
+// does; the delta then adds the (few) changed terms at the end, which
+// re-associates the accumulation and can differ from the from-scratch
+// sum by ~1 ulp. That could in principle flip a score that lands
+// within ~1e-16 of the 1e-12 tie band; the golden determinism suite
+// asserts the bitset engine and the exhaustive reference
+// (ScoringExhaustive) route the entire workload suite byte-identically,
+// including the noise configurations.
 
-// buildRoundIndex computes the front/extended base distance sums under
-// the current layout and (re)builds the per-logical-qubit index of
-// which front/extended gates touch each qubit. Each index entry stores
-// the gate's *other* logical qubit (encoded partner+1 for front gates,
-// -(partner+1) for extended), which is all the delta needs: the
-// distance change of gate (q, partner) is a two-row matrix lookup, no
-// gate fetch. Called once per SWAP round; everything it writes lives
-// in the Scratch.
-//
-//sabre:hotpath
-func (r *router) buildRoundIndex() {
-	s := r.s
-	r.setRoundScale()
-	for _, q := range s.qTouched {
-		s.qGates[q] = s.qGates[q][:0]
-	}
-	s.qTouched = s.qTouched[:0]
-
-	r.frontSumI, r.extSumI = 0, 0
-	r.frontSumF, r.extSumF = 0, 0
-	weighted := r.wdist != nil
-	for _, gi := range s.front {
-		g := r.circ.Gate(gi)
-		pa, pb := r.layout.Phys(g.Q0), r.layout.Phys(g.Q1)
-		if weighted {
-			r.frontSumF += r.wdist[pa*r.n+pb]
-		} else {
-			r.frontSumI += int64(r.dist[pa*r.n+pb])
-		}
-		r.indexGate(g.Q0, g.Q1, false)
-	}
-	if r.opts.Heuristic == HeuristicBasic {
-		return
-	}
-	for _, gi := range s.extended {
-		g := r.circ.Gate(gi)
-		pa, pb := r.layout.Phys(g.Q0), r.layout.Phys(g.Q1)
-		if weighted {
-			r.extSumF += r.wdist[pa*r.n+pb]
-		} else {
-			r.extSumI += int64(r.dist[pa*r.n+pb])
-		}
-		r.indexGate(g.Q0, g.Q1, true)
-	}
-}
-
-// indexGate records the gate under both of its logical qubits, each
-// entry encoding the opposite endpoint and the front/extended flag.
-//
-//sabre:hotpath
-func (r *router) indexGate(q0, q1 int, extended bool) {
-	s := r.s
-	c0, c1 := int32(q1+1), int32(q0+1)
-	if extended {
-		c0, c1 = -c0, -c1
-	}
-	if len(s.qGates[q0]) == 0 {
-		s.qTouched = append(s.qTouched, q0)
-	}
-	s.qGates[q0] = append(s.qGates[q0], c0)
-	if len(s.qGates[q1]) == 0 {
-		s.qTouched = append(s.qTouched, q1)
-	}
-	s.qGates[q1] = append(s.qGates[q1], c1)
-}
-
-// buildRoundIndexBitset computes the same front/extended base sums as
-// buildRoundIndex but builds the per-qubit index in two flat
-// structures instead of per-qubit slices. Front gates are
-// vertex-disjoint (two gates sharing a qubit are DAG-ordered, so at
-// most one is ever in F), which collapses the front index to one slot
-// per qubit: fpart[q] = the physical qubit of q's front partner, or
-// -1. The extended set is not disjoint, so it gets a CSR array — one
-// counting pass, a prefix-sum, then a fill pass that resolves each
-// gate's *other* endpoint to its physical qubit and writes it into
-// the qubit's segment. Segments are filled in extended-list order —
-// the same order indexGate appends — which is what keeps the weighted
-// float accumulation of the bitset scorer bit-identical to the delta
-// scorer's.
+// buildRoundIndexBitset computes the front/extended base distance
+// sums under the current layout and indexes, per logical qubit, the
+// partners of the front/extended gates touching it, in two flat
+// structures. Front gates are vertex-disjoint (two gates sharing a
+// qubit are DAG-ordered, so at most one is ever in F), which collapses
+// the front index to one slot per qubit: fpart[q] = the physical qubit
+// of q's front partner, or -1. The extended set is not disjoint, so it
+// gets a CSR array — one counting pass, a prefix-sum, then a fill pass
+// that resolves each gate's *other* endpoint to its physical qubit and
+// writes it into the qubit's segment, in extended-list order.
+// Everything it writes lives in the Scratch.
 //
 //sabre:hotpath
 func (r *router) buildRoundIndexBitset() {
@@ -208,20 +137,18 @@ func (r *router) scoreCandidatesBitset() int {
 // (partner == other swapped qubit), whose distance term D[A][B] →
 // D[B][A] is zero by symmetry and must not be accumulated — on the
 // weighted path adding-then-subtracting it would still perturb the
-// float stream. The accumulation visits exactly the entries the delta
-// scorer visits, in the same order per accumulator (qa's front term
-// then qb's into dF; qa's extended then qb's into dE), so weighted
-// scores are bit-identical to ScoringDelta's, and integer scores are
-// exact.
+// float stream. The accumulation order is fixed per accumulator (qa's
+// front term then qb's into dF; qa's extended then qb's into dE), and
+// integer scores are exact.
 //
 // Winner selection is fused into the same pass instead of a second
 // sweep over a score buffer: the reservoir tie-break below performs
 // exactly the comparisons, in exactly the order, of selectBest — the
 // same strict-improvement threshold, the same 1e-12 tie band, the
 // same rng.Intn(ties) draw per tie — so the RNG stream, and with it
-// the routed output, stays byte-identical to the oracle engines
-// (asserted by the golden three-way suite). Returns the winning
-// candidate's index.
+// the routed output, stays byte-identical to the exhaustive reference
+// (asserted by the golden suite). Returns the winning candidate's
+// index.
 //
 //sabre:hotpath
 func scoreBitset[D int | float64](r *router, dist []D, baseF, baseE D) int {
@@ -291,133 +218,12 @@ func scoreBitset[D int | float64](r *router, dist []D, baseF, baseE D) int {
 	return best
 }
 
-// scoreSwap evaluates the heuristic cost function H for one candidate
-// SWAP (Algorithm 1 lines 20-23) as base + Δ under the hypothetical
-// mapping π·SWAP, without mutating the layout.
-//
-//sabre:hotpath
-func (r *router) scoreSwap(e arch.Edge) float64 {
-	if r.opts.ExhaustiveScoring {
-		return r.scoreSwapExhaustive(e)
-	}
-	// Decay factor belongs to the logical qubits being swapped
-	// (Eq. 2: max(decay(SWAP.q1), decay(SWAP.q2))).
-	qa, qb := r.layout.Log(e.A), r.layout.Log(e.B)
-
-	var front, ext float64
-	if r.wdist != nil {
-		dF, dE := r.deltasWeighted(qa, qb, e.A, e.B)
-		front, ext = r.frontSumF+dF, r.extSumF+dE
-	} else {
-		dF, dE := r.deltasHops(qa, qb, e.A, e.B)
-		front, ext = float64(r.frontSumI+dF), float64(r.extSumI+dE)
-	}
-
-	switch r.opts.Heuristic {
-	case HeuristicBasic:
-		return front
-	case HeuristicLookahead:
-		return r.combine(front, ext)
-	default: // HeuristicDecay
-		d := r.s.decay[qa]
-		if r.s.decay[qb] > d {
-			d = r.s.decay[qb]
-		}
-		return d * r.combine(front, ext)
-	}
-}
-
-// combine is Eq. 2 without the decay factor: the size-normalized
-// front-layer term plus the W-weighted extended-set term, computed as
-// multiplications by the per-round reciprocals (setRoundScale). Every
-// scoring engine funnels through this formula — the bitset scorer
-// inlines the identical expression — so the floating-point rounding,
-// and therefore the tie-break stream, is engine-independent.
-//
-//sabre:hotpath
-func (r *router) combine(front, ext float64) float64 {
-	return front*r.invF + ext*r.invE
-}
-
-// deltasHops sums, in int64 hop units, the distance change of every
-// front (dF) and extended (dE) gate touching logical qubits qa or qb
-// when physical qubits A = π(qa) and B = π(qb) swap.
-//
-// A gate (qa, p) with p ≠ qb moves from D[A][π(p)] to D[B][π(p)]; a
-// gate (qb, p) with p ≠ qa moves from D[B][π(p)] to D[A][π(p)]. The
-// gate (qa, qb) itself moves from D[A][B] to D[B][A] — zero by
-// symmetry — so it is processed once (from qa's list) and skipped in
-// qb's, which also deduplicates it without any mark bookkeeping. The
-// iteration order (qa's gates, then qb's unshared gates) matches the
-// order the previous mark-based dedup produced, keeping weighted
-// accumulation bit-stable.
-//
-//sabre:hotpath
-func (r *router) deltasHops(qa, qb, A, B int) (dF, dE int64) {
-	f, e := deltas(r.s, r.layout, r.dist[A*r.n:A*r.n+r.n], r.dist[B*r.n:B*r.n+r.n], qa, qb)
-	return int64(f), int64(e)
-}
-
-// deltasWeighted is deltasHops over the noise-weighted matrix.
-//
-//sabre:hotpath
-func (r *router) deltasWeighted(qa, qb, A, B int) (dF, dE float64) {
-	return deltas(r.s, r.layout, r.wdist[A*r.n:A*r.n+r.n], r.wdist[B*r.n:B*r.n+r.n], qa, qb)
-}
-
-// deltas is the shared delta walk over the distance rows of the two
-// swapped physical qubits (rowA = D[π(qa)][·], rowB = D[π(qb)][·]),
-// generic over the matrix element type so the hop-count and weighted
-// paths compile to separate full-speed instantiations (int and
-// float64 have distinct underlying types, so gcshape stenciling does
-// not merge them). Hop deltas stay exact: they are small-integer
-// differences accumulated in int (well under overflow) and widened by
-// the caller.
-//
-//sabre:hotpath
-func deltas[D int | float64](s *Scratch, layout mapping.Layout, rowA, rowB []D, qa, qb int) (dF, dE D) {
-	for _, code := range s.qGates[qa] {
-		p := code
-		if p < 0 {
-			p = -p
-		}
-		partner := int(p) - 1
-		if partner == qb {
-			continue // D[A][B] → D[B][A]: no change
-		}
-		pp := layout.Phys(partner)
-		d := rowB[pp] - rowA[pp]
-		if code > 0 {
-			dF += d
-		} else {
-			dE += d
-		}
-	}
-	for _, code := range s.qGates[qb] {
-		p := code
-		if p < 0 {
-			p = -p
-		}
-		partner := int(p) - 1
-		if partner == qa {
-			continue // counted (as zero) from qa's side
-		}
-		pp := layout.Phys(partner)
-		d := rowA[pp] - rowB[pp]
-		if code > 0 {
-			dF += d
-		} else {
-			dE += d
-		}
-	}
-	return dF, dE
-}
-
-// scoreSwapExhaustive is the reference scorer: apply the SWAP to the
-// layout, re-sum every front/extended gate from scratch, undo the
-// SWAP. O(|F|+|E|) per candidate where the delta scorer is O(deg).
-// Kept selectable (Options.ExhaustiveScoring) as the oracle the golden
-// determinism suite compares delta scoring against.
+// scoreSwapExhaustive evaluates the heuristic cost function H for one
+// candidate SWAP (Algorithm 1 lines 20-23) the reference way: apply
+// the SWAP to the layout, re-sum every front/extended gate from
+// scratch, undo the SWAP. O(|F|+|E|) per candidate where the bitset
+// engine is O(deg). Kept selectable (ScoringExhaustive) as the oracle
+// the golden determinism suite compares the bitset engine against.
 //
 //sabre:hotpath
 func (r *router) scoreSwapExhaustive(e arch.Edge) float64 {
@@ -448,23 +254,24 @@ func (r *router) scoreSwapExhaustive(e arch.Edge) float64 {
 //sabre:hotpath
 func (r *router) frontDistanceSum() float64 {
 	sum := 0.0
-	for _, g := range r.s.front {
-		gate := r.circ.Gate(g)
-		sum += r.distAt(r.layout.Phys(gate.Q0), r.layout.Phys(gate.Q1))
+	for _, h := range r.s.front {
+		sum += r.distAt(r.layout.Phys(int(r.q2[2*h])), r.layout.Phys(int(r.q2[2*h+1])))
 	}
 	return sum
 }
 
 // lookaheadScore is Eq. 2 without the decay factor: the size-normalized
 // front-layer distance sum plus the W-weighted extended-set term,
-// combined with the same per-round reciprocals as every other engine.
+// computed as multiplications by the per-round reciprocals
+// (setRoundScale). The bitset scorer evaluates the identical
+// expression, so the floating-point rounding, and therefore the
+// tie-break stream, is engine-independent.
 //
 //sabre:hotpath
 func (r *router) lookaheadScore() float64 {
 	extSum := 0.0
-	for _, g := range r.s.extended {
-		gate := r.circ.Gate(g)
-		extSum += r.distAt(r.layout.Phys(gate.Q0), r.layout.Phys(gate.Q1))
+	for _, h := range r.s.extended {
+		extSum += r.distAt(r.layout.Phys(int(r.q2[2*h])), r.layout.Phys(int(r.q2[2*h+1])))
 	}
-	return r.combine(r.frontDistanceSum(), extSum)
+	return r.frontDistanceSum()*r.invF + extSum*r.invE
 }

@@ -44,12 +44,11 @@ func (h Heuristic) String() string {
 }
 
 // Scoring selects the engine that evaluates candidate SWAPs each
-// round. All engines share candidate collection (ascending dense edge
+// round. Both engines share candidate collection (ascending dense edge
 // id) and winner selection (one reservoir-sampled tie break over the
 // same score sequence), so for any circuit and seed they produce
-// byte-identical routed output: bitset vs delta is bit-identical by
-// construction (same additions in the same order), and exhaustive is
-// the from-scratch oracle the golden suite pins both against.
+// byte-identical routed output; the golden suite pins the bitset
+// engine against the exhaustive reference.
 type Scoring uint8
 
 const (
@@ -57,16 +56,15 @@ const (
 	// gathered by OR-ing per-qubit incident-edge bitsets and iterated
 	// with bits.TrailingZeros64; per-qubit round state is a flat CSR
 	// index over physical partners, so the per-candidate loop is a
-	// straight-line gather with no membership branch.
-	ScoringBitset Scoring = iota
-	// ScoringDelta is the PR-4 incremental scorer (per-qubit gate lists
-	// with sign-encoded membership). Kept as the mid-level oracle:
-	// bit-identical to ScoringBitset, structurally independent of it.
-	ScoringDelta
+	// straight-line gather with no membership branch. Any value other
+	// than ScoringExhaustive selects it, including 1, the retired delta
+	// engine that old job-log records may still name.
+	ScoringBitset Scoring = 0
 	// ScoringExhaustive rescores every front/extended gate from scratch
-	// per candidate — the reference behavior. See ExhaustiveScoring for
-	// its float-associativity caveat under noise models.
-	ScoringExhaustive
+	// per candidate — the reference behavior, kept for validation and
+	// for benchmarking the bitset engine against it. See heuristic.go
+	// for its float-associativity caveat under noise models.
+	ScoringExhaustive Scoring = 2
 )
 
 // String implements fmt.Stringer.
@@ -74,8 +72,6 @@ func (s Scoring) String() string {
 	switch s {
 	case ScoringBitset:
 		return "bitset"
-	case ScoringDelta:
-		return "delta"
 	case ScoringExhaustive:
 		return "exhaustive"
 	default:
@@ -145,25 +141,9 @@ type Options struct {
 	MaxEdgeError float64
 
 	// Scoring selects the round-scoring engine (default ScoringBitset).
-	// All engines route identically — see the Scoring type — so, like
+	// Both engines route identically — see the Scoring type — so, like
 	// ParallelTrials, this field is excluded from batch cache keys.
 	Scoring Scoring
-
-	// ExhaustiveScoring disables incremental scoring and rescores
-	// every front/extended gate from scratch for every candidate SWAP —
-	// the pre-optimization reference behavior. It is the legacy spelling
-	// of Scoring: ScoringExhaustive (an explicit non-default Scoring
-	// wins over this flag). With hop-count distances (Noise == nil, the
-	// paper's configuration) the scorers are provably bit-identical —
-	// sums are exact int64 — so routed outputs match byte for byte.
-	// Under a NoiseModel the float sums agree only to ~1 ulp (base+Δ
-	// re-associates the accumulation), which could in principle flip a
-	// score that lands within ~1e-16 of the 1e-12 tie band; the golden
-	// determinism suite verifies byte-identical outputs on the real
-	// noise configurations. This knob exists for validation and for
-	// benchmarking the incremental scorers against their oracle. Leave
-	// false in production.
-	ExhaustiveScoring bool
 
 	// ParallelTrials runs the random restarts on separate goroutines.
 	// Results are bit-identical to the sequential path (each trial owns
@@ -213,8 +193,8 @@ func (o Options) normalized() Options {
 	if o.Traversals%2 == 0 {
 		o.Traversals++
 	}
-	if o.ExhaustiveScoring && o.Scoring == ScoringBitset {
-		o.Scoring = ScoringExhaustive
+	if o.Scoring != ScoringExhaustive {
+		o.Scoring = ScoringBitset
 	}
 	return o
 }

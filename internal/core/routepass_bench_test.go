@@ -11,8 +11,8 @@ import (
 
 // BenchmarkRoutePass measures one full routing traversal over real
 // Table II workloads (largest rows included), under each scoring
-// engine: the branch-free bitset default, the delta oracle, and the
-// exhaustive reference. All share the prepared DAG and warm scratch,
+// engine: the branch-free bitset default and the exhaustive
+// reference. All share the prepared DAG and warm scratch,
 // so the gaps are purely the per-round scoring machinery; allocs/op ≈
 // a handful per pass (output circuit + layout clones), none of them
 // per-round.
@@ -27,7 +27,7 @@ func BenchmarkRoutePass(b *testing.B) {
 		for _, mode := range []struct {
 			name    string
 			scoring Scoring
-		}{{"bitset", ScoringBitset}, {"delta", ScoringDelta}, {"exhaustive", ScoringExhaustive}} {
+		}{{"bitset", ScoringBitset}, {"exhaustive", ScoringExhaustive}} {
 			opts := DefaultOptions()
 			opts.Scoring = mode.scoring
 			pr := NewPassRunner(circ, dev, opts)

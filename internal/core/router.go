@@ -138,44 +138,66 @@ func (pr *PassRunner) RunContext(ctx context.Context, init mapping.Layout, rng *
 	}, nil
 }
 
-// newRouter resets s (allocating a private scratch for nil) and wires
-// up the mutable state of one traversal: the cloned layout, the ready
-// list seeded from the DAG sources, and the flat read-only tables the
-// round hot loops gather from (distance matrices, per-gate qubit
-// pairs, dense edge endpoints, incident-edge bitsets).
+// newRouter starts one traversal of pr's circuit from init with every
+// gate admitted up front: the DAG store holds the whole circuit and
+// the ready list is seeded with its sources in ascending order. A nil
+// s allocates a private scratch.
 func (pr *PassRunner) newRouter(init mapping.Layout, rng *rand.Rand, s *Scratch, cancelled <-chan struct{}) *router {
 	if s == nil {
 		s = NewScratch()
 	}
-	n := pr.dev.NumQubits()
-	s.reset(n, pr.circ.NumGates(), len(pr.dev.Edges()))
-	r := &router{
-		dev:    pr.dev,
-		n:      n,
-		opts:   pr.opts,
-		rng:    rng,
-		circ:   pr.circ,
-		dag:    pr.dag,
-		layout: init.Clone(),
-		s:      s,
-		dist:   pr.dev.Distances(),
-		wdist:  pr.wdist,
-		q2:     pr.q2,
-		ends:   pr.dev.EdgeEndpoints(),
-		inc:    pr.dev.IncidentEdgeWords(),
-		incW:   pr.dev.EdgeWords(),
-		extGen: -1,
-		idxGen: -1,
-
-		cancelled: cancelled,
-	}
-	s.inDeg = r.dag.InDegreesInto(s.inDeg)
-	for i, deg := range s.inDeg {
+	r := newRouter(pr.dev, pr.opts, pr.wdist, init.Clone(), rng, s, pr.circ.NumGates(), cancelled)
+	pr.attach(r)
+	r.dag.admitted = len(r.dag.inDeg)
+	for i, deg := range r.dag.inDeg {
 		if deg == 0 {
 			s.ready = append(s.ready, i)
 		}
 	}
 	return r
+}
+
+// attach points r at pr's circuit: its gate and qubit-pair tables, and
+// a DAG store with nothing admitted yet (the streaming driver of
+// RouteStreamMaterialized admits in program order from here).
+func (pr *PassRunner) attach(r *router) {
+	r.s.inDeg = pr.dag.InDegreesInto(r.s.inDeg)
+	r.gates, r.q2 = pr.circ.Gates(), pr.q2
+	r.dag = dagDeps{dag: pr.dag, inDeg: r.s.inDeg}
+	r.deps = &r.dag
+}
+
+// newRouter resets s for a traversal on dev whose dependency store
+// starts with handles handles, and wires up the device-side state
+// every traversal shares: the layout, the flat read-only tables the
+// round hot loops gather from (distance matrices, dense edge
+// endpoints, incident-edge bitsets) and the stall bound. The caller
+// attaches the dependency store and its gate and pair tables.
+func newRouter(dev *arch.Device, opts Options, wdist []float64, layout mapping.Layout, rng *rand.Rand, s *Scratch, handles int, cancelled <-chan struct{}) *router {
+	n := dev.NumQubits()
+	s.reset(n, handles, len(dev.Edges()))
+	maxStall := opts.MaxStall
+	if maxStall <= 0 {
+		maxStall = 4*dev.Diameter() + 16
+	}
+	return &router{
+		dev:      dev,
+		n:        n,
+		opts:     opts,
+		rng:      rng,
+		layout:   layout,
+		s:        s,
+		dist:     dev.Distances(),
+		wdist:    wdist,
+		ends:     dev.EdgeEndpoints(),
+		inc:      dev.IncidentEdgeWords(),
+		incW:     dev.EdgeWords(),
+		extGen:   -1,
+		idxGen:   -1,
+		maxStall: maxStall,
+
+		cancelled: cancelled,
+	}
 }
 
 // RoutePass runs one traversal of SABRE's SWAP-based heuristic search
@@ -187,20 +209,116 @@ func RoutePass(circ *circuit.Circuit, dev *arch.Device, init mapping.Layout, opt
 	return NewPassRunner(circ, dev, opts).Run(init, rng, nil)
 }
 
-// router holds the mutable state of one traversal of Algorithm 1.
-// Every slice it appends to lives in the Scratch so steady-state SWAP
-// rounds never touch the allocator.
+// deps is the dependency store Algorithm 1's loop runs over. A handle
+// indexes the store's gate and qubit-pair tables (router.gates,
+// router.q2): a gate index of a materialized circuit (dagDeps) or a
+// slot of the streaming window (ringDeps). Both stores order
+// successors by admission, so the loop releases and visits gates
+// identically over either — which is what lets RouteStreamMaterialized
+// stay RouteStream's independent oracle while sharing its loop.
+type deps interface {
+	// release retires h and appends its newly dependency-free
+	// successors to ready, in admission order.
+	release(h int, ready []int) []int
+	// succs returns h's admitted successors in admission order,
+	// -1-padded. A successor sharing both of h's qubits appears twice,
+	// as in BuildDAG.
+	succs(h int) (s0, s1 int)
+	// seq returns h's admission sequence number: its position in
+	// program order.
+	seq(h int) int64
+}
+
+// dagDeps is the dependency store of a materialized circuit: its CSR
+// DAG plus a working indegree per gate. A PassRunner traversal admits
+// every gate up front. RouteStreamMaterialized admits them one by one
+// in program order under the streaming refill policy; a gate's working
+// indegree then counts only its predecessors not yet executed (-1
+// marks an executed gate), and release is clipped to the admitted
+// prefix, so readiness transitions match the window's decision for
+// decision while the bookkeeping shares nothing with it.
+type dagDeps struct {
+	dag      *circuit.DAG
+	inDeg    []int // working indegree, -1 once executed
+	admitted int   // gates [0, admitted) have entered the store
+}
+
+// admit enters the next gate in program order.
+//
+//sabre:hotpath
+func (d *dagDeps) admit(circuit.Gate) (int, bool) {
+	h := d.admitted
+	d.admitted++
+	deg := 0
+	for _, p := range d.dag.Predecessors(h) {
+		if d.inDeg[p] >= 0 {
+			deg++
+		}
+	}
+	d.inDeg[h] = deg
+	return h, deg == 0
+}
+
+//sabre:hotpath
+func (d *dagDeps) release(h int, ready []int) []int {
+	d.inDeg[h] = -1
+	for _, succ := range d.dag.Successors(h) {
+		if succ >= d.admitted {
+			break // ascending: the rest are unadmitted too
+		}
+		d.inDeg[succ]--
+		if d.inDeg[succ] == 0 {
+			ready = append(ready, succ)
+		}
+	}
+	return ready
+}
+
+//sabre:hotpath
+func (d *dagDeps) succs(h int) (int, int) {
+	ss := d.dag.Successors(h)
+	s0, s1 := -1, -1
+	if len(ss) > 0 && ss[0] < d.admitted {
+		s0 = ss[0]
+		if len(ss) > 1 && ss[1] < d.admitted {
+			s1 = ss[1]
+		}
+	}
+	return s0, s1
+}
+
+func (d *dagDeps) seq(h int) int64 { return int64(h) }
+
+// router holds the mutable state of one traversal of Algorithm 1, over
+// either dependency store. Every slice it appends to lives in the
+// Scratch so steady-state SWAP rounds never touch the allocator.
 type router struct {
 	dev  *arch.Device
 	n    int // device qubit count = row stride of the flat matrices
 	opts Options
 	rng  *rand.Rand
 
-	circ *circuit.Circuit // logical circuit, width == device size
-	dag  *circuit.DAG
+	// deps is the dependency store; dag backs it for a materialized
+	// circuit (deps == &dag), so a traversal allocates no store.
+	deps deps
+	dag  dagDeps
+
+	// gates and q2 are the store's handle-indexed tables: the logical
+	// gate, and its qubit pair (entries 2h and 2h+1; -1, -1 for
+	// single-qubit gates). The round hot paths read pairs from q2 with
+	// two int32 loads instead of copying a circuit.Gate (whose Params
+	// slice header alone is wider than both entries).
+	gates []circuit.Gate
+	q2    []int32
+
+	// stream is the streaming driver that admits gates between drains
+	// and flushes output chunks; nil when the whole circuit was
+	// admitted up front.
+	stream *streamRouter
 
 	layout mapping.Layout
-	done   int // executed gate count
+	done   int // executed gate count, bridged gates included
+	done2q int // of which two-qubit
 
 	s *Scratch
 
@@ -214,22 +332,22 @@ type router struct {
 	dist  []int
 	wdist []float64
 
-	// Flat read-only gather tables for the round hot loops: q2 is the
-	// PassRunner's per-gate qubit-pair table; ends the device's dense
-	// edge-id→endpoints table; inc its per-qubit incident-edge bitsets
-	// with row stride incW.
-	q2   []int32
+	// Flat read-only device tables for the round hot loops: ends is the
+	// dense edge-id→endpoints table; inc the per-qubit incident-edge
+	// bitsets with row stride incW.
 	ends []int32
 	inc  []uint64
 	incW int
 
 	decaySteps int // SWAP selections since last decay reset
 	stall      int // consecutive SWAPs without executing a gate
+	maxStall   int // stall bound before a forced route
 
 	// cancelled is the cancellation signal of the owning context (nil
-	// when the traversal is uncancellable); run polls it once per SWAP
-	// round.
+	// when the traversal is uncancellable); step polls it once per SWAP
+	// round and latches aborted.
 	cancelled <-chan struct{}
+	aborted   bool
 
 	// frontGen increments whenever the front layer's contents change;
 	// extGen records the generation the extended set was computed at.
@@ -246,8 +364,9 @@ type router struct {
 
 	// Per-round base sums of the scoring round's front/extended
 	// distances under the current layout (integer hops or weighted),
-	// computed once per round by buildRoundIndex; candidate scores are
-	// base + delta over the few gates touching the swapped qubits.
+	// computed once per round by buildRoundIndexBitset; candidate
+	// scores are base + delta over the few gates touching the swapped
+	// qubits.
 	frontSumI int64
 	extSumI   int64
 	frontSumF float64
@@ -255,17 +374,14 @@ type router struct {
 
 	// Per-round reciprocals of Eq. 2's size normalizations, set by
 	// setRoundScale: invF = 1/|F| and invE = W/|E| (0 when the extended
-	// set is empty). combine multiplies by these instead of dividing
-	// per candidate; every scoring engine shares them, so the rounding
-	// is engine-independent.
+	// set is empty). Both engines multiply by these instead of dividing
+	// per candidate, so the rounding is engine-independent.
 	invF float64
 	invE float64
 }
 
-// setRoundScale recomputes the per-round combine reciprocals from the
-// current front/extended sets. Called once per scoring round (and from
-// buildRoundIndex, so white-box tests that drive the scorers directly
-// get consistent scales).
+// setRoundScale recomputes the per-round Eq. 2 reciprocals from the
+// current front/extended sets. Called once per scoring round.
 //
 //sabre:hotpath
 func (r *router) setRoundScale() {
@@ -298,29 +414,48 @@ func (r *router) distAt(a, b int) float64 {
 // traversal was cut short by cancellation — checked once per round, so
 // an abandoned trial stops within one SWAP selection of the signal.
 func (r *router) run() bool {
-	maxStall := r.opts.MaxStall
-	if maxStall <= 0 {
-		maxStall = 4*r.dev.Diameter() + 16
+	for r.step() {
 	}
-	for {
-		r.drain()
-		if len(r.s.front) == 0 {
-			return true
-		}
-		select {
-		case <-r.cancelled:
-			return false
-		default:
-		}
-		if r.stall >= maxStall {
-			r.forceRoute()
-			continue
-		}
-		if r.opts.UseBridge && r.tryBridge() {
-			continue
-		}
-		r.insertBestSwap()
+	return !r.aborted
+}
+
+// step runs one iteration of Algorithm 1's loop: drain the executable
+// front layer, then resolve one blocked round by a forced route (the
+// stall safeguard), a bridge, or the best-scoring SWAP. A streaming
+// traversal admits gates after the drain and flushes full output
+// chunks. It reports false when the traversal is over: every gate
+// executed, the stream ended or failed, or the context was cancelled
+// (aborted).
+//
+//sabre:hotpath
+func (r *router) step() bool {
+	r.drain()
+	if r.stream != nil && !r.stream.fill() {
+		return false
 	}
+	if len(r.s.front) == 0 {
+		return false
+	}
+	select {
+	case <-r.cancelled:
+		r.aborted = true
+		return false
+	default:
+	}
+	if r.stall >= r.maxStall {
+		// No flush: a forced route's SWAPs leave with the chunk cut
+		// after the next drain. Chunk boundaries are part of the pinned
+		// streaming output (StreamStats.Chunks).
+		r.forceRoute()
+		return true
+	}
+	if !r.opts.UseBridge || !r.tryBridge() {
+		r.applySwap(r.scoreRound())
+	}
+	if r.stream != nil {
+		r.stream.maybeFlush()
+	}
+	return true
 }
 
 // tryBridge looks for a front-layer CNOT whose qubits sit at distance
@@ -333,11 +468,13 @@ func (r *router) run() bool {
 // mapping unchanged, which wins exactly when the pair will not
 // interact again soon (§VI's circuit-transformation direction; the
 // transformation the paper cites from Siraichi et al.).
+//
+//sabre:hotpath
 func (r *router) tryBridge() bool {
 	r.ensureExtended()
 	s := r.s
-	for fi, gi := range s.front {
-		g := r.circ.Gate(gi)
+	for fi, h := range s.front {
+		g := r.gates[h]
 		if g.Kind != circuit.KindCX {
 			continue
 		}
@@ -369,13 +506,8 @@ func (r *router) tryBridge() bool {
 		// already realized it on physical wires).
 		s.front = append(s.front[:fi], s.front[fi+1:]...)
 		r.frontGen++
-		r.done++
-		for _, succ := range r.dag.Successors(gi) {
-			s.inDeg[succ]--
-			if s.inDeg[succ] == 0 {
-				s.ready = append(s.ready, succ)
-			}
-		}
+		r.done2q++
+		r.retire(h)
 		return true
 	}
 	return false
@@ -385,13 +517,14 @@ func (r *router) tryBridge() bool {
 // among the extended-set gates. The extended set holds at most
 // ExtendedSetSize gates, so a linear scan beats building a set per
 // round (and allocates nothing).
+//
+//sabre:hotpath
 func (r *router) pairRecurs(a, b int) bool {
 	if a > b {
 		a, b = b, a
 	}
-	for _, gi := range r.s.extended {
-		g := r.circ.Gate(gi)
-		ga, gb := g.Q0, g.Q1
+	for _, h := range r.s.extended {
+		ga, gb := int(r.q2[2*h]), int(r.q2[2*h+1])
 		if ga > gb {
 			ga, gb = gb, ga
 		}
@@ -407,6 +540,8 @@ func (r *router) pairRecurs(a, b int) bool {
 // further progress. It maintains the front layer F and bumps frontGen
 // whenever F's contents change (which invalidates the extended-set
 // cache).
+//
+//sabre:hotpath
 func (r *router) drain() {
 	s := r.s
 	changed := false
@@ -414,25 +549,25 @@ func (r *router) drain() {
 		progress := false
 		// Newly-ready gates: execute or park in the front layer.
 		for len(s.ready) > 0 {
-			g := s.ready[len(s.ready)-1]
+			h := s.ready[len(s.ready)-1]
 			s.ready = s.ready[:len(s.ready)-1]
-			if r.executable(g) {
-				r.execute(g)
+			if r.executable(h) {
+				r.execute(h)
 				progress = true
 			} else {
-				s.front = append(s.front, g)
+				s.front = append(s.front, h)
 				changed = true
 			}
 		}
 		// Front-layer gates that a SWAP (or an executed gate) unlocked.
 		keep := s.front[:0]
-		for _, g := range s.front {
-			if r.executable(g) {
-				r.execute(g)
+		for _, h := range s.front {
+			if r.executable(h) {
+				r.execute(h)
 				progress = true
 				changed = true
 			} else {
-				keep = append(keep, g)
+				keep = append(keep, h)
 			}
 		}
 		s.front = keep
@@ -445,53 +580,54 @@ func (r *router) drain() {
 	}
 }
 
-// executable reports whether gate g can run right now under the current
+// executable reports whether gate h can run right now under the current
 // layout: single-qubit gates always can; two-qubit gates need their
 // physical qubits coupled.
-func (r *router) executable(g int) bool {
-	gate := r.circ.Gate(g)
-	if !gate.TwoQubit() {
+//
+//sabre:hotpath
+func (r *router) executable(h int) bool {
+	q0 := r.q2[2*h]
+	if q0 < 0 {
 		return true
 	}
-	return r.dev.Connected(r.layout.Phys(gate.Q0), r.layout.Phys(gate.Q1))
+	return r.dev.Connected(r.layout.Phys(int(q0)), r.layout.Phys(int(r.q2[2*h+1])))
 }
 
-// execute emits gate g remapped to physical qubits, retires it in the
-// DAG and releases its successors.
-func (r *router) execute(g int) {
-	gate := r.circ.Gate(g)
-	r.s.out = append(r.s.out, gate.Remap(r.layout.Phys))
-	r.done++
-	if gate.TwoQubit() {
+// execute emits gate h remapped to physical qubits (Remap inlined: a
+// method value would escape) and retires it.
+//
+//sabre:hotpath
+func (r *router) execute(h int) {
+	g := r.gates[h]
+	g.Q0 = r.layout.Phys(g.Q0)
+	if g.TwoQubit() {
+		g.Q1 = r.layout.Phys(g.Q1)
 		// Paper §V: decay resets whenever a CNOT is executed.
 		r.resetDecay()
 		r.stall = 0
+		r.done2q++
 	}
-	for _, succ := range r.dag.Successors(g) {
-		r.s.inDeg[succ]--
-		if r.s.inDeg[succ] == 0 {
-			r.s.ready = append(r.s.ready, succ)
-		}
-	}
+	r.s.out = append(r.s.out, g)
+	r.retire(h)
 }
 
-// insertBestSwap scores the candidate SWAPs (edges touching a front-
-// layer qubit, §IV-C1) with the configured heuristic and applies the
-// best one.
-func (r *router) insertBestSwap() {
-	best := r.scoreRound()
-	r.applySwap(best)
+// retire counts h as executed and releases its successors into the
+// ready list.
+//
+//sabre:hotpath
+func (r *router) retire(h int) {
+	r.done++
+	r.s.ready = r.deps.release(h, r.s.ready)
 }
 
 // scoreRound runs one SWAP-selection round up to (but excluding) the
-// mutation: collect candidates, refresh the extended set, fill the
-// per-candidate score buffer with the configured engine, and return
-// the best-scoring candidate edge with ties broken by reservoir
-// sampling. All engines see the same candidate order (ascending dense
-// edge id) and feed the same selection loop, so the tie-break RNG
-// stream — and therefore the routed output — is engine-independent.
-// Split from insertBestSwap so tests and benchmarks can measure a
-// steady-state round in isolation.
+// mutation: collect candidates, refresh the extended set, score every
+// candidate with the configured engine, and return the best-scoring
+// candidate edge with ties broken by reservoir sampling. Both engines
+// see the same candidate order (ascending dense edge id) and make the
+// same tie-break comparisons, so the RNG stream — and therefore the
+// routed output — is engine-independent. Split from step so tests and
+// benchmarks can measure a steady-state round in isolation.
 //
 //sabre:hotpath
 func (r *router) scoreRound() arch.Edge {
@@ -508,8 +644,7 @@ func (r *router) scoreRound() arch.Edge {
 		r.stats.MaxFront = len(s.front)
 	}
 
-	mode := r.scoringMode()
-	if mode == ScoringBitset {
+	if r.opts.Scoring != ScoringExhaustive {
 		// The bitset engine fuses winner selection into its scoring
 		// pass (same comparisons and RNG draws as selectBest, see
 		// scoreBitset), so it skips the score buffer entirely.
@@ -521,37 +656,20 @@ func (r *router) scoreRound() arch.Edge {
 		s.scores = make([]float64, len(s.candIDs))
 	}
 	s.scores = s.scores[:len(s.candIDs)]
-	if mode == ScoringDelta {
-		r.buildRoundIndex()
-		for i := range s.candIDs {
-			s.scores[i] = r.scoreSwap(r.candidate(i))
-		}
-	} else { // ScoringExhaustive
-		for i := range s.candIDs {
-			s.scores[i] = r.scoreSwapExhaustive(r.candidate(i))
-		}
+	for i := range s.candIDs {
+		s.scores[i] = r.scoreSwapExhaustive(r.candidate(i))
 	}
 	return r.selectBest()
-}
-
-// scoringMode resolves the effective scoring engine, honoring the
-// legacy ExhaustiveScoring flag even when toggled after construction
-// (white-box tests flip it on a live router).
-func (r *router) scoringMode() Scoring {
-	if r.opts.ExhaustiveScoring && r.opts.Scoring == ScoringBitset {
-		return ScoringExhaustive
-	}
-	return r.opts.Scoring
 }
 
 // selectBest scans the filled score buffer and returns the lowest-
 // scoring candidate, reservoir-sampling among ties (within a 1e-12
 // band) so the seeded search explores plateaus uniformly — the
 // authors' artifact randomizes tie order the same way. This loop is
-// the only RNG consumer in a round; the oracle engines share it, and
-// the bitset engine fuses the identical comparison/draw sequence into
-// its scoring pass (scoreBitset), so every engine consumes the same
-// RNG stream and routes byte-identically.
+// the exhaustive reference's only RNG consumer in a round; the bitset
+// engine fuses the identical comparison/draw sequence into its
+// scoring pass (scoreBitset), so both engines consume the same RNG
+// stream and route byte-identically.
 //
 //sabre:hotpath
 func (r *router) selectBest() arch.Edge {
@@ -624,7 +742,8 @@ func (r *router) candidate(i int) arch.Edge {
 }
 
 // ensureExtended refreshes r.s.extended — up to ExtendedSetSize
-// two-qubit gates that follow the front layer in the DAG (BFS order),
+// two-qubit gates that follow the front layer in the dependency store
+// (BFS order),
 // the heuristic's look-ahead window (§IV-D) — unless the cached set is
 // still valid. The set is a pure function of the front layer, so it is
 // recomputed only when frontGen moved; bridge probe and SWAP scoring
@@ -644,25 +763,26 @@ func (r *router) ensureExtended() {
 		return
 	}
 	limit := r.opts.ExtendedSetSize
-	// BFS from the front layer through the DAG. Decremented indegree
-	// bookkeeping is not needed for an estimate: we walk successors
-	// breadth-first and take the first `limit` two-qubit gates.
-	// Visited tracking is an epoch stamp per gate; the queue is a
+	// BFS from the front layer through the dependency store.
+	// Decremented indegree bookkeeping is not needed for an estimate: we
+	// walk successors breadth-first and take the first `limit`
+	// two-qubit gates; the gate that hits the limit is not queued.
+	// Visited tracking is an epoch stamp per handle; the queue is a
 	// reused buffer walked by index (no pop-front copying).
 	epoch := s.nextGateEpoch()
 	queue := s.bfsQueue[:0]
 	queue = append(queue, s.front...)
-	for _, g := range queue {
-		s.gateMark[g] = epoch
+	for _, h := range queue {
+		s.gateMark[h] = epoch
 	}
 	for head := 0; head < len(queue) && len(s.extended) < limit; head++ {
-		g := queue[head]
-		for _, succ := range r.dag.Successors(g) {
-			if s.gateMark[succ] == epoch {
+		s0, s1 := r.deps.succs(queue[head])
+		for _, succ := range [2]int{s0, s1} {
+			if succ < 0 || s.gateMark[succ] == epoch {
 				continue
 			}
 			s.gateMark[succ] = epoch
-			if r.circ.Gate(succ).TwoQubit() {
+			if r.q2[2*succ] >= 0 {
 				s.extended = append(s.extended, succ)
 				if len(s.extended) >= limit {
 					break
@@ -712,13 +832,13 @@ func (r *router) resetDecay() {
 // materializing it.
 func (r *router) forceRoute() {
 	g := r.s.front[0]
-	for _, fg := range r.s.front {
-		if fg < g {
-			g = fg
+	oldest := r.deps.seq(g)
+	for _, h := range r.s.front[1:] {
+		if q := r.deps.seq(h); q < oldest {
+			g, oldest = h, q
 		}
 	}
-	gate := r.circ.Gate(g)
-	cur, pb := r.layout.Phys(gate.Q0), r.layout.Phys(gate.Q1)
+	cur, pb := r.layout.Phys(int(r.q2[2*g])), r.layout.Phys(int(r.q2[2*g+1]))
 	// Swap the control forward until adjacent to the target.
 	for r.hop(cur, pb) > 1 {
 		next := -1

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"unsafe"
+
 	"repro/internal/circuit"
 )
 
@@ -23,8 +25,10 @@ import (
 // reads, so the buffer is all-zero (across its full capacity) between
 // rounds and needs no epoch at all.
 type Scratch struct {
-	// Traversal state, sized per pass.
-	inDeg []int          // working indegree copy, len = gate count
+	// Traversal state, sized per pass. front, ready and extended hold
+	// dependency-store handles: gate indices, or window slots when
+	// streaming.
+	inDeg []int          // DAG store's working indegree, len = gate count
 	front []int          // front layer F
 	ready []int          // dependency-released, executability unchecked
 	out   []circuit.Gate // routed output accumulator
@@ -46,28 +50,16 @@ type Scratch struct {
 	candWords []uint64
 	candIDs   []int32
 
-	// scores holds the per-candidate heuristic scores of one round,
-	// filled by the configured scoring engine and consumed by one
-	// shared selection loop — which is what keeps the RNG stream of the
-	// reservoir tie-break identical across engines.
+	// scores holds the per-candidate heuristic scores of one round
+	// under the exhaustive reference, consumed by selectBest.
 	scores []float64
 
-	// Extended-set BFS: gate epoch stamps replace the old visited map,
-	// bfsQueue the old throwaway queue slice. (Delta scoring needs no
-	// marks: its only shared gate, the one touching both swapped
-	// qubits, is deduplicated by a partner-qubit skip.)
+	// Extended-set BFS: visited marks are epoch stamps per handle;
+	// bfsQueue is the reused BFS queue.
 	extended  []int
-	gateMark  []int32 // len = gate count; BFS visited set
+	gateMark  []int32 // len = handle count; BFS visited set
 	gateEpoch int32
 	bfsQueue  []int
-
-	// Per-round delta-scoring index: for each logical qubit, the front
-	// and extended gates touching it (front gate gi encoded as gi+1,
-	// extended as -(gi+1)). qTouched lists the qubits with non-empty
-	// entries so resetting is O(touched), not O(n). Used only by the
-	// ScoringDelta oracle; the bitset engine uses the CSR index below.
-	qGates   [][]int32
-	qTouched []int
 
 	// Per-round bitset-scoring index. Front-layer gates are
 	// vertex-disjoint (two gates sharing a qubit are DAG-ordered, so at
@@ -83,16 +75,15 @@ type Scratch struct {
 	extOff  []int32 // len n+1
 	extPhys []int32
 
-	// stream owns the streaming router's window state (RouteStream).
-	// It replaces every gate-indexed buffer above with slot-arena
-	// variants sized by the live window, so a streaming traversal's
-	// memory is O(device + window) however long the gate stream runs.
+	// stream owns the streaming window (RouteStream): a slot arena
+	// that stands in for the DAG, so the gate-indexed buffers above
+	// become slot-indexed and a streaming traversal's memory is
+	// O(device + window) however long the gate stream runs.
 	stream streamScratch
 }
 
-// streamScratch is the streaming router's reusable state: the handle
-// stacks of the drain loop, the compact per-round scoring view, and
-// the slot arena that stands in for the materialized DAG.
+// streamScratch is the streaming window's reusable state: the slot
+// arena behind ringDeps and the per-qubit dependency chain tails.
 //
 // The arena is a free-list slot store, not a FIFO ring: a slot is
 // recycled the moment its gate retires, so long-lived blocked gates
@@ -105,29 +96,16 @@ type Scratch struct {
 // (slotGid is set to -1 on free and to a fresh, strictly increasing
 // gid on reuse, so a stale tail can never alias a live slot).
 type streamScratch struct {
-	// Drain-loop state, holding slot handles (ring path) or gate
-	// indices (materialized oracle path).
-	front []int64
-	ready []int64 // LIFO stack, same discipline as router.drain
-	ext   []int64 // extended set of the current round
-	bfsQ  []int64 // lookahead BFS queue
-
-	// cq2 is the per-round compact qubit-pair table the embedded
-	// scoring round reads instead of the PassRunner's gate-indexed
-	// q2: entry i is the i-th front gate, entries after the front are
-	// the extended set, in BFS order.
-	cq2 []int32
-
 	// Slot arena, all indexed by slot id; slotQ2 and slotSucc hold two
-	// entries per slot. slotSucc[2s] is the slot depending on s
-	// through s's Q0 wire (-1 none), slotSucc[2s+1] through Q1.
+	// entries per slot. slotGate and slotQ2 are the router's gate and
+	// pair tables while streaming. slotSucc[2s] and slotSucc[2s+1] are
+	// the slots depending on s, in admission order (-1 none); one that
+	// shares both of s's wires appears twice.
 	slotGate  []circuit.Gate
 	slotGid   []int64 // admission gid, -1 = slot free
 	slotQ2    []int32
 	slotInDeg []int32
 	slotSucc  []int32
-	slotMark  []int32 // BFS visited stamps vs slotEpoch
-	slotEpoch int32
 	free      []int32 // free slot ids, popped from the tail
 
 	// Per-qubit dependency chain tails (device-sized).
@@ -136,9 +114,9 @@ type streamScratch struct {
 }
 
 // resetStream readies the streaming state for one traversal on an
-// n-qubit device: chain tails cleared, every arena slot freed, drain
-// stacks truncated. Arena capacity is kept — a warm Scratch replays a
-// new stream without touching the allocator.
+// n-qubit device: chain tails cleared, every arena slot freed. Arena
+// capacity is kept — a warm Scratch replays a new stream without
+// touching the allocator.
 func (z *streamScratch) resetStream(n int) {
 	if cap(z.chainTailSlot) < n {
 		z.chainTailSlot = make([]int32, n)
@@ -150,20 +128,12 @@ func (z *streamScratch) resetStream(n int) {
 		z.chainTailSlot[i] = -1
 		z.chainTailGid[i] = -1
 	}
-	z.front = z.front[:0]
-	z.ready = z.ready[:0]
-	z.ext = z.ext[:0]
-	z.bfsQ = z.bfsQ[:0]
 	z.free = z.free[:0]
 	for i := len(z.slotGid) - 1; i >= 0; i-- {
 		z.slotGate[i] = circuit.Gate{}
 		z.slotGid[i] = -1
 		z.free = append(z.free, int32(i))
 	}
-	for i := range z.slotMark {
-		z.slotMark[i] = 0
-	}
-	z.slotEpoch = 0
 }
 
 // growArena grows the slot arena to hold target slots, pushing the new
@@ -190,26 +160,33 @@ func (z *streamScratch) growArena(target int) {
 	slotSucc := make([]int32, 2*target)
 	copy(slotSucc, z.slotSucc)
 	z.slotSucc = slotSucc
-	slotMark := make([]int32, target)
-	copy(slotMark, z.slotMark)
-	z.slotMark = slotMark
 	for i := target - 1; i >= old; i-- {
 		z.slotGid[i] = -1
 		z.free = append(z.free, int32(i))
 	}
 }
 
+// arenaBytes is the window's memory footprint: the slot arena plus the
+// chain tails.
+func (z *streamScratch) arenaBytes() int64 {
+	b := int64(cap(z.slotGate)) * int64(unsafe.Sizeof(circuit.Gate{}))
+	b += int64(cap(z.slotGid)+cap(z.chainTailGid)) * 8
+	b += int64(cap(z.slotQ2)+cap(z.slotInDeg)+cap(z.slotSucc)+cap(z.free)+cap(z.chainTailSlot)) * 4
+	return b
+}
+
 // NewScratch returns an empty scratch. Buffers grow to the sizes of
 // whatever passes it serves and are then reused; keep one per worker.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// reset sizes the scratch for one traversal: n device qubits, gates
-// DAG nodes, edges coupling edges. Buffers are grown only when a
+// reset sizes the scratch for one traversal: n device qubits, handles
+// dependency-store handles (gates, or arena slots when streaming),
+// edges coupling edges. Buffers are grown only when a
 // larger circuit or device arrives; otherwise they are re-sliced.
 // Growing candWords allocates a zeroed buffer and shrinking merely
 // re-slices, so the all-zero-across-capacity invariant survives any
 // sequence of devices.
-func (s *Scratch) reset(n, gates, edges int) {
+func (s *Scratch) reset(n, handles, edges int) {
 	if cap(s.decay) < n {
 		s.decay = make([]float64, n)
 	}
@@ -222,20 +199,7 @@ func (s *Scratch) reset(n, gates, edges int) {
 		s.candWords = make([]uint64, words)
 	}
 	s.candWords = s.candWords[:words]
-	if cap(s.gateMark) < gates {
-		s.gateMark = make([]int32, gates)
-		s.gateEpoch = 0
-	}
-	s.gateMark = s.gateMark[:gates]
-	if len(s.qGates) < n {
-		old := s.qGates
-		s.qGates = make([][]int32, n)
-		copy(s.qGates, old)
-	}
-	for _, q := range s.qTouched {
-		s.qGates[q] = s.qGates[q][:0]
-	}
-	s.qTouched = s.qTouched[:0]
+	s.growMarks(handles)
 	if cap(s.fpart) < n {
 		s.fpart = make([]int32, n)
 		s.extCnt = make([]int32, n)
@@ -250,6 +214,16 @@ func (s *Scratch) reset(n, gates, edges int) {
 	s.extended = s.extended[:0]
 	s.candIDs = s.candIDs[:0]
 	s.bfsQueue = s.bfsQueue[:0]
+}
+
+// growMarks sizes the BFS marks for handles handles. A grown buffer
+// starts all-zero and no epoch is zero, so no mark reads as visited;
+// the streaming window grows it mid-traversal, between two BFS walks.
+func (s *Scratch) growMarks(handles int) {
+	if cap(s.gateMark) < handles {
+		s.gateMark = make([]int32, handles)
+	}
+	s.gateMark = s.gateMark[:handles]
 }
 
 // nextGateEpoch advances the gate epoch, wiping the marks on overflow.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
-	"unsafe"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
@@ -22,27 +21,29 @@ import (
 // bounded neighborhood of the execution frontier: the front layer F,
 // the extended set E, and the decay state — all device-sized. The
 // streaming mode below exploits that: gates are admitted from a
-// GateSource one at a time into a slot-arena window, dependencies are
-// tracked with per-qubit chains instead of a DAG, and routed gates
-// leave through a StreamSink in bounded chunks. The scoring round —
-// candidate collection, Eq. 1/Eq. 2 evaluation, decay, tie-break RNG —
-// is the exact bitset engine of the materialized path, fed through a
-// per-round compact view, so the streaming mode inherits every scoring
-// property (and its zero-alloc guarantee) without duplicating it.
+// GateSource one at a time into a slot-arena window (ringDeps),
+// dependencies are tracked with per-qubit chains instead of a DAG, and
+// routed gates leave through a StreamSink in bounded chunks. The SWAP
+// loop itself is the router's, unchanged: drain, extended set,
+// scoring round, bridge, forced route and decay all run over the
+// window's handles exactly as they run over a materialized DAG, so
+// streaming inherits every scoring property (and its zero-alloc
+// guarantee) without duplicating it. streamRouter adds only what
+// streaming needs: admission and refill from the source, chunk
+// flushes to the sink, and StreamStats.
 //
 // Streaming semantics are pinned, deterministic, and intentionally
 // simpler than Compile's default search: one trial, one forward
 // traversal, seeded random initial layout (the layout trial 0 of
-// Compile would draw), bitset scoring. Multi-trial restart search is
-// meaningless when the input cannot be replayed. Consequently the
-// parity contract is between the two *streaming* paths: RouteStream
-// (windowed, O(window) memory) and RouteStreamMaterialized (same
-// pinned semantics executed over a fully materialized circuit and its
-// BuildDAG) emit byte-identical gate streams for every circuit, seed,
-// and worker count. The two implementations share no dependency
-// bookkeeping — slot arena + qubit chains vs. CSR DAG — which makes
-// each the independent oracle for the other, the same discipline the
-// scoring engines use (bitset vs. delta vs. exhaustive).
+// Compile would draw). Multi-trial restart search is meaningless when
+// the input cannot be replayed. Consequently the parity contract is
+// between the two *streaming* paths: RouteStream (windowed, O(window)
+// memory) and RouteStreamMaterialized (same pinned semantics executed
+// over a fully materialized circuit and its BuildDAG) emit
+// byte-identical gate streams for every circuit, seed, and worker
+// count. The two share the loop but no dependency bookkeeping — slot
+// arena + qubit chains vs. CSR DAG — which makes each the independent
+// oracle for the other.
 //
 // Window admission policy (identical in both paths, so it is part of
 // the pinned semantics): after every drain the router tops the window
@@ -72,16 +73,12 @@ type StreamSink interface {
 }
 
 // StreamOptions tunes the streaming mode. The zero value means
-// defaults (see DefaultStreamOptions). None of these knobs affect the
-// routed output — Window is a capacity hint and ChunkGates only
-// changes emission granularity — except Lookahead, which bounds the
-// admission window and is part of the deterministic semantics.
+// defaults (see DefaultStreamOptions). ChunkGates only changes
+// emission granularity; Lookahead bounds the admission window and is
+// part of the deterministic semantics. The slot arena needs no sizing:
+// it starts at 64 slots and doubles on demand up to the live window's
+// high-water mark.
 type StreamOptions struct {
-	// Window is the initial slot-arena capacity in gates. The arena
-	// grows by doubling if the live window outruns it, so this is a
-	// pre-sizing hint, not a limit.
-	Window int
-
 	// Lookahead caps the gates admitted beyond the front layer. It is
 	// the streaming analogue of the extended-set size and the only
 	// StreamOptions field that changes routing decisions: a larger
@@ -94,18 +91,15 @@ type StreamOptions struct {
 	ChunkGates int
 }
 
-// DefaultStreamOptions returns the streaming defaults: a 4096-slot
-// window hint, 256-gate lookahead, 1024-gate chunks.
+// DefaultStreamOptions returns the streaming defaults: 256-gate
+// lookahead, 1024-gate chunks.
 func DefaultStreamOptions() StreamOptions {
-	return StreamOptions{Window: 4096, Lookahead: 256, ChunkGates: 1024}
+	return StreamOptions{Lookahead: 256, ChunkGates: 1024}
 }
 
 // normalized fills zero fields with defaults.
 func (o StreamOptions) normalized() StreamOptions {
 	d := DefaultStreamOptions()
-	if o.Window <= 0 {
-		o.Window = d.Window
-	}
 	if o.Lookahead <= 0 {
 		o.Lookahead = d.Lookahead
 	}
@@ -129,8 +123,9 @@ type StreamStats struct {
 	ForcedRoutes int `json:"forced_routes"`
 
 	// MaxFront and MaxWindow are the high-water front-layer size and
-	// live-window occupancy; WindowBytes the arena's final footprint.
-	// Flat MaxWindow/WindowBytes across a 10× longer stream is the
+	// live-window occupancy; WindowBytes the arena's final footprint
+	// (0 on the materialized path, which has no arena). Flat
+	// MaxWindow/WindowBytes across a 10× longer stream is the
 	// O(device + window) memory claim, measured.
 	MaxFront    int   `json:"max_front"`
 	MaxWindow   int   `json:"max_window"`
@@ -150,46 +145,28 @@ type StreamResult struct {
 	Stats         StreamStats
 }
 
-// streamDeps is the dependency store behind the streaming router: the
-// windowed slot arena (ringDeps) or the materialized-DAG oracle
-// (flatDeps). Handles are slot ids or gate indices respectively; gid
-// is the admission sequence number, the tie-break order every
-// handle-ordering decision uses so both stores release and visit
-// gates identically.
+// streamDeps is a dependency store the streaming driver admits into:
+// the windowed slot arena (ringDeps) or the DAG store of a
+// materialized circuit (dagDeps).
 type streamDeps interface {
-	// admit enters g into the window and reports its handle and
-	// whether it is dependency-free.
-	admit(g circuit.Gate) (h int64, ready bool)
-	gate(h int64) circuit.Gate
-	// pair returns the logical qubit pair of a two-qubit gate, or
-	// (-1, -1) for single-qubit gates.
-	pair(h int64) (q0, q1 int32)
-	gid(h int64) int64
-	// finish retires h and returns the newly dependency-free
-	// successors in ascending gid order, -1-padded.
-	finish(h int64) (r0, r1 int64)
-	// succs returns h's admitted successors in ascending gid order,
-	// -1-padded, duplicates preserved (a successor sharing both
-	// qubits appears twice, mirroring BuildDAG's duplicate edges).
-	succs(h int64) (s0, s1 int64)
-	bfsReset()
-	bfsSeen(h int64) bool
-	maxLive() int
-	memBytes() int64
+	deps
+	// admit enters g, the next gate of the stream, and reports its
+	// handle and whether it is dependency-free.
+	admit(g circuit.Gate) (h int, ready bool)
 }
 
 // ringDeps is the windowed dependency store: a free-list slot arena
 // plus per-qubit chain tails, all living in the streamScratch. See the
-// streamScratch doc for the recycling and stale-tail invariants.
+// streamScratch doc for the recycling and stale-tail invariants. A
+// slot's gid is its gate's admission sequence number.
 type ringDeps struct {
+	r       *router // whose gate, pair and mark tables alias the arena
 	z       *streamScratch
 	nextGid int64
-	live    int
-	peak    int
 }
 
 //sabre:hotpath
-func (d *ringDeps) admit(g circuit.Gate) (int64, bool) {
+func (d *ringDeps) admit(g circuit.Gate) (int, bool) {
 	z := d.z
 	if len(z.free) == 0 {
 		d.grow()
@@ -211,7 +188,6 @@ func (d *ringDeps) admit(g circuit.Gate) (int64, bool) {
 	z.slotInDeg[s] = 0
 	z.slotSucc[i2] = -1
 	z.slotSucc[i2+1] = -1
-	z.slotMark[s] = 0
 	d.link(g.Q0, s)
 	if g.TwoQubit() {
 		d.link(g.Q1, s)
@@ -222,16 +198,13 @@ func (d *ringDeps) admit(g circuit.Gate) (int64, bool) {
 		z.chainTailSlot[g.Q1] = s
 		z.chainTailGid[g.Q1] = gid
 	}
-	d.live++
-	if d.live > d.peak {
-		d.peak = d.live
-	}
-	return int64(s), z.slotInDeg[s] == 0
+	return int(s), z.slotInDeg[s] == 0
 }
 
 // link adds the dependency edge chainTail[w] → s, if that tail is
 // still live (gid match; a recycled slot fails it and means the chain
-// head already executed).
+// head already executed). A tail's successors fill its two entries in
+// link order, which is admission order.
 //
 //sabre:hotpath
 func (d *ringDeps) link(w int, s int32) {
@@ -241,243 +214,50 @@ func (d *ringDeps) link(w int, s int32) {
 		return
 	}
 	z.slotInDeg[s]++
-	if int(z.slotGate[t].Q0) == w {
+	if z.slotSucc[2*t] < 0 {
 		z.slotSucc[2*t] = s
 	} else {
 		z.slotSucc[2*t+1] = s
 	}
 }
 
-// grow doubles the arena. Amortized: once the window's high-water mark
-// is reached the free list never empties again.
+// grow doubles the arena (from 64 slots) and re-points the router's
+// gate, pair and mark tables at it. Amortized: once the window's
+// high-water mark is reached the free list never empties again.
 func (d *ringDeps) grow() {
-	target := 2 * len(d.z.slotGid)
-	if target < 64 {
-		target = 64
-	}
-	d.z.growArena(target)
+	d.z.growArena(max(2*len(d.z.slotGid), 64))
+	d.r.gates, d.r.q2 = d.z.slotGate, d.z.slotQ2
+	d.r.s.growMarks(len(d.z.slotGid))
 }
 
 //sabre:hotpath
-func (d *ringDeps) gate(h int64) circuit.Gate { return d.z.slotGate[h] }
-
-//sabre:hotpath
-func (d *ringDeps) pair(h int64) (int32, int32) {
-	i2 := 2 * int(h)
-	return d.z.slotQ2[i2], d.z.slotQ2[i2+1]
-}
-
-//sabre:hotpath
-func (d *ringDeps) gid(h int64) int64 { return d.z.slotGid[h] }
-
-//sabre:hotpath
-func (d *ringDeps) finish(h int64) (int64, int64) {
+func (d *ringDeps) release(h int, ready []int) []int {
 	z := d.z
-	s := int32(h)
-	i2 := 2 * int(s)
-	a, b := z.slotSucc[i2], z.slotSucc[i2+1]
-	if a >= 0 && b >= 0 {
-		if z.slotGid[b] < z.slotGid[a] {
-			a, b = b, a
-		}
-	} else if a < 0 {
-		a, b = b, a
-	}
-	r0, r1 := int64(-1), int64(-1)
+	a, b := d.succs(h)
 	if a >= 0 {
 		z.slotInDeg[a]--
 		if z.slotInDeg[a] == 0 {
-			r0 = int64(a)
+			ready = append(ready, a)
 		}
 	}
 	if b >= 0 {
 		z.slotInDeg[b]--
 		if z.slotInDeg[b] == 0 {
-			if r0 < 0 {
-				r0 = int64(b)
-			} else {
-				r1 = int64(b)
-			}
+			ready = append(ready, b)
 		}
 	}
-	z.slotGate[s] = circuit.Gate{}
-	z.slotGid[s] = -1
-	z.free = append(z.free, s)
-	d.live--
-	return r0, r1
+	z.slotGate[h] = circuit.Gate{}
+	z.slotGid[h] = -1
+	z.free = append(z.free, int32(h))
+	return ready
 }
 
 //sabre:hotpath
-func (d *ringDeps) succs(h int64) (int64, int64) {
-	z := d.z
-	i2 := 2 * int(h)
-	a, b := z.slotSucc[i2], z.slotSucc[i2+1]
-	if a >= 0 && b >= 0 {
-		if z.slotGid[b] < z.slotGid[a] {
-			a, b = b, a
-		}
-	} else if a < 0 {
-		a, b = b, a
-	}
-	return int64(a), int64(b)
+func (d *ringDeps) succs(h int) (int, int) {
+	return int(d.z.slotSucc[2*h]), int(d.z.slotSucc[2*h+1])
 }
 
-func (d *ringDeps) bfsReset() {
-	z := d.z
-	z.slotEpoch++
-	if z.slotEpoch < 0 {
-		full := z.slotMark[:cap(z.slotMark)]
-		for i := range full {
-			full[i] = 0
-		}
-		z.slotEpoch = 1
-	}
-}
-
-//sabre:hotpath
-func (d *ringDeps) bfsSeen(h int64) bool {
-	z := d.z
-	if z.slotMark[h] == z.slotEpoch {
-		return true
-	}
-	z.slotMark[h] = z.slotEpoch
-	return false
-}
-
-func (d *ringDeps) maxLive() int { return d.peak }
-
-func (d *ringDeps) memBytes() int64 {
-	z := d.z
-	b := int64(cap(z.slotGate)) * int64(unsafe.Sizeof(circuit.Gate{}))
-	b += int64(cap(z.slotGid)+cap(z.chainTailGid)) * 8
-	b += int64(cap(z.slotQ2)+cap(z.slotInDeg)+cap(z.slotSucc)+cap(z.slotMark)+cap(z.free)+cap(z.chainTailSlot)) * 4
-	b += int64(cap(z.front)+cap(z.ready)+cap(z.ext)+cap(z.bfsQ)) * 8
-	b += int64(cap(z.cq2)) * 4
-	return b
-}
-
-// flatDeps is the materialized oracle: the same streamDeps contract
-// served from a whole circuit and its BuildDAG. Admission is a cursor
-// walk in program order; a gate's working indegree counts only its
-// not-yet-executed predecessors at admission time, and successor
-// release is clipped to the admitted prefix — so release order and
-// readiness transitions match ringDeps decision for decision while the
-// bookkeeping shares nothing with it.
-type flatDeps struct {
-	circ     *circuit.Circuit
-	dag      *circuit.DAG
-	inDeg    []int32
-	done     []bool
-	mark     []int32
-	epoch    int32
-	admitted int
-	live     int
-	peak     int
-}
-
-func newFlatDeps(c *circuit.Circuit) *flatDeps {
-	g := c.NumGates()
-	return &flatDeps{
-		circ:  c,
-		dag:   circuit.BuildDAG(c),
-		inDeg: make([]int32, g),
-		done:  make([]bool, g),
-		mark:  make([]int32, g),
-	}
-}
-
-func (d *flatDeps) admit(circuit.Gate) (int64, bool) {
-	h := d.admitted
-	d.admitted++
-	deg := int32(0)
-	for _, p := range d.dag.Predecessors(h) {
-		if !d.done[p] {
-			deg++
-		}
-	}
-	d.inDeg[h] = deg
-	d.live++
-	if d.live > d.peak {
-		d.peak = d.live
-	}
-	return int64(h), deg == 0
-}
-
-func (d *flatDeps) gate(h int64) circuit.Gate { return d.circ.Gate(int(h)) }
-
-func (d *flatDeps) pair(h int64) (int32, int32) {
-	g := d.circ.Gate(int(h))
-	if g.TwoQubit() {
-		return int32(g.Q0), int32(g.Q1)
-	}
-	return -1, -1
-}
-
-func (d *flatDeps) gid(h int64) int64 { return h }
-
-func (d *flatDeps) finish(h int64) (int64, int64) {
-	g := int(h)
-	d.done[g] = true
-	d.live--
-	r0, r1 := int64(-1), int64(-1)
-	for _, succ := range d.dag.Successors(g) {
-		if succ >= d.admitted {
-			break // ascending: the rest are unadmitted too
-		}
-		d.inDeg[succ]--
-		if d.inDeg[succ] == 0 {
-			if r0 < 0 {
-				r0 = int64(succ)
-			} else {
-				r1 = int64(succ)
-			}
-		}
-	}
-	return r0, r1
-}
-
-func (d *flatDeps) succs(h int64) (int64, int64) {
-	s0, s1 := int64(-1), int64(-1)
-	for _, succ := range d.dag.Successors(int(h)) {
-		if succ >= d.admitted {
-			break
-		}
-		if s0 < 0 {
-			s0 = int64(succ)
-		} else {
-			s1 = int64(succ)
-		}
-	}
-	return s0, s1
-}
-
-func (d *flatDeps) bfsReset() {
-	d.epoch++
-	if d.epoch < 0 {
-		full := d.mark[:cap(d.mark)]
-		for i := range full {
-			full[i] = 0
-		}
-		d.epoch = 1
-	}
-}
-
-func (d *flatDeps) bfsSeen(h int64) bool {
-	if d.mark[h] == d.epoch {
-		return true
-	}
-	d.mark[h] = d.epoch
-	return false
-}
-
-func (d *flatDeps) maxLive() int { return d.peak }
-
-// memBytes understates the true footprint — the circuit and CSR DAG
-// dominate — which is the point: the materialized path is O(gates) by
-// construction and makes no windowed-memory claim.
-func (d *flatDeps) memBytes() int64 {
-	return int64(cap(d.inDeg))*4 + int64(cap(d.done)) + int64(cap(d.mark))*4
-}
+func (d *ringDeps) seq(h int) int64 { return d.z.slotGid[h] }
 
 // circuitSource adapts an in-memory circuit to the GateSource shape.
 type circuitSource struct {
@@ -498,207 +278,83 @@ func (cs *circuitSource) Next() (circuit.Gate, bool, error) {
 	return g, true, nil
 }
 
-// streamRouter drives one streaming traversal: the pinned drain /
-// admit / refill / score loop around an embedded materialized router
-// whose scoring round is fed through a per-round compact view.
+// streamRouter is what streaming adds to the router's loop: admission
+// and refill from the GateSource, chunk flushes to the StreamSink, and
+// StreamStats.
 type streamRouter struct {
 	rt    *router
 	deps  streamDeps
 	src   GateSource
 	sink  StreamSink
-	z     *streamScratch
 	sopts StreamOptions
 
-	eof     bool
-	aborted bool
-	err     error
+	eof bool
+	err error
 
-	admitted int64
-	executed int64
-	emitted  int64
-	unexec2q int // admitted, unexecuted two-qubit gates
-	chunks   int
-	maxFront int
-
-	// viewGen is the front generation the compact scoring view was
-	// built for; the view is a pure function of the front layer plus
-	// the admitted window, and the window only changes alongside a
-	// frontGen bump (refill runs admissions through drain).
-	viewGen  int
-	maxStall int
+	admitted   int
+	admitted2q int
+	emitted    int64
+	chunks     int
+	maxFront   int
+	maxWindow  int
 }
 
-// newStreamRouter wires a traversal: the embedded router gets no
-// circuit or DAG (the deps store replaces both), gates=0 scratch
-// sizing, and scoring pinned to the bitset engine, whose round state
-// is all device-sized and reads gates only through r.q2 — which the
-// compact view swaps out per round.
-func newStreamRouter(dev *arch.Device, opts Options, sopts StreamOptions, deps streamDeps, src GateSource, sink StreamSink, s *Scratch, cancelled <-chan struct{}) *streamRouter {
+// newStreamRouter wires one streaming traversal from a seeded random
+// layout. A nil pr routes through the windowed slot arena; otherwise
+// the stream is pr's circuit, admitted from its DAG store.
+func newStreamRouter(dev *arch.Device, opts Options, sopts StreamOptions, src GateSource, sink StreamSink, s *Scratch, pr *PassRunner, cancelled <-chan struct{}) *streamRouter {
 	n := dev.NumQubits()
-	s.reset(n, 0, len(dev.Edges()))
-	s.stream.resetStream(n)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	layout := mapping.Random(n, rng)
-	rt := &router{
-		dev:       dev,
-		n:         n,
-		opts:      opts,
-		rng:       rng,
-		layout:    layout,
-		s:         s,
-		dist:      dev.Distances(),
-		ends:      dev.EdgeEndpoints(),
-		inc:       dev.IncidentEdgeWords(),
-		incW:      dev.EdgeWords(),
-		extGen:    -1,
-		idxGen:    -1,
-		cancelled: cancelled,
+	sr := &streamRouter{src: src, sink: sink, sopts: sopts.normalized()}
+	if pr != nil {
+		sr.rt = newRouter(dev, opts, pr.wdist, layout, rng, s, pr.circ.NumGates(), cancelled)
+		pr.attach(sr.rt)
+		sr.deps = &sr.rt.dag
+	} else {
+		var wdist []float64
+		if opts.Noise != nil {
+			wdist = dev.WeightedDistancesFor(opts.Noise)
+		}
+		sr.rt = newRouter(dev, opts, wdist, layout, rng, s, len(s.stream.slotGid), cancelled)
+		s.stream.resetStream(n)
+		ring := &ringDeps{r: sr.rt, z: &s.stream}
+		sr.rt.gates, sr.rt.q2, sr.rt.deps = s.stream.slotGate, s.stream.slotQ2, ring
+		sr.deps = ring
 	}
-	if opts.Noise != nil {
-		rt.wdist = dev.WeightedDistancesFor(opts.Noise)
-	}
-	maxStall := opts.MaxStall
-	if maxStall <= 0 {
-		maxStall = 4*dev.Diameter() + 16
-	}
-	return &streamRouter{
-		rt:       rt,
-		deps:     deps,
-		src:      src,
-		sink:     sink,
-		z:        &s.stream,
-		sopts:    sopts,
-		viewGen:  -1,
-		maxStall: maxStall,
-	}
+	sr.rt.stream = sr
+	return sr
 }
 
-// step runs one iteration of the streaming loop — drain, admit until
-// the front is non-empty, top up the lookahead, then resolve one
-// blocked round (forced route, bridge, or SWAP). Returns true when the
-// traversal is over: clean EOF, error, or cancellation.
+// fill runs after every drain: flush a full chunk, admit until the
+// front layer is non-empty, then top the window up (refill). It
+// reports false when the traversal is over: clean end of stream, a
+// source or sink error, or cancellation while the front was empty.
 //
 //sabre:hotpath
-func (sr *streamRouter) step() bool {
-	sr.drain()
+func (sr *streamRouter) fill() bool {
+	rt := sr.rt
 	sr.maybeFlush()
-	for len(sr.z.front) == 0 {
+	for len(rt.s.front) == 0 {
 		if sr.err != nil || sr.eof {
-			return true
+			return false
 		}
 		select {
-		case <-sr.rt.cancelled:
-			sr.aborted = true
-			return true
+		case <-rt.cancelled:
+			rt.aborted = true
+			return false
 		default:
 		}
 		sr.admitOne()
-		sr.drain()
+		rt.drain()
 		sr.maybeFlush()
 	}
 	sr.refill()
 	if sr.err != nil {
-		return true
-	}
-	if mf := len(sr.z.front); mf > sr.maxFront {
-		sr.maxFront = mf
-	}
-	select {
-	case <-sr.rt.cancelled:
-		sr.aborted = true
-		return true
-	default:
-	}
-	rt := sr.rt
-	if rt.stall >= sr.maxStall {
-		sr.forceRouteStream()
 		return false
 	}
-	sr.buildView()
-	if rt.opts.UseBridge && sr.tryBridgeStream() {
-		sr.maybeFlush()
-		return false
-	}
-	rt.applySwap(rt.scoreRound())
-	sr.maybeFlush()
-	return false
-}
-
-// drain mirrors router.drain over handles: execute every ready or
-// front gate whose physical qubits are coupled, to fixpoint, bumping
-// frontGen when the front layer's contents changed.
-//
-//sabre:hotpath
-func (sr *streamRouter) drain() {
-	z := sr.z
-	changed := false
-	for {
-		progress := false
-		for len(z.ready) > 0 {
-			h := z.ready[len(z.ready)-1]
-			z.ready = z.ready[:len(z.ready)-1]
-			if sr.executable(h) {
-				sr.execute(h)
-				progress = true
-			} else {
-				z.front = append(z.front, h)
-				changed = true
-			}
-		}
-		keep := z.front[:0]
-		for _, h := range z.front {
-			if sr.executable(h) {
-				sr.execute(h)
-				progress = true
-				changed = true
-			} else {
-				keep = append(keep, h)
-			}
-		}
-		z.front = keep
-		if !progress {
-			if changed {
-				sr.rt.frontGen++
-			}
-			return
-		}
-	}
-}
-
-//sabre:hotpath
-func (sr *streamRouter) executable(h int64) bool {
-	q0, q1 := sr.deps.pair(h)
-	if q0 < 0 {
-		return true
-	}
-	rt := sr.rt
-	return rt.dev.Connected(rt.layout.Phys(int(q0)), rt.layout.Phys(int(q1)))
-}
-
-// execute emits h remapped to physical qubits (Remap inlined: a method
-// value would escape) and releases its successors.
-//
-//sabre:hotpath
-func (sr *streamRouter) execute(h int64) {
-	rt := sr.rt
-	g := sr.deps.gate(h)
-	g.Q0 = rt.layout.Phys(g.Q0)
-	if g.TwoQubit() {
-		g.Q1 = rt.layout.Phys(g.Q1)
-		rt.resetDecay()
-		rt.stall = 0
-		sr.unexec2q--
-	}
-	rt.s.out = append(rt.s.out, g)
-	sr.executed++
-	r0, r1 := sr.deps.finish(h)
-	z := sr.z
-	if r0 >= 0 {
-		z.ready = append(z.ready, r0)
-	}
-	if r1 >= 0 {
-		z.ready = append(z.ready, r1)
-	}
+	sr.maxFront = max(sr.maxFront, len(rt.s.front))
+	return true
 }
 
 // admitOne pulls, validates and admits the next source gate; on EOF or
@@ -716,7 +372,8 @@ func (sr *streamRouter) admitOne() {
 		sr.eof = true
 		return
 	}
-	n := sr.rt.n
+	rt := sr.rt
+	n := rt.n
 	if g.Q0 < 0 || g.Q0 >= n || (g.TwoQubit() && (g.Q1 < 0 || g.Q1 >= n || g.Q1 == g.Q0)) {
 		sr.failGate(g)
 		return
@@ -724,10 +381,11 @@ func (sr *streamRouter) admitOne() {
 	h, ready := sr.deps.admit(g)
 	sr.admitted++
 	if g.TwoQubit() {
-		sr.unexec2q++
+		sr.admitted2q++
 	}
+	sr.maxWindow = max(sr.maxWindow, sr.admitted-rt.done)
 	if ready {
-		sr.z.ready = append(sr.z.ready, h)
+		rt.s.ready = append(rt.s.ready, h)
 	}
 }
 
@@ -746,205 +404,19 @@ func (sr *streamRouter) failGate(g circuit.Gate) {
 //
 //sabre:hotpath
 func (sr *streamRouter) refill() {
-	target := sr.rt.opts.ExtendedSetSize
-	lookahead := int64(sr.sopts.Lookahead)
+	rt := sr.rt
 	for !sr.eof && sr.err == nil {
-		if sr.unexec2q-len(sr.z.front) >= target {
+		front := len(rt.s.front)
+		if sr.admitted2q-rt.done2q-front >= rt.opts.ExtendedSetSize {
 			return
 		}
-		if sr.admitted-sr.executed-int64(len(sr.z.front)) >= lookahead {
+		if sr.admitted-rt.done-front >= sr.sopts.Lookahead {
 			return
 		}
 		sr.admitOne()
-		sr.drain()
+		rt.drain()
 		sr.maybeFlush()
 	}
-}
-
-// buildView refreshes the embedded router's per-round compact scoring
-// view: front gates become indices 0..|F| and extended gates
-// |F|..|F|+|E| into a dense qubit-pair table that stands in for the
-// materialized q2. extGen is stamped so ensureExtended (which would
-// walk the absent DAG) serves the view from cache; the idxGen half of
-// the bitset round index stays coherent because the view only changes
-// alongside frontGen.
-//
-//sabre:hotpath
-func (sr *streamRouter) buildView() {
-	rt := sr.rt
-	if sr.viewGen == rt.frontGen {
-		return
-	}
-	sr.viewGen = rt.frontGen
-	sr.extendBFS()
-	z := sr.z
-	nf := len(z.front)
-	need := 2 * (nf + len(z.ext))
-	if cap(z.cq2) < need {
-		z.cq2 = make([]int32, need) //sabre:alloc-ok amortized: grows to the high-water front+extended size, then reused
-	}
-	z.cq2 = z.cq2[:need]
-	s := rt.s
-	s.front = s.front[:0]
-	for i, h := range z.front {
-		q0, q1 := sr.deps.pair(h)
-		z.cq2[2*i] = q0
-		z.cq2[2*i+1] = q1
-		s.front = append(s.front, i)
-	}
-	s.extended = s.extended[:0]
-	for j, h := range z.ext {
-		k := nf + j
-		q0, q1 := sr.deps.pair(h)
-		z.cq2[2*k] = q0
-		z.cq2[2*k+1] = q1
-		s.extended = append(s.extended, k)
-	}
-	rt.q2 = z.cq2
-	rt.extGen = rt.frontGen
-	rt.stats.ExtendedRebuilds++
-}
-
-// extendBFS recomputes the extended set over the admitted window,
-// mirroring router.ensureExtended's walk exactly: breadth-first from
-// the front layer, first ExtendedSetSize two-qubit gates, and the gate
-// that hits the limit is not queued.
-//
-//sabre:hotpath
-func (sr *streamRouter) extendBFS() {
-	z := sr.z
-	z.ext = z.ext[:0]
-	rt := sr.rt
-	if rt.opts.Heuristic == HeuristicBasic {
-		return
-	}
-	limit := rt.opts.ExtendedSetSize
-	sr.deps.bfsReset()
-	q := z.bfsQ[:0]
-	for _, h := range z.front {
-		sr.deps.bfsSeen(h)
-		q = append(q, h)
-	}
-	for head := 0; head < len(q) && len(z.ext) < limit; head++ {
-		s0, s1 := sr.deps.succs(q[head])
-		full := false
-		for k := 0; k < 2; k++ {
-			h := s0
-			if k == 1 {
-				h = s1
-			}
-			if h < 0 || sr.deps.bfsSeen(h) {
-				continue
-			}
-			if p0, _ := sr.deps.pair(h); p0 >= 0 {
-				z.ext = append(z.ext, h)
-				if len(z.ext) >= limit {
-					full = true
-					break
-				}
-			}
-			q = append(q, h)
-		}
-		if full {
-			break
-		}
-	}
-	z.bfsQ = q
-}
-
-// forceRouteStream is router.forceRoute over handles: walk the
-// oldest front gate's control to its target along a shortest path.
-func (sr *streamRouter) forceRouteStream() {
-	z := sr.z
-	best := z.front[0]
-	bg := sr.deps.gid(best)
-	for _, h := range z.front[1:] {
-		if g := sr.deps.gid(h); g < bg {
-			best, bg = h, g
-		}
-	}
-	q0, q1 := sr.deps.pair(best)
-	rt := sr.rt
-	cur, pb := rt.layout.Phys(int(q0)), rt.layout.Phys(int(q1))
-	for rt.hop(cur, pb) > 1 {
-		next := -1
-		for _, nb := range rt.dev.Neighbors(cur) {
-			if rt.hop(nb, pb) == rt.hop(cur, pb)-1 {
-				next = nb
-				break
-			}
-		}
-		rt.applySwap(arch.NewEdge(cur, next))
-		cur = next
-	}
-	rt.stall = 0
-	rt.stats.ForcedRoutes++
-}
-
-// tryBridgeStream is router.tryBridge over handles; buildView has run,
-// so z.ext is the current round's extended set.
-func (sr *streamRouter) tryBridgeStream() bool {
-	rt := sr.rt
-	z := sr.z
-	for fi, h := range z.front {
-		g := sr.deps.gate(h)
-		if g.Kind != circuit.KindCX {
-			continue
-		}
-		pa, pb := rt.layout.Phys(g.Q0), rt.layout.Phys(g.Q1)
-		if rt.hop(pa, pb) != 2 {
-			continue
-		}
-		if sr.pairRecursStream(g.Q0, g.Q1) {
-			continue
-		}
-		m := -1
-		for _, nb := range rt.dev.Neighbors(pa) {
-			if rt.hop(nb, pb) == 1 {
-				m = nb
-				break
-			}
-		}
-		rt.s.out = append(rt.s.out,
-			circuit.CX(pa, m), circuit.CX(m, pb),
-			circuit.CX(pa, m), circuit.CX(m, pb),
-		)
-		rt.bridges++
-		rt.stall = 0
-		rt.resetDecay()
-		z.front = append(z.front[:fi], z.front[fi+1:]...)
-		rt.frontGen++
-		sr.executed++
-		sr.unexec2q--
-		r0, r1 := sr.deps.finish(h)
-		if r0 >= 0 {
-			z.ready = append(z.ready, r0)
-		}
-		if r1 >= 0 {
-			z.ready = append(z.ready, r1)
-		}
-		return true
-	}
-	return false
-}
-
-// pairRecursStream reports whether the unordered logical pair recurs
-// in the extended set (bridge profitability test).
-func (sr *streamRouter) pairRecursStream(a, b int) bool {
-	if a > b {
-		a, b = b, a
-	}
-	for _, h := range sr.z.ext {
-		q0, q1 := sr.deps.pair(h)
-		ga, gb := int(q0), int(q1)
-		if ga > gb {
-			ga, gb = gb, ga
-		}
-		if ga == a && gb == b {
-			return true
-		}
-	}
-	return false
 }
 
 // maybeFlush hands the output buffer to the sink once a chunk's worth
@@ -972,27 +444,30 @@ func (sr *streamRouter) flushChunk() {
 	sr.rt.s.out = out[:0]
 }
 
-// run drives step to completion and flushes the tail chunk.
-func (sr *streamRouter) run(ctx context.Context) error {
-	for !sr.step() {
-	}
+// route drives the loop to completion, flushes the tail chunk and
+// summarizes the traversal.
+func (sr *streamRouter) route(ctx context.Context) (*StreamResult, error) {
+	//sabre:nondeterm-ok wall-clock elapsed metric; never feeds routing decisions
+	start := time.Now()
+	rt := sr.rt
+	init := rt.layout.Clone()
+	completed := rt.run()
 	if sr.err != nil {
-		return sr.err
+		return nil, sr.err
 	}
-	if sr.aborted {
+	if !completed {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		return context.Canceled
+		return nil, context.Canceled
 	}
 	sr.flushChunk()
-	return sr.err
-}
-
-func (sr *streamRouter) result(elapsed time.Duration, init mapping.Layout) *StreamResult {
-	rt := sr.rt
+	if sr.err != nil {
+		return nil, sr.err
+	}
+	elapsed := time.Since(start)
 	stats := StreamStats{
-		GatesIn:      sr.admitted,
+		GatesIn:      int64(sr.admitted),
 		GatesOut:     sr.emitted,
 		SwapCount:    rt.swaps,
 		BridgeCount:  rt.bridges,
@@ -1000,8 +475,8 @@ func (sr *streamRouter) result(elapsed time.Duration, init mapping.Layout) *Stre
 		SwapRounds:   rt.stats.SwapRounds,
 		ForcedRoutes: rt.stats.ForcedRoutes,
 		MaxFront:     sr.maxFront,
-		MaxWindow:    sr.deps.maxLive(),
-		WindowBytes:  sr.deps.memBytes(),
+		MaxWindow:    sr.maxWindow,
+		WindowBytes:  rt.s.stream.arenaBytes(),
 		Chunks:       sr.chunks,
 		Elapsed:      elapsed,
 	}
@@ -1013,25 +488,15 @@ func (sr *streamRouter) result(elapsed time.Duration, init mapping.Layout) *Stre
 		FinalLayout:   rt.layout.LogicalToPhysical(),
 		NumQubits:     rt.n,
 		Stats:         stats,
-	}
-}
-
-// pinStreamOptions normalizes opts and pins the streaming-incompatible
-// knobs: bitset scoring (the delta and exhaustive oracles read the
-// materialized circuit) and no legacy exhaustive override.
-func pinStreamOptions(opts Options) Options {
-	opts = opts.normalized()
-	opts.Scoring = ScoringBitset
-	opts.ExhaustiveScoring = false
-	return opts
+	}, nil
 }
 
 // RouteStream routes the gate stream src onto dev and emits the routed
 // physical gates through sink in chunks, holding only a bounded window
 // of the stream in memory: steady state is O(device + window) however
 // long the stream runs. Semantics are the pinned streaming traversal
-// (single trial, seeded random initial layout, bitset scoring); output
-// is deterministic in (stream, dev, opts, sopts.Lookahead) and
+// (single trial, seeded random initial layout); output is
+// deterministic in (stream, dev, opts, sopts.Lookahead) and
 // byte-identical to RouteStreamMaterialized on the same input. A nil
 // scratch allocates a private one; passing a warm per-worker Scratch
 // makes repeated streams allocation-free outside arena high-water
@@ -1051,22 +516,20 @@ func RouteStream(ctx context.Context, src GateSource, dev *arch.Device, opts Opt
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opts = pinStreamOptions(opts)
+	opts = opts.normalized()
 	dev = effectiveDevice(dev, opts)
-	sopts = sopts.normalized()
 	if s == nil {
 		s = NewScratch()
 	}
-	deps := &ringDeps{z: &s.stream}
-	return routeStream(ctx, src, dev, opts, sopts, sink, s, deps)
+	return newStreamRouter(dev, opts, sopts, src, sink, s, nil, ctx.Done()).route(ctx)
 }
 
 // RouteStreamMaterialized runs the identical pinned streaming
 // semantics over a fully materialized circuit and its dependency DAG.
-// It is the independent oracle for RouteStream — same traversal, zero
-// shared dependency bookkeeping — and the reference the golden parity
-// suite holds the windowed path to. Memory is O(gates); use
-// RouteStream for anything large.
+// It is the independent oracle for RouteStream — same loop, same
+// admission policy, zero shared dependency bookkeeping — and the
+// reference the golden parity suite holds the windowed path to.
+// Memory is O(gates); use RouteStream for anything large.
 func RouteStreamMaterialized(ctx context.Context, circ *circuit.Circuit, dev *arch.Device, opts Options, sopts StreamOptions, sink StreamSink) (*StreamResult, error) {
 	if circ == nil {
 		return nil, errors.New("core: RouteStreamMaterialized needs a circuit")
@@ -1080,26 +543,14 @@ func RouteStreamMaterialized(ctx context.Context, circ *circuit.Circuit, dev *ar
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opts = pinStreamOptions(opts)
+	opts = opts.normalized()
 	dev = effectiveDevice(dev, opts)
 	if circ.NumQubits() > dev.NumQubits() {
 		return nil, fmt.Errorf("core: circuit needs %d qubits but device %s has %d",
 			circ.NumQubits(), dev.Name(), dev.NumQubits())
 	}
-	sopts = sopts.normalized()
-	return routeStream(ctx, NewCircuitSource(circ), dev, opts, sopts, sink, NewScratch(), newFlatDeps(circ))
-}
-
-func routeStream(ctx context.Context, src GateSource, dev *arch.Device, opts Options, sopts StreamOptions, sink StreamSink, s *Scratch, deps streamDeps) (*StreamResult, error) {
-	//sabre:nondeterm-ok wall-clock elapsed metric; never feeds routing decisions
-	start := time.Now()
-	s.stream.growArena(sopts.Window)
-	sr := newStreamRouter(dev, opts, sopts, deps, src, sink, s, ctx.Done())
-	init := sr.rt.layout.Clone()
-	if err := sr.run(ctx); err != nil {
-		return nil, err
-	}
-	return sr.result(time.Since(start), init), nil
+	pr := NewPassRunner(circ, dev, opts)
+	return newStreamRouter(dev, opts, sopts, NewCircuitSource(circ), sink, NewScratch(), pr, ctx.Done()).route(ctx)
 }
 
 // StreamProbe pins a warm streaming router mid-flight over an endless
@@ -1110,7 +561,7 @@ func routeStream(ctx context.Context, src GateSource, dev *arch.Device, opts Opt
 // bridge, or SWAP round) against a no-op sink; after the warmup in
 // NewStreamProbe it performs zero heap allocations.
 type StreamProbe struct {
-	sr *streamRouter
+	r *router
 }
 
 // cycleSource yields a fixed gate sequence forever.
@@ -1149,19 +600,14 @@ func NewStreamProbe() *StreamProbe {
 		}
 		gates = append(gates, circuit.CX(a, b))
 	}
-	opts := pinStreamOptions(DefaultOptions())
-	sopts := DefaultStreamOptions().normalized()
-	s := NewScratch()
-	s.stream.growArena(sopts.Window)
-	deps := &ringDeps{z: &s.stream}
-	sr := newStreamRouter(dev, opts, sopts, deps, &cycleSource{gates: gates}, discardSink{}, s, nil)
+	sr := newStreamRouter(dev, DefaultOptions().normalized(), StreamOptions{}, &cycleSource{gates: gates}, discardSink{}, NewScratch(), nil, nil)
 	for i := 0; i < 4096; i++ {
-		sr.step()
+		sr.rt.step()
 	}
-	return &StreamProbe{sr: sr}
+	return &StreamProbe{r: sr.rt}
 }
 
 // Step runs one steady-state streaming loop iteration.
 func (p *StreamProbe) Step() {
-	p.sr.step()
+	p.r.step()
 }

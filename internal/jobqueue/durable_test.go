@@ -187,6 +187,44 @@ func TestReplayOnBoot(t *testing.T) {
 	waitState(t, q, snap.ID, StateDone)
 }
 
+// TestReplayLegacyScoringRecords: records written before the delta
+// engine and the ExhaustiveScoring flag were retired — "scoring": 1
+// and "exhaustive_scoring": true — still decode, and replay to the
+// bitset engine's result.
+func TestReplayLegacyScoringRecords(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.Seed = 5
+	job := batch.Job{Circuit: workloads.RandomCircuit("legacy", 12, 300, 0.6, 3), Device: arch.IBMQ20Tokyo(), Options: opts, Tag: "legacy"}
+	ref := batch.NewEngine(batch.Config{Workers: 1})
+	defer ref.Close()
+	want := <-ref.SubmitContext(context.Background(), job)
+	if want.Err != nil {
+		t.Fatal(want.Err)
+	}
+	legacy := func(option string) []byte {
+		p := string(mustPayload(t, Request{Job: job, DeviceSpec: "tokyo"}))
+		if !strings.Contains(p, `"options":{"`) {
+			t.Fatalf("payload %s has no options object to extend", p)
+		}
+		return []byte(strings.Replace(p, `"options":{`, `"options":{`+option+`,`, 1))
+	}
+	dir := t.TempDir()
+	synthCrashLog(t, dir, []joblog.Record{
+		{Kind: joblog.KindAccepted, Seq: 1, Time: 100, ID: "job-delta", Payload: legacy(`"scoring":1`)},
+		{Kind: joblog.KindAccepted, Seq: 2, Time: 200, ID: "job-exhaustive", Payload: legacy(`"exhaustive_scoring":true`)},
+	})
+	q, _ := newDurableQueue(t, Config{Workers: 1, Durable: durableCfg(dir)})
+	if st := q.Stats(); st.Recovery.Replayed != 2 || st.Recovery.Dropped != 0 {
+		t.Fatalf("recovery = %+v", st.Recovery)
+	}
+	for _, id := range []string{"job-delta", "job-exhaustive"} {
+		snap := waitState(t, q, id, StateDone)
+		if got := snap.Result; qasm.Format(got.Final) != qasm.Format(want.Final) || got.AddedGates != want.AddedGates {
+			t.Fatalf("%s replayed to %d added gates, bitset compiles %d (or the circuits differ)", id, got.AddedGates, want.AddedGates)
+		}
+	}
+}
+
 func TestCleanRestartReplaysNothing(t *testing.T) {
 	dir := t.TempDir()
 	eng := batch.NewEngine(batch.Config{Workers: 2})

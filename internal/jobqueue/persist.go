@@ -51,7 +51,9 @@ type persistedJob struct {
 // persistedOptions mirrors core.Options field for field, with the
 // noise model in list form. A mirror (rather than marshalling
 // core.Options directly) pins the wire schema: adding a field to
-// core.Options cannot silently change what old logs decode to.
+// core.Options cannot silently change what old logs decode to. Old
+// records may name "scoring": 1, the retired delta engine, which core
+// routes as the bitset default.
 type persistedOptions struct {
 	Heuristic          uint8           `json:"heuristic,omitempty"`
 	ExtendedSetSize    int             `json:"extended_set_size,omitempty"`
@@ -66,8 +68,13 @@ type persistedOptions struct {
 	Noise              *persistedNoise `json:"noise,omitempty"`
 	MaxEdgeError       float64         `json:"max_edge_error,omitempty"`
 	Scoring            uint8           `json:"scoring,omitempty"`
-	ExhaustiveScoring  bool            `json:"exhaustive_scoring,omitempty"`
 	ParallelTrials     bool            `json:"parallel_trials,omitempty"`
+
+	// ExhaustiveScoring is read from old records only: the retired
+	// legacy spelling of Scoring: ScoringExhaustive, decoded as such.
+	// Every engine routes byte-identically, so such a record replays to
+	// the bitset result.
+	ExhaustiveScoring bool `json:"exhaustive_scoring,omitempty"`
 }
 
 // persistedNoise is arch.NoiseModel with the edge map flattened to a
@@ -158,12 +165,14 @@ func encodeOptions(o core.Options) persistedOptions {
 		Noise:              encodeNoise(o.Noise),
 		MaxEdgeError:       o.MaxEdgeError,
 		Scoring:            uint8(o.Scoring),
-		ExhaustiveScoring:  o.ExhaustiveScoring,
 		ParallelTrials:     o.ParallelTrials,
 	}
 }
 
 func decodeOptions(p persistedOptions) core.Options {
+	if p.ExhaustiveScoring && p.Scoring == 0 {
+		p.Scoring = uint8(core.ScoringExhaustive)
+	}
 	return core.Options{
 		Heuristic:          core.Heuristic(p.Heuristic),
 		ExtendedSetSize:    p.ExtendedSetSize,
@@ -178,7 +187,6 @@ func decodeOptions(p persistedOptions) core.Options {
 		Noise:              decodeNoise(p.Noise),
 		MaxEdgeError:       p.MaxEdgeError,
 		Scoring:            core.Scoring(p.Scoring),
-		ExhaustiveScoring:  p.ExhaustiveScoring,
 		ParallelTrials:     p.ParallelTrials,
 	}
 }
