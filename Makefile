@@ -41,15 +41,17 @@ bench:
 # tokenswap) under the same verify gate, plus the async job queue
 # (submit/poll/webhook/cancel/drain) over the same workloads. The
 # final step runs the routing hot-path benchmarks once with allocation
-# reporting — the TestScoreRoundZeroAllocs guard in the same package
-# fails the suite if a heap allocation creeps back into the
-# steady-state SWAP round.
+# reporting — the TestScoreRoundZeroAllocs and TestRecordStepZeroAllocs
+# guards in the same package fail the suite if a heap allocation
+# creeps back into the steady-state SWAP round or the op-log path, and
+# the TestTrialBytesPerGate and TestPrepareBytesPerGate byte guards
+# fail it if a trial or Prepare starts copying the circuit again.
 bench-smoke:
 	$(GO) run ./cmd/benchtab -batch -names 4mod5-v1_22,qft_10 -trials 4 -passes verify -rounds 1 -workers 2
 	$(GO) run ./cmd/benchtab -batch -names 4mod5-v1_22 -route anneal -trials 2 -passes verify -rounds 1 -workers 2
 	$(GO) run ./cmd/benchtab -batch -names 4mod5-v1_22 -route tokenswap -trials 4 -passes verify -rounds 1 -workers 2
 	$(GO) run ./cmd/benchtab -async -names 4mod5-v1_22,qft_10 -passes verify -workers 2
-	$(GO) test ./internal/core -run TestScoreRoundZeroAllocs -count=1 \
+	$(GO) test ./internal/core -run 'TestScoreRoundZeroAllocs|TestRecordStepZeroAllocs|TestTrialBytesPerGate|TestPrepareBytesPerGate' -count=1 -v \
 		-bench 'BenchmarkScoreRound|BenchmarkRoutePass/qft_20' -benchtime=1x -benchmem
 
 # Perf-trajectory snapshot: workload × router ns/op, allocs/op and

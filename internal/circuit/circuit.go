@@ -127,7 +127,9 @@ func (c *Circuit) CountTwoQubit() int {
 // in reversed order. The reverse circuit has exactly the same two-qubit
 // structure with dependencies mirrored, which is all the reverse
 // traversal needs; gate inverses are intentionally not taken because
-// routing is insensitive to the unitary details.
+// routing is insensitive to the unitary details. The router does not
+// build it (it reads the forward DAG backwards); Reverse is the
+// reference that reverse traversal is tested against.
 func (c *Circuit) Reverse() *Circuit {
 	out := &Circuit{numQubits: c.numQubits, name: c.name + "_rev", gates: make([]Gate, len(c.gates))}
 	for i, g := range c.gates {
@@ -214,16 +216,18 @@ func (c *Circuit) UsedQubits() []int {
 	return out
 }
 
-// Widen returns a copy of the circuit padded to n qubits (n must be at
-// least NumQubits). Routing onto a device with N > n physical qubits
-// widens the logical circuit with idle ancilla wires first.
+// Widen returns the circuit padded to n qubits (n must be at least
+// NumQubits). Routing onto a device with N > n physical qubits widens
+// the logical circuit with idle ancilla wires first. The result is a
+// view: it shares c's gates rather than copying them, with the
+// capacity clipped to their count, so an Append to either circuit
+// reallocates or writes past the other's end and leaves the other
+// unchanged.
 func (c *Circuit) Widen(n int) *Circuit {
 	if n < c.numQubits {
 		panic(fmt.Sprintf("circuit: Widen(%d) below current size %d", n, c.numQubits))
 	}
-	out := c.Clone()
-	out.numQubits = n
-	return out
+	return &Circuit{numQubits: n, name: c.name, gates: c.gates[:len(c.gates):len(c.gates)]}
 }
 
 // Equal reports structural equality (same wires, same gate list).

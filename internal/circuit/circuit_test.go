@@ -198,6 +198,41 @@ func TestUsedQubitsAndWiden(t *testing.T) {
 	mustPanic(t, func() { c.Widen(3) })
 }
 
+// TestWidenViewAppendsStayApart: Widen shares the gate slice, so an
+// Append to the view or to the original must leave the other as it
+// was. The original is given spare capacity first, the case where an
+// unclipped view would write its appended gate into the original's
+// next slot.
+func TestWidenViewAppendsStayApart(t *testing.T) {
+	c := NewNamed("base", 3)
+	for i := 0; i < 5; i++ {
+		c.Append(CX(0, 1))
+	}
+	if cap(c.Gates()) == c.NumGates() {
+		t.Fatal("fixture needs spare capacity in the original")
+	}
+	w := c.Widen(6)
+	if w.Name() != "base" || w.NumQubits() != 6 || c.NumQubits() != 3 {
+		t.Fatalf("view is %q on %d qubits, original on %d", w.Name(), w.NumQubits(), c.NumQubits())
+	}
+	w.Append(CX(4, 5))
+	if c.NumGates() != 5 {
+		t.Fatalf("append to the view grew the original to %d gates", c.NumGates())
+	}
+	c.Append(G1(KindH, 2))
+	if w.NumGates() != 6 || w.Gate(5).Kind != KindCX || w.Gate(5).Q0 != 4 {
+		t.Fatalf("append to the original changed the view: %v", w.Gates())
+	}
+	if c.NumGates() != 6 || c.Gate(5).Kind != KindH {
+		t.Fatalf("original lost its own append: %v", c.Gates())
+	}
+	for i := 0; i < 5; i++ {
+		if g := w.Gate(i); g.Kind != KindCX || g.Q0 != 0 || g.Q1 != 1 {
+			t.Fatalf("view gate %d = %v", i, g)
+		}
+	}
+}
+
 func TestCounts(t *testing.T) {
 	c := New(3)
 	c.Append(CX(0, 1), G1(KindH, 0), G1(KindH, 1), Swap(1, 2))

@@ -1,8 +1,15 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/mapping"
+	"repro/internal/workloads"
 )
 
 // steadyStateRouter returns a router parked at its first SWAP-selection
@@ -73,5 +80,105 @@ func BenchmarkScoreRound(b *testing.B) {
 				_ = r.scoreRound()
 			}
 		})
+	}
+}
+
+// TestRecordStepZeroAllocs guards the op-log path over both DAG stores,
+// the forward one and the reverse one that reads it backwards: once a
+// record-mode traversal has grown the scratch (its log included) to
+// full size, every step of a second traversal from the same start —
+// drain, bridge or SWAP round, and their log appends — stays off the
+// heap.
+func TestRecordStepZeroAllocs(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	opts := DefaultOptions()
+	opts.UseBridge = true // the bridge's log entry is on the path too
+	fwd := NewPassRunner(bigRandomCX(20, 4000, 3), dev, opts)
+	for _, pr := range []*PassRunner{fwd, fwd.reversed()} {
+		init := mapping.Random(dev.NumQubits(), rand.New(rand.NewSource(1)))
+		s := NewScratch()
+		pr.traverse(init, rand.New(rand.NewSource(2)), s, emitRecord, nil)
+		r := pr.newRouter(init, rand.New(rand.NewSource(2)), s, nil)
+		r.emit = emitRecord
+		allocs := testing.AllocsPerRun(200, func() {
+			if !r.step() {
+				t.Fatal("traversal ended inside the guard")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("reverse=%v: record-mode step performs %v allocs, want 0", pr.reverse, allocs)
+		}
+	}
+}
+
+// allocatedBytes returns the fewest heap bytes f allocated over three
+// runs (runtime.MemStats.TotalAlloc deltas): the least of a few runs
+// shrugs off a stray allocation from another goroutine.
+func allocatedBytes(f func()) uint64 {
+	var least uint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; i == 0 || d < least {
+			least = d
+		}
+	}
+	return least
+}
+
+// TestTrialBytesPerGate is the byte guard on the trial path: with a
+// warm scratch, a whole trial (three traversals, the log copy and the
+// depth replay) allocates at most 32 B per input gate. Copying a
+// routed circuit per traversal, or DecomposeSwaps for the depth, costs
+// over 500.
+func TestTrialBytesPerGate(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	for _, name := range []string{"9symml_195", "rd84_253"} {
+		b, _ := workloads.ByName(name)
+		circ := b.Build()
+		p, err := Prepare(circ, dev, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewScratch()
+		if _, _, err := p.RunTrialCtx(context.Background(), 0, s); err != nil {
+			t.Fatal(err)
+		}
+		bytes := allocatedBytes(func() {
+			if _, _, err := p.RunTrialCtx(context.Background(), 0, s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perGate := float64(bytes) / float64(circ.NumGates())
+		t.Logf("%s: %.1f B/gate per trial", name, perGate)
+		if perGate > 32 {
+			t.Errorf("%s: a warm trial allocates %.1f B per gate, want <= 32", name, perGate)
+		}
+	}
+}
+
+// TestPrepareBytesPerGate is the byte guard on Prepare: one DAG and one
+// pair table, at most 64 B per gate. Copying the circuit to widen or
+// reverse it, or building a second DAG, costs over 200.
+func TestPrepareBytesPerGate(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	for _, name := range []string{"9symml_195", "rd84_253"} {
+		b, _ := workloads.ByName(name)
+		circ := b.Build()
+		var p *Prepared
+		bytes := allocatedBytes(func() {
+			var err error
+			if p, err = Prepare(circ, dev, DefaultOptions()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		runtime.KeepAlive(p)
+		perGate := float64(bytes) / float64(circ.NumGates())
+		t.Logf("%s: %.1f B/gate", name, perGate)
+		if perGate > 64 {
+			t.Errorf("%s: Prepare allocates %.1f B per gate, want <= 64", name, perGate)
+		}
 	}
 }

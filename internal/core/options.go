@@ -232,4 +232,8 @@ type Result struct {
 
 	// Elapsed is the wall-clock compile time (Table II's t_op).
 	Elapsed time.Duration
+
+	// pending holds a RunTrialCtx result's circuit unbuilt until
+	// SelectBest picks it (nil once Circuit is set).
+	pending *trialLog
 }

@@ -66,6 +66,10 @@ type PassRunner struct {
 	opts  Options
 	wdist []float64 // flat noise-weighted matrix, nil for hop counts
 
+	// reverse routes the reversed circuit (paper Fig. 5) by reading
+	// circ's DAG backwards (revDeps); see reversed.
+	reverse bool
+
 	// q2 is the flat per-gate qubit-pair table: entries 2*gi and
 	// 2*gi+1 are gate gi's logical qubits (-1, -1 for single-qubit
 	// gates, which never reach the round loops — drain executes them
@@ -104,6 +108,16 @@ func NewPassRunner(circ *circuit.Circuit, dev *arch.Device, opts Options) *PassR
 	return pr
 }
 
+// reversed returns the runner of the reverse traversal (§IV-C2): pr's
+// circuit, DAG and pair table, read backwards, so neither the reversed
+// circuit nor its DAG is ever built. It routes exactly as
+// NewPassRunner(circ.Reverse(), …) does, gate for gate.
+func (pr *PassRunner) reversed() *PassRunner {
+	rev := *pr
+	rev.reverse = true
+	return &rev
+}
+
 // Run performs one traversal of SABRE's SWAP-based heuristic search
 // (Algorithm 1) starting from init, using s for every mutable buffer
 // (nil allocates a private scratch). The input layout is not mutated.
@@ -120,8 +134,8 @@ func (pr *PassRunner) Run(init mapping.Layout, rng *rand.Rand, s *Scratch) PassR
 // ctx.Done() (no allocation, no lock), so the steady-state SWAP round
 // stays zero-alloc.
 func (pr *PassRunner) RunContext(ctx context.Context, init mapping.Layout, rng *rand.Rand, s *Scratch) (PassResult, error) {
-	r := pr.newRouter(init, rng, s, ctx.Done())
-	if !r.run() {
+	r := pr.traverse(init, rng, s, emitGates, ctx.Done())
+	if r == nil {
 		return PassResult{}, ctx.Err()
 	}
 	out := circuit.NewNamed(pr.circ.Name(), r.n)
@@ -138,10 +152,23 @@ func (pr *PassRunner) RunContext(ctx context.Context, init mapping.Layout, rng *
 	}, nil
 }
 
+// traverse runs one traversal from init under the output policy emit
+// and returns the finished router (final layout, counts, stats, and
+// whatever emit left in s), or nil when cancelled.
+func (pr *PassRunner) traverse(init mapping.Layout, rng *rand.Rand, s *Scratch, emit emitMode, cancelled <-chan struct{}) *router {
+	r := pr.newRouter(init, rng, s, cancelled)
+	r.emit = emit
+	if !r.run() {
+		return nil
+	}
+	return r
+}
+
 // newRouter starts one traversal of pr's circuit from init with every
 // gate admitted up front: the DAG store holds the whole circuit and
-// the ready list is seeded with its sources in ascending order. A nil
-// s allocates a private scratch.
+// the ready list is seeded with its sources in program order (the
+// reversed circuit's order for a reversed runner). A nil s allocates a
+// private scratch.
 func (pr *PassRunner) newRouter(init mapping.Layout, rng *rand.Rand, s *Scratch, cancelled <-chan struct{}) *router {
 	if s == nil {
 		s = NewScratch()
@@ -149,6 +176,14 @@ func (pr *PassRunner) newRouter(init mapping.Layout, rng *rand.Rand, s *Scratch,
 	r := newRouter(pr.dev, pr.opts, pr.wdist, init.Clone(), rng, s, pr.circ.NumGates(), cancelled)
 	pr.attach(r)
 	r.dag.admitted = len(r.dag.inDeg)
+	if pr.reverse {
+		for h := len(r.dag.inDeg) - 1; h >= 0; h-- {
+			if r.dag.inDeg[h] == 0 {
+				s.ready = append(s.ready, h)
+			}
+		}
+		return r
+	}
 	for i, deg := range r.dag.inDeg {
 		if deg == 0 {
 			s.ready = append(s.ready, i)
@@ -159,12 +194,25 @@ func (pr *PassRunner) newRouter(init mapping.Layout, rng *rand.Rand, s *Scratch,
 
 // attach points r at pr's circuit: its gate and qubit-pair tables, and
 // a DAG store with nothing admitted yet (the streaming driver of
-// RouteStreamMaterialized admits in program order from here).
+// RouteStreamMaterialized admits in program order from here). A
+// reversed runner's store starts from the forward out-degrees.
 func (pr *PassRunner) attach(r *router) {
-	r.s.inDeg = pr.dag.InDegreesInto(r.s.inDeg)
 	r.gates, r.q2 = pr.circ.Gates(), pr.q2
+	if pr.reverse {
+		g := pr.dag.NumNodes()
+		if cap(r.s.inDeg) < g {
+			r.s.inDeg = make([]int, g)
+		}
+		r.s.inDeg = r.s.inDeg[:g]
+		for h := range r.s.inDeg {
+			r.s.inDeg[h] = len(pr.dag.Successors(h))
+		}
+		r.deps = (*revDeps)(&r.dag)
+	} else {
+		r.s.inDeg = pr.dag.InDegreesInto(r.s.inDeg)
+		r.deps = &r.dag
+	}
 	r.dag = dagDeps{dag: pr.dag, inDeg: r.s.inDeg}
-	r.deps = &r.dag
 }
 
 // newRouter resets s for a traversal on dev whose dependency store
@@ -289,6 +337,163 @@ func (d *dagDeps) succs(h int) (int, int) {
 
 func (d *dagDeps) seq(h int) int64 { return int64(h) }
 
+// revDeps is the reverse traversal's store: the forward DAG read
+// backwards, standing in for the DAG of the reversed circuit. Handles
+// stay forward gate indices, so the gate and pair tables are the
+// forward ones. Reversal mirrors every edge: h's successors are its
+// forward predecessors in descending index (the reversed circuit's
+// program order), its indegree is its forward out-degree (see attach),
+// and its sequence number is g-1-h. The whole circuit is admitted up
+// front, so release is never clipped.
+type revDeps dagDeps
+
+//sabre:hotpath
+func (d *revDeps) release(h int, ready []int) []int {
+	d.inDeg[h] = -1
+	s0, s1 := d.succs(h)
+	for _, succ := range [2]int{s0, s1} {
+		if succ < 0 {
+			break
+		}
+		d.inDeg[succ]--
+		if d.inDeg[succ] == 0 {
+			ready = append(ready, succ)
+		}
+	}
+	return ready
+}
+
+// succs returns h's forward predecessors, highest index first. A gate
+// has at most two (one per qubit); BuildDAG lists them in qubit order,
+// not index order.
+//
+//sabre:hotpath
+func (d *revDeps) succs(h int) (int, int) {
+	ps := d.dag.Predecessors(h)
+	switch {
+	case len(ps) == 0:
+		return -1, -1
+	case len(ps) == 1:
+		return ps[0], -1
+	case ps[0] < ps[1]:
+		return ps[1], ps[0]
+	}
+	return ps[0], ps[1]
+}
+
+func (d *revDeps) seq(h int) int64 { return int64(len(d.inDeg) - 1 - h) }
+
+// emitMode is a traversal's output policy, set by the calling path.
+// The loop's decisions never read it, so every policy routes
+// identically.
+type emitMode uint8
+
+const (
+	// emitGates appends every routed gate, remapped to physical qubits,
+	// to Scratch.out: RunContext's circuit and the streaming chunks.
+	emitGates emitMode = iota
+	// emitRecord appends the op log (see replay) to Scratch.log: a
+	// trial's final traversal, whose circuit is built only if the trial
+	// wins.
+	emitRecord
+	// emitDiscard emits nothing: a trial's non-final traversals and
+	// InitialMapping need only the final layout and the counts.
+	emitDiscard
+)
+
+// Op log of a record-mode traversal: an executed gate is its handle
+// h ≥ 0; a SWAP on physical qubits (a, b) is the pair ^(2a), b; gate h
+// bridged through the middle qubit m is the pair ^(2m+1), h. That is
+// 4 B per op where the routed circuit costs 48 B per gate.
+//
+// opSwap and opCX are the pseudo-handles replay hands its visitor for
+// an inserted SWAP and for each CX of a bridge.
+const (
+	opSwap int32 = -1
+	opCX   int32 = -2
+)
+
+// replay walks an op log recorded from the layout init, tracking the
+// layout through its SWAPs, and hands visit every gate the traversal
+// emitted, in order: gate h on physical qubits (a, b), b = -1 for a
+// one-qubit gate, or opSwap or opCX on (a, b).
+func (pr *PassRunner) replay(log []int32, init mapping.Layout, visit func(h int32, a, b int)) {
+	l := init.Clone()
+	gates := pr.circ.Gates()
+	for i := 0; i < len(log); i++ {
+		h := log[i]
+		if h >= 0 {
+			g := &gates[h]
+			if g.TwoQubit() {
+				visit(h, l.Phys(g.Q0), l.Phys(g.Q1))
+			} else {
+				visit(h, l.Phys(g.Q0), -1)
+			}
+			continue
+		}
+		i++
+		q, arg := int(^h>>1), int(log[i])
+		if ^h&1 == 0 {
+			visit(opSwap, q, arg)
+			l.SwapPhysical(q, arg)
+			continue
+		}
+		g := &gates[arg]
+		pa, pb := l.Phys(g.Q0), l.Phys(g.Q1)
+		visit(opCX, pa, q)
+		visit(opCX, q, pb)
+		visit(opCX, pa, q)
+		visit(opCX, q, pb)
+	}
+}
+
+// logDepth is the depth of the circuit an op log records with each SWAP
+// as its 3 CX, i.e. DecomposeSwaps().Depth() of the materialized
+// circuit, from one replay over a device-sized level array.
+func (pr *PassRunner) logDepth(log []int32, init mapping.Layout) int {
+	level := make([]int, pr.dev.NumQubits())
+	depth := 0
+	pr.replay(log, init, func(h int32, a, b int) {
+		cost := 1
+		if h == opSwap {
+			cost = 3
+		}
+		t := level[a]
+		if b >= 0 {
+			t = max(t, level[b])
+			level[b] = t + cost
+		}
+		level[a] = t + cost
+		depth = max(depth, t+cost)
+	})
+	return depth
+}
+
+// materialize builds the circuit an op log records: gate for gate what
+// RunContext returns for the same traversal. size is its gate count.
+func (pr *PassRunner) materialize(log []int32, init mapping.Layout, size int) *circuit.Circuit {
+	gates := pr.circ.Gates()
+	out := make([]circuit.Gate, 0, size)
+	pr.replay(log, init, func(h int32, a, b int) {
+		switch h {
+		case opSwap:
+			out = append(out, circuit.Swap(a, b))
+		case opCX:
+			out = append(out, circuit.CX(a, b))
+		default:
+			g := gates[h]
+			g.Q0 = a
+			if b >= 0 {
+				g.Q1 = b
+			}
+			out = append(out, g)
+		}
+	})
+	c := circuit.FromTrusted(pr.dev.NumQubits(), out)
+	c.SetName(pr.circ.Name())
+	return c
+}
+
 // router holds the mutable state of one traversal of Algorithm 1, over
 // either dependency store. Every slice it appends to lives in the
 // Scratch so steady-state SWAP rounds never touch the allocator.
@@ -315,6 +520,10 @@ type router struct {
 	// and flushes output chunks; nil when the whole circuit was
 	// admitted up front.
 	stream *streamRouter
+
+	// emit is the output policy (emitGates, the zero value, unless the
+	// calling path chose otherwise).
+	emit emitMode
 
 	layout mapping.Layout
 	done   int // executed gate count, bridged gates included
@@ -495,10 +704,15 @@ func (r *router) tryBridge() bool {
 				break
 			}
 		}
-		s.out = append(s.out,
-			circuit.CX(pa, m), circuit.CX(m, pb),
-			circuit.CX(pa, m), circuit.CX(m, pb),
-		)
+		switch r.emit {
+		case emitGates:
+			s.out = append(s.out,
+				circuit.CX(pa, m), circuit.CX(m, pb),
+				circuit.CX(pa, m), circuit.CX(m, pb),
+			)
+		case emitRecord:
+			s.log = append(s.log, ^int32(2*m+1), int32(h))
+		}
 		r.bridges++
 		r.stall = 0
 		r.resetDecay()
@@ -593,21 +807,29 @@ func (r *router) executable(h int) bool {
 	return r.dev.Connected(r.layout.Phys(int(q0)), r.layout.Phys(int(r.q2[2*h+1])))
 }
 
-// execute emits gate h remapped to physical qubits (Remap inlined: a
-// method value would escape) and retires it.
+// execute emits gate h, remapped to physical qubits (Remap inlined: a
+// method value would escape) or as its log entry, and retires it.
 //
 //sabre:hotpath
 func (r *router) execute(h int) {
-	g := r.gates[h]
-	g.Q0 = r.layout.Phys(g.Q0)
-	if g.TwoQubit() {
-		g.Q1 = r.layout.Phys(g.Q1)
+	twoQubit := r.q2[2*h] >= 0
+	if twoQubit {
 		// Paper §V: decay resets whenever a CNOT is executed.
 		r.resetDecay()
 		r.stall = 0
 		r.done2q++
 	}
-	r.s.out = append(r.s.out, g)
+	switch r.emit {
+	case emitGates:
+		g := r.gates[h]
+		g.Q0 = r.layout.Phys(g.Q0)
+		if twoQubit {
+			g.Q1 = r.layout.Phys(g.Q1)
+		}
+		r.s.out = append(r.s.out, g)
+	case emitRecord:
+		r.s.log = append(r.s.log, int32(h))
+	}
 	r.retire(h)
 }
 
@@ -800,7 +1022,12 @@ func (r *router) ensureExtended() {
 //sabre:hotpath
 func (r *router) applySwap(e arch.Edge) {
 	s := r.s
-	s.out = append(s.out, circuit.Swap(e.A, e.B))
+	switch r.emit {
+	case emitGates:
+		s.out = append(s.out, circuit.Swap(e.A, e.B))
+	case emitRecord:
+		s.log = append(s.log, ^int32(2*e.A), int32(e.B))
+	}
 	qa, qb := r.layout.Log(e.A), r.layout.Log(e.B)
 	r.layout.SwapPhysical(e.A, e.B)
 	r.swaps++

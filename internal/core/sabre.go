@@ -16,28 +16,31 @@ import (
 
 // Prepared holds the trial-invariant inputs of a multi-trial compile:
 // the normalized options, the effective (possibly noise-pruned)
-// device, and the widened forward/reversed circuits. Preparing once
-// and fanning RunTrial out over many seeds is how the trial runner in
-// internal/pipeline shares the precomputed state — circuits, DAG
-// inputs, and the device's cached distance matrices — read-only across
-// a worker pool.
+// device, and the circuit widened to the device (a view sharing the
+// caller's gates, see Circuit.Widen) with its one dependency DAG and
+// qubit-pair table. Preparing once and fanning RunTrial out over many
+// seeds is how the trial runner in internal/pipeline shares the
+// precomputed state — the DAG and the device's cached distance
+// matrices — read-only across a worker pool. Trial results reference
+// it until SelectBest materializes the winner, and the winner does
+// not, so a retained Result never pins the DAG.
 type Prepared struct {
 	dev  *arch.Device
 	opts Options
 
-	// fwd and rev hold the prepared (DAG-carrying) pass runners for the
-	// widened forward and reversed circuits. Both DAGs are
-	// trial-invariant; before they moved here, every traversal of every
-	// trial rebuilt them from scratch.
+	// fwd routes the widened circuit over its CSR DAG; rev is the same
+	// runner reading that DAG backwards, the reverse traversal of
+	// §IV-C2 without a reversed copy of the circuit or a second DAG.
 	fwd *PassRunner
 	rev *PassRunner
 }
 
 // Prepare validates circ against dev and precomputes the shared
-// read-only state every trial needs: the widened forward and reversed
-// circuits, their dependency DAGs, and the device's (possibly
-// noise-weighted) distance matrices. The returned value is safe for
-// concurrent RunTrial calls.
+// read-only state every trial needs: the widened circuit view, its
+// dependency DAG (read forwards and backwards), and the device's
+// (possibly noise-weighted) distance matrices. Nothing the size of
+// the circuit is copied. The returned value is safe for concurrent
+// RunTrial calls.
 func Prepare(circ *circuit.Circuit, dev *arch.Device, opts Options) (*Prepared, error) {
 	opts = opts.normalized()
 	dev = effectiveDevice(dev, opts)
@@ -54,12 +57,8 @@ func Prepare(circ *circuit.Circuit, dev *arch.Device, opts Options) (*Prepared, 
 		// concurrent traversals only ever read the memo.
 		dev.WeightedDistancesFor(opts.Noise)
 	}
-	return &Prepared{
-		dev:  dev,
-		opts: opts,
-		fwd:  NewPassRunner(wide, dev, opts),
-		rev:  NewPassRunner(wide.Reverse(), dev, opts),
-	}, nil
+	fwd := NewPassRunner(wide, dev, opts)
+	return &Prepared{dev: dev, opts: opts, fwd: fwd, rev: fwd.reversed()}, nil
 }
 
 // Options returns the normalized options the trials run under.
@@ -72,7 +71,8 @@ func (p *Prepared) Device() *arch.Device { return p.dev }
 // RunTrial executes one random restart: Traversals alternating
 // forward/backward passes seeded by Seed+trial (the reverse-traversal
 // technique of §IV-C2), returning the final forward pass's result and
-// its decomposed depth (the deterministic tie-break key). Safe to call
+// its decomposed depth (the deterministic tie-break key). The result's
+// circuit is built by SelectBest (see RunTrialCtx). Safe to call
 // concurrently for distinct trials. It allocates a private Scratch;
 // workers that run many trials should hold one Scratch each and use
 // RunTrialWith.
@@ -95,43 +95,64 @@ func (p *Prepared) RunTrialWith(trial int, s *Scratch) (*Result, int) {
 // enormous trial dies within a round of the signal instead of routing
 // its whole gate list first. A cancelled trial returns ctx.Err() and a
 // nil Result.
+//
+// A trial copies nothing per gate: its non-final traversals emit
+// nothing, and its final one records a 4-byte-per-op log (see replay)
+// that the Result keeps instead of a circuit. The returned depth, the
+// tie-break key, is DecomposeSwaps().Depth() of the recorded circuit,
+// replayed from the log. Result.Circuit stays nil until SelectBest
+// picks the trial and builds it; until then the Result references p.
 func (p *Prepared) RunTrialCtx(ctx context.Context, trial int, s *Scratch) (*Result, int, error) {
 	if s == nil {
 		s = NewScratch() // shared by this trial's traversals at least
 	}
-	opts := p.opts
-	rng := rand.New(rand.NewSource(opts.Seed + int64(trial)))
+	rng := rand.New(rand.NewSource(p.opts.Seed + int64(trial)))
 	layout := mapping.Random(p.dev.NumQubits(), rng)
 
-	var final PassResult
-	firstAdded := -1
-	for t := 0; t < opts.Traversals; t++ {
-		runner := p.fwd
+	var r *router
+	firstAdded := 0
+	last := p.opts.Traversals - 1
+	for t := 0; t <= last; t++ {
+		runner, emit := p.fwd, emitDiscard
 		if t%2 == 1 {
 			runner = p.rev
 		}
-		var err error
-		final, err = runner.RunContext(ctx, layout, rng, s)
-		if err != nil {
-			return nil, 0, err
+		if t == last {
+			emit = emitRecord
 		}
-		layout = final.FinalLayout
+		if t > 0 {
+			layout = r.layout
+		}
+		if r = runner.traverse(layout, rng, s, emit, ctx.Done()); r == nil {
+			return nil, 0, ctx.Err()
+		}
 		if t == 0 {
-			firstAdded = 3 * (final.SwapCount + final.BridgeCount)
+			firstAdded = 3 * (r.swaps + r.bridges)
 		}
 	}
+	ops := make([]int32, len(s.log))
+	copy(ops, s.log)
 	res := &Result{
-		Circuit:             final.Circuit,
-		InitialLayout:       final.InitialLayout.LogicalToPhysical(),
-		FinalLayout:         final.FinalLayout.LogicalToPhysical(),
-		SwapCount:           final.SwapCount,
-		BridgeCount:         final.BridgeCount,
-		AddedGates:          3 * (final.SwapCount + final.BridgeCount),
+		InitialLayout:       layout.LogicalToPhysical(),
+		FinalLayout:         r.layout.LogicalToPhysical(),
+		SwapCount:           r.swaps,
+		BridgeCount:         r.bridges,
+		AddedGates:          3 * (r.swaps + r.bridges),
 		FirstTraversalAdded: firstAdded,
 		TrialsRun:           trial + 1,
-		Stats:               final.Stats,
+		Stats:               r.stats,
+		pending:             &trialLog{prep: p, init: layout, ops: ops},
 	}
-	return res, final.Circuit.DecomposeSwaps().Depth(), nil
+	return res, p.fwd.logDepth(ops, layout), nil
+}
+
+// trialLog is the unbuilt circuit of a RunTrialCtx result: the op log
+// of the trial's final traversal, the layout that traversal started
+// from, and the Prepared whose gates the log indexes.
+type trialLog struct {
+	prep *Prepared
+	init mapping.Layout
+	ops  []int32
 }
 
 // ErrNoTrials is returned by SelectBest when the trial population is
@@ -161,6 +182,11 @@ func BetterTrial(a *Result, aDepth, aTrial int, b *Result, bDepth, bTrial int) b
 // skipped; an empty or all-nil population returns ErrNoTrials instead
 // of panicking, so dynamic trial counts degrade to an error the caller
 // can handle.
+//
+// The winner is the only trial whose circuit is built: a RunTrialCtx
+// result gets its Circuit from its op log here, and then drops the log
+// and its reference to the Prepared, so neither a result cache nor a
+// retained job pins the DAG. The other results are left as they are.
 func SelectBest(results []*Result, depths []int) (*Result, error) {
 	best := -1
 	for trial, res := range results {
@@ -174,7 +200,15 @@ func SelectBest(results []*Result, depths []int) (*Result, error) {
 	if best < 0 {
 		return nil, ErrNoTrials
 	}
-	return results[best], nil
+	win := results[best]
+	if t := win.pending; t != nil {
+		// The log holds one entry per executed gate and two per SWAP or
+		// bridge; a bridge emits 4 gates.
+		size := len(t.ops) - win.SwapCount + 2*win.BridgeCount
+		win.Circuit = t.prep.fwd.materialize(t.ops, t.init, size)
+		win.pending = nil
+	}
+	return win, nil
 }
 
 // Compile maps circ onto dev with SABRE: for each of Options.Trials
@@ -204,7 +238,13 @@ func CompileContext(ctx context.Context, circ *circuit.Circuit, dev *arch.Device
 	if err != nil {
 		return nil, err
 	}
-	opts = p.opts
+	return p.compile(ctx, start)
+}
+
+// compile is CompileContext after Prepare: run p's trials and select
+// the winner, timing from start.
+func (p *Prepared) compile(ctx context.Context, start time.Time) (*Result, error) {
+	opts := p.opts
 
 	results := make([]*Result, opts.Trials)
 	depths := make([]int, opts.Trials)
@@ -322,35 +362,27 @@ func effectiveDevice(dev *arch.Device, opts Options) *arch.Device {
 // exposes the reverse-traversal technique as a standalone layout pass
 // (the role SabreLayout plays in production compilers).
 func InitialMapping(circ *circuit.Circuit, dev *arch.Device, opts Options) (mapping.Layout, error) {
-	opts = opts.normalized()
-	dev = effectiveDevice(dev, opts)
-	if circ.NumQubits() > dev.NumQubits() {
-		return mapping.Layout{}, fmt.Errorf("core: circuit needs %d qubits but device %s has %d",
-			circ.NumQubits(), dev.Name(), dev.NumQubits())
+	p, err := Prepare(circ, dev, opts)
+	if err != nil {
+		return mapping.Layout{}, err
 	}
-	wide := circ
-	if circ.NumQubits() < dev.NumQubits() {
-		wide = circ.Widen(dev.NumQubits())
-	}
-	reversed := wide.Reverse()
-	fwd := NewPassRunner(wide, dev, opts)
-	rev := NewPassRunner(reversed, dev, opts)
-	scratch := NewScratch()
-
-	bestSwaps := -1
+	s := NewScratch()
+	bestAdded := -1
 	var bestLayout mapping.Layout
-	for trial := 0; trial < opts.Trials; trial++ {
-		rng := rand.New(rand.NewSource(opts.Seed + int64(trial)))
-		layout := mapping.Random(dev.NumQubits(), rng)
+	for trial := 0; trial < p.opts.Trials; trial++ {
+		rng := rand.New(rand.NewSource(p.opts.Seed + int64(trial)))
+		layout := mapping.Random(p.dev.NumQubits(), rng)
 		// Forward then backward: the backward pass's final mapping is
 		// the improved initial mapping for the original circuit.
-		f := fwd.Run(layout, rng, scratch)
-		b := rev.Run(f.FinalLayout, rng, scratch)
-		// Score the candidate by one evaluation pass.
-		probe := fwd.Run(b.FinalLayout, rng, scratch)
-		if bestSwaps < 0 || probe.SwapCount < bestSwaps {
-			bestSwaps = probe.SwapCount
-			bestLayout = b.FinalLayout
+		f := p.fwd.traverse(layout, rng, s, emitDiscard, nil)
+		b := p.rev.traverse(f.layout, rng, s, emitDiscard, nil)
+		// Score the candidate by one evaluation pass, by added gates as
+		// BetterTrial ranks trials (a bridge costs what a SWAP does);
+		// the lowest trial wins ties.
+		probe := p.fwd.traverse(b.layout, rng, s, emitDiscard, nil)
+		if added := 3 * (probe.swaps + probe.bridges); bestAdded < 0 || added < bestAdded {
+			bestAdded = added
+			bestLayout = b.layout
 		}
 	}
 	return bestLayout, nil

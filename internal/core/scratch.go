@@ -31,7 +31,8 @@ type Scratch struct {
 	inDeg []int          // DAG store's working indegree, len = gate count
 	front []int          // front layer F
 	ready []int          // dependency-released, executability unchecked
-	out   []circuit.Gate // routed output accumulator
+	out   []circuit.Gate // routed output accumulator (emitGates)
+	log   []int32        // op log accumulator (emitRecord)
 	decay []float64      // per logical qubit decay, len = device size
 
 	// SWAP-candidate collection: a bitset over the dense edge-id space
@@ -211,6 +212,7 @@ func (s *Scratch) reset(n, handles, edges int) {
 	s.front = s.front[:0]
 	s.ready = s.ready[:0]
 	s.out = s.out[:0]
+	s.log = s.log[:0]
 	s.extended = s.extended[:0]
 	s.candIDs = s.candIDs[:0]
 	s.bfsQueue = s.bfsQueue[:0]

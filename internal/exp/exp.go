@@ -142,7 +142,7 @@ func checkRouted(orig, routed *circuit.Circuit, init, final []int, cfg Config) e
 	if !cfg.Verify {
 		return nil
 	}
-	if err := verify.HardwareCompliant(routed.DecomposeSwaps(), cfg.Device.Connected); err != nil {
+	if err := verify.HardwareCompliant(routed, cfg.Device.Connected); err != nil {
 		return err
 	}
 	for _, g := range orig.Gates() {

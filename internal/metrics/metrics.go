@@ -38,10 +38,7 @@ func Measure(c *circuit.Circuit) Report {
 	// level[q] is the ASAP finishing step of the last gate on q.
 	level := make([]int, c.NumQubits())
 	for _, g := range c.Gates() {
-		cost := 1
-		if g.Kind == circuit.KindSwap {
-			cost = 3
-		}
+		cost := gateCost(g)
 		r.Gates += cost
 		t := level[g.Q0]
 		if g.TwoQubit() {
@@ -75,16 +72,29 @@ func (r Report) String() string {
 	return fmt.Sprintf("%s: n=%d g=%d depth=%d", r.Name, r.NumQubits, r.Gates, r.Depth)
 }
 
+// swapCX is the number of CNOTs a SWAP decomposes into (paper Fig. 3a).
+// Every metric here counts a SWAP as that many CX in place, matching
+// c.DecomposeSwaps() without copying the circuit.
+const swapCX = 3
+
+// gateCost returns how many gates g counts as: swapCX for a SWAP, else 1.
+func gateCost(g circuit.Gate) int {
+	if g.Kind == circuit.KindSwap {
+		return swapCX
+	}
+	return 1
+}
+
 // QubitUtilization returns, per wire, the number of gates touching it
-// (SWAPs decomposed first). Hot qubits accumulate error fastest; the
-// spread diagnoses how evenly a router distributes traffic.
+// (a SWAP counted as its 3 CX). Hot qubits accumulate error fastest;
+// the spread diagnoses how evenly a router distributes traffic.
 func QubitUtilization(c *circuit.Circuit) []int {
-	d := c.DecomposeSwaps()
-	out := make([]int, d.NumQubits())
-	for _, g := range d.Gates() {
-		out[g.Q0]++
+	out := make([]int, c.NumQubits())
+	for _, g := range c.Gates() {
+		n := gateCost(g)
+		out[g.Q0] += n
 		if g.TwoQubit() {
-			out[g.Q1]++
+			out[g.Q1] += n
 		}
 	}
 	return out
@@ -102,41 +112,49 @@ type OverheadBreakdown struct {
 	TwoQubitShare float64 // fraction of routed gates that are 2-qubit
 }
 
-// Breakdown computes the overhead decomposition of routed vs orig.
+// Breakdown computes the overhead decomposition of routed vs orig,
+// both counted with each SWAP as its 3 CX.
 func Breakdown(orig, routed *circuit.Circuit) OverheadBreakdown {
-	d := routed.DecomposeSwaps()
+	r, o := Measure(routed), Measure(orig)
 	b := OverheadBreakdown{
-		OriginalGates: orig.DecomposeSwaps().NumGates(),
-		RoutedGates:   d.NumGates(),
+		OriginalGates: o.Gates,
+		RoutedGates:   r.Gates,
 		SwapsInserted: routed.CountKind(circuit.KindSwap),
 	}
 	b.AddedGates = b.RoutedGates - b.OriginalGates
-	b.AddedCNOTs = d.CountKind(circuit.KindCX) - orig.DecomposeSwaps().CountKind(circuit.KindCX)
+	b.AddedCNOTs = cxCount(routed) - cxCount(orig)
 	if b.OriginalGates > 0 {
 		b.OverheadRatio = float64(b.RoutedGates) / float64(b.OriginalGates)
 	}
-	if d.NumGates() > 0 {
-		b.TwoQubitShare = float64(d.CountTwoQubit()) / float64(d.NumGates())
+	if r.Gates > 0 {
+		b.TwoQubitShare = float64(r.TwoQubitGates) / float64(r.Gates)
 	}
 	return b
+}
+
+// cxCount is the CX count of c with each SWAP as its 3 CX.
+func cxCount(c *circuit.Circuit) int {
+	return c.CountKind(circuit.KindCX) + swapCX*c.CountKind(circuit.KindSwap)
 }
 
 // EstimateFidelity returns the product of per-gate success
 // probabilities under the error model: (1-e1)^s · (1-e2)^t · (1-em)^m
 // for s single-qubit gates, t two-qubit gates and m measurements.
-// SWAPs are decomposed first. This is the standard first-order model
+// A SWAP counts as its 3 CX, multiplied in one at a time as the
+// decomposed circuit would be. This is the standard first-order model
 // behind the paper's fidelity objective (§III-B).
 func EstimateFidelity(c *circuit.Circuit, em arch.ErrorModel) float64 {
-	d := c.DecomposeSwaps()
 	f := 1.0
-	for _, g := range d.Gates() {
+	for _, g := range c.Gates() {
 		switch {
 		case g.Kind == circuit.KindMeasure:
 			f *= 1 - em.MeasurementError
 		case g.Kind == circuit.KindBarrier:
 			// no physical operation
 		case g.TwoQubit():
-			f *= 1 - em.TwoQubitError
+			for i := gateCost(g); i > 0; i-- {
+				f *= 1 - em.TwoQubitError
+			}
 		default:
 			f *= 1 - em.SingleQubitError
 		}
@@ -145,15 +163,15 @@ func EstimateFidelity(c *circuit.Circuit, em arch.ErrorModel) float64 {
 }
 
 // EstimateDuration returns the critical-path execution time in
-// nanoseconds under ASAP scheduling with per-kind gate durations.
+// nanoseconds under ASAP scheduling with per-kind gate durations. A
+// SWAP runs as its 3 CX back to back on its pair.
 func EstimateDuration(c *circuit.Circuit, em arch.ErrorModel) float64 {
-	d := c.DecomposeSwaps()
-	if d.NumQubits() == 0 {
+	if c.NumQubits() == 0 {
 		return 0
 	}
-	finish := make([]float64, d.NumQubits())
+	finish := make([]float64, c.NumQubits())
 	var makespan float64
-	for _, g := range d.Gates() {
+	for _, g := range c.Gates() {
 		var dur float64
 		switch {
 		case g.Kind == circuit.KindBarrier:
@@ -163,17 +181,19 @@ func EstimateDuration(c *circuit.Circuit, em arch.ErrorModel) float64 {
 		default:
 			dur = em.SingleQubitNanos
 		}
-		start := finish[g.Q0]
-		if g.TwoQubit() && finish[g.Q1] > start {
-			start = finish[g.Q1]
+		end := finish[g.Q0]
+		if g.TwoQubit() && finish[g.Q1] > end {
+			end = finish[g.Q1]
 		}
-		end := start + dur
+		for i := gateCost(g); i > 0; i-- {
+			end += dur
+			if end > makespan {
+				makespan = end
+			}
+		}
 		finish[g.Q0] = end
 		if g.TwoQubit() {
 			finish[g.Q1] = end
-		}
-		if end > makespan {
-			makespan = end
 		}
 	}
 	return makespan

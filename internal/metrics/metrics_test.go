@@ -3,10 +3,13 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
+	"repro/internal/core"
+	"repro/internal/workloads"
 )
 
 func fig3Original() *circuit.Circuit {
@@ -35,29 +38,38 @@ func TestMeasureFig3(t *testing.T) {
 	}
 }
 
+// randomSwapCircuit returns a random circuit of SWAPs, CXs, barriers,
+// measurements and rotations.
+func randomSwapCircuit(rng *rand.Rand) *circuit.Circuit {
+	n := 2 + rng.Intn(10)
+	c := circuit.New(n)
+	for i := rng.Intn(200); i > 0; i-- {
+		a, b := rng.Intn(n), rng.Intn(n-1)
+		if b >= a {
+			b++
+		}
+		switch rng.Intn(5) {
+		case 0:
+			c.Append(circuit.Swap(a, b))
+		case 1:
+			c.Append(circuit.CX(a, b))
+		case 2:
+			c.Append(circuit.G1(circuit.KindBarrier, a))
+		case 3:
+			c.Append(circuit.G1(circuit.KindMeasure, a))
+		default:
+			c.Append(circuit.G1(circuit.KindRZ, a, 0.5))
+		}
+	}
+	return c
+}
+
 // TestMeasureMatchesDecomposedCircuit: the one-pass count equals
 // measuring the SWAP-decomposed copy.
 func TestMeasureMatchesDecomposedCircuit(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 100; trial++ {
-		n := 2 + rng.Intn(10)
-		c := circuit.New(n)
-		for i := rng.Intn(200); i > 0; i-- {
-			a, b := rng.Intn(n), rng.Intn(n-1)
-			if b >= a {
-				b++
-			}
-			switch rng.Intn(4) {
-			case 0:
-				c.Append(circuit.Swap(a, b))
-			case 1:
-				c.Append(circuit.CX(a, b))
-			case 2:
-				c.Append(circuit.G1(circuit.KindBarrier, a))
-			default:
-				c.Append(circuit.G1(circuit.KindRZ, a, 0.5))
-			}
-		}
+		c := randomSwapCircuit(rng)
 		d := c.DecomposeSwaps()
 		r := Measure(c)
 		if r.Gates != d.NumGates() || r.TwoQubitGates != d.CountTwoQubit() || r.Depth != d.Depth() {
@@ -197,5 +209,139 @@ func TestReportString(t *testing.T) {
 	m := Measure(fig3Original())
 	if m.String() == "" {
 		t.Fatal("empty measure string")
+	}
+}
+
+// The DecomposeSwaps-based forms of the helpers that now count a SWAP
+// as its 3 CX in place: the oracles TestInPlaceSwapCountsMatchDecomposed
+// holds them to.
+
+func qubitUtilizationDecomposed(c *circuit.Circuit) []int {
+	d := c.DecomposeSwaps()
+	out := make([]int, d.NumQubits())
+	for _, g := range d.Gates() {
+		out[g.Q0]++
+		if g.TwoQubit() {
+			out[g.Q1]++
+		}
+	}
+	return out
+}
+
+func breakdownDecomposed(orig, routed *circuit.Circuit) OverheadBreakdown {
+	d := routed.DecomposeSwaps()
+	b := OverheadBreakdown{
+		OriginalGates: orig.DecomposeSwaps().NumGates(),
+		RoutedGates:   d.NumGates(),
+		SwapsInserted: routed.CountKind(circuit.KindSwap),
+	}
+	b.AddedGates = b.RoutedGates - b.OriginalGates
+	b.AddedCNOTs = d.CountKind(circuit.KindCX) - orig.DecomposeSwaps().CountKind(circuit.KindCX)
+	if b.OriginalGates > 0 {
+		b.OverheadRatio = float64(b.RoutedGates) / float64(b.OriginalGates)
+	}
+	if d.NumGates() > 0 {
+		b.TwoQubitShare = float64(d.CountTwoQubit()) / float64(d.NumGates())
+	}
+	return b
+}
+
+func estimateFidelityDecomposed(c *circuit.Circuit, em arch.ErrorModel) float64 {
+	f := 1.0
+	for _, g := range c.DecomposeSwaps().Gates() {
+		switch {
+		case g.Kind == circuit.KindMeasure:
+			f *= 1 - em.MeasurementError
+		case g.Kind == circuit.KindBarrier:
+		case g.TwoQubit():
+			f *= 1 - em.TwoQubitError
+		default:
+			f *= 1 - em.SingleQubitError
+		}
+	}
+	return f
+}
+
+func estimateDurationDecomposed(c *circuit.Circuit, em arch.ErrorModel) float64 {
+	d := c.DecomposeSwaps()
+	if d.NumQubits() == 0 {
+		return 0
+	}
+	finish := make([]float64, d.NumQubits())
+	var makespan float64
+	for _, g := range d.Gates() {
+		var dur float64
+		switch {
+		case g.Kind == circuit.KindBarrier:
+		case g.TwoQubit():
+			dur = em.TwoQubitNanos
+		default:
+			dur = em.SingleQubitNanos
+		}
+		start := finish[g.Q0]
+		if g.TwoQubit() && finish[g.Q1] > start {
+			start = finish[g.Q1]
+		}
+		end := start + dur
+		finish[g.Q0] = end
+		if g.TwoQubit() {
+			finish[g.Q1] = end
+		}
+		if end > makespan {
+			makespan = end
+		}
+	}
+	return makespan
+}
+
+// TestInPlaceSwapCountsMatchDecomposed holds Measure (whose depth is
+// the anneal router's tie-break), QubitUtilization, Breakdown,
+// EstimateFidelity and EstimateDuration, which count a SWAP as its 3
+// CX without copying the circuit, to their DecomposeSwaps forms,
+// exactly (floats included): on every Table II row routed onto IBM Q20
+// Tokyo (one trial, one traversal), and on random circuits with SWAPs.
+func TestInPlaceSwapCountsMatchDecomposed(t *testing.T) {
+	em := arch.Q20ErrorModel()
+	type pair struct {
+		name         string
+		orig, routed *circuit.Circuit
+	}
+	var pairs []pair
+	dev := arch.IBMQ20Tokyo()
+	opts := core.DefaultOptions()
+	opts.Trials, opts.Traversals = 1, 1
+	for _, b := range workloads.All() {
+		orig := b.Build()
+		res, err := core.Compile(orig, dev, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SwapCount == 0 {
+			t.Fatalf("%s: routed without SWAPs, so it checks nothing", b.Name)
+		}
+		pairs = append(pairs, pair{b.Name, orig, res.Circuit})
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 100; i++ {
+		pairs = append(pairs, pair{"random", randomSwapCircuit(rng), randomSwapCircuit(rng)})
+	}
+	for _, p := range pairs {
+		d := p.routed.DecomposeSwaps()
+		if m := Measure(p.routed); m.Gates != d.NumGates() || m.TwoQubitGates != d.CountTwoQubit() || m.Depth != d.Depth() {
+			t.Fatalf("%s: Measure %+v, decomposed gates=%d two-qubit=%d depth=%d",
+				p.name, m, d.NumGates(), d.CountTwoQubit(), d.Depth())
+		}
+		if got, want := QubitUtilization(p.routed), qubitUtilizationDecomposed(p.routed); !slices.Equal(got, want) {
+			t.Fatalf("%s: QubitUtilization %v, decomposed %v", p.name, got, want)
+		}
+		if got, want := Breakdown(p.orig, p.routed), breakdownDecomposed(p.orig, p.routed); got != want {
+			t.Fatalf("%s: Breakdown %+v, decomposed %+v", p.name, got, want)
+		}
+		if got, want := EstimateFidelity(p.routed, em), estimateFidelityDecomposed(p.routed, em); got != want {
+			t.Fatalf("%s: EstimateFidelity %v, decomposed %v", p.name, got, want)
+		}
+		if got, want := EstimateDuration(p.routed, em), estimateDurationDecomposed(p.routed, em); got != want {
+			t.Fatalf("%s: EstimateDuration %v, decomposed %v", p.name, got, want)
+		}
 	}
 }

@@ -212,7 +212,7 @@ func (VerifyPass) Run(pc *Ctx) error {
 		return errors.New("no circuit in context")
 	}
 	if pc.Device != nil {
-		if err := verify.HardwareCompliant(pc.Circuit.DecomposeSwaps(), pc.Device.Connected); err != nil {
+		if err := verify.HardwareCompliant(pc.Circuit, pc.Device.Connected); err != nil {
 			return err
 		}
 	}

@@ -2,7 +2,10 @@ package pipeline
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
+	"weak"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
@@ -62,6 +65,12 @@ func TestEveryTrialOutputVerifies(t *testing.T) {
 		t.Fatalf("expected 6 trial results, got %d/%d", len(results), len(depths))
 	}
 	for trial, res := range results {
+		// Trials leave their circuits unbuilt; selecting one trial on its
+		// own builds it, so every trial's output is checked, not only the
+		// winner's.
+		if _, err := core.SelectBest(results[trial:trial+1], depths[trial:trial+1]); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 		if err := verify.CheckRouted(circ, res.Circuit, res.InitialLayout, res.FinalLayout); err != nil {
 			t.Errorf("trial %d output failed GF(2) verification: %v", trial, err)
 		}
@@ -69,6 +78,34 @@ func TestEveryTrialOutputVerifies(t *testing.T) {
 			t.Errorf("trial %d output not hardware compliant: %v", trial, err)
 		}
 	}
+}
+
+// TestRouteRetainsNoPrepared: once Route has selected its winner,
+// nothing reachable from the winning Result references the trials'
+// core.Prepared, and through it the DAG, so a result cache or a
+// retained job holds the routed circuit only. The test runs Route's
+// body after Prepare (route) so it can hold a weak pointer to the
+// Prepared.
+func TestRouteRetainsNoPrepared(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	p, err := core.Prepare(workloads.QFT(12), dev, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := weak.Make(p)
+	best, err := TrialRunner{Trials: 4, Workers: 2}.route(context.Background(), p, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = nil
+	runtime.GC()
+	if w.Value() != nil {
+		t.Error("the Prepared outlived Route while its winner is reachable")
+	}
+	if best.Circuit == nil || best.Circuit.NumGates() == 0 {
+		t.Fatal("winner has no circuit")
+	}
+	runtime.KeepAlive(best)
 }
 
 func TestBestOfNNoWorseThanSingleTrial(t *testing.T) {

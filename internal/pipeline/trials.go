@@ -36,12 +36,14 @@ func runTrialRecover(once *sync.Once, pv *atomic.Value, p *core.Prepared, ctx co
 // routing trials, each a full reverse-traversal restart from a
 // different random initial mapping — across a bounded worker pool.
 //
-// All trials share one core.Prepared (widened/reversed circuits and
-// the device's cached distance matrices) read-only; nothing is locked
-// on the routing hot path. Trial t always uses seed Options.Seed+t and
-// results are collected by trial index, then the winner is selected by
-// fewest added gates, ties broken by decomposed depth, then by lowest
-// seed — so the outcome is byte-identical at any worker count.
+// All trials share one core.Prepared (the widened circuit view, its
+// DAG read in both traversal directions, and the device's cached
+// distance matrices) read-only; nothing is locked on the routing hot
+// path. Trial t always uses seed Options.Seed+t and results are
+// collected by trial index, then the winner is selected by fewest
+// added gates, ties broken by decomposed depth, then by lowest seed —
+// so the outcome is byte-identical at any worker count. Only the
+// winner's circuit is ever built (core.SelectBest).
 //
 // With Patience > 0 the runner is adaptive: it stops fanning out new
 // seeds once Patience consecutive trials (in seed order) have failed
@@ -80,7 +82,17 @@ func (TrialRunner) Name() string { return "sabre" }
 func (tr TrialRunner) Route(ctx context.Context, circ *circuit.Circuit, dev *arch.Device, opts core.Options) (*core.Result, error) {
 	//sabre:nondeterm-ok wall-clock elapsed metric; never feeds routing decisions
 	start := time.Now()
-	results, depths, err := tr.RunTrials(ctx, circ, dev, opts)
+	p, err := core.Prepare(circ, dev, opts)
+	if err != nil {
+		return nil, err
+	}
+	return tr.route(ctx, p, start)
+}
+
+// route is Route after Prepare: run p's trials and select the winner,
+// timing from start.
+func (tr TrialRunner) route(ctx context.Context, p *core.Prepared, start time.Time) (*core.Result, error) {
+	results, depths, err := tr.runTrials(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -98,14 +110,22 @@ func (tr TrialRunner) Route(ctx context.Context, circ *circuit.Circuit, dev *arc
 // mode (Patience > 0) the slices are truncated to the deterministic
 // early-exit population; otherwise their length is the full trial
 // count. Exposed so studies and tests can inspect the whole trial
-// population, not just the winner.
+// population, not just the winner. Each result's Circuit is nil until
+// core.SelectBest picks it: a trial keeps only its final traversal's
+// op log, and selecting a one-trial population builds that trial's
+// circuit.
 func (tr TrialRunner) RunTrials(ctx context.Context, circ *circuit.Circuit, dev *arch.Device, opts core.Options) ([]*core.Result, []int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	p, err := core.Prepare(circ, dev, opts)
 	if err != nil {
 		return nil, nil, err
+	}
+	return tr.runTrials(ctx, p)
+}
+
+// runTrials is RunTrials after Prepare.
+func (tr TrialRunner) runTrials(ctx context.Context, p *core.Prepared) ([]*core.Result, []int, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	n := tr.Trials
 	if n <= 0 {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/mapping"
+	"repro/internal/metrics"
 )
 
 // AnnealRouter implements core.Router with simulated annealing over
@@ -132,7 +133,7 @@ func (b *trialBest) consider(pass core.PassResult, cost int) {
 	if b.set && cost > b.cost {
 		return
 	}
-	depth := pass.Circuit.DecomposeSwaps().Depth()
+	depth := metrics.Measure(pass.Circuit).Depth // a SWAP as its 3 CX, no copy
 	// Cost tie: later finds only win on strictly smaller depth, so the
 	// earliest chain keeps remaining ties (lowest-seed rule).
 	if b.set && cost == b.cost && depth >= b.depth {

@@ -61,7 +61,10 @@ func EquivalentStates(orig, routed *circuit.Circuit, initL2P, finalL2P []int, tr
 // HardwareCompliant reports whether every two-qubit gate of c acts on
 // a coupled physical qubit pair, per the connectivity oracle. It is the
 // final acceptance check a routed circuit must pass (paper §III
-// definition: "satisfy all two-qubit constraints").
+// definition: "satisfy all two-qubit constraints"). A SWAP on (a, b)
+// is checked in both directions, as its decomposition CX(a,b) CX(b,a)
+// CX(a,b) is, so the verdict on c is the verdict on c.DecomposeSwaps()
+// for any connected, without the copy.
 func HardwareCompliant(c *circuit.Circuit, connected func(a, b int) bool) error {
 	for i, g := range c.Gates() {
 		if !g.TwoQubit() {
@@ -69,6 +72,9 @@ func HardwareCompliant(c *circuit.Circuit, connected func(a, b int) bool) error 
 		}
 		if !connected(g.Q0, g.Q1) {
 			return fmt.Errorf("verify: gate %d (%v) acts on uncoupled qubits %d,%d", i, g.Kind, g.Q0, g.Q1)
+		}
+		if g.Kind == circuit.KindSwap && !connected(g.Q1, g.Q0) {
+			return fmt.Errorf("verify: gate %d (%v) acts on uncoupled qubits %d,%d", i, g.Kind, g.Q1, g.Q0)
 		}
 	}
 	return nil

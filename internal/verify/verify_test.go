@@ -5,7 +5,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/arch"
 	"repro/internal/circuit"
+	"repro/internal/core"
+	"repro/internal/workloads"
 )
 
 func TestIdentityLinear(t *testing.T) {
@@ -268,6 +271,74 @@ func TestHardwareCompliant(t *testing.T) {
 	c2.Append(circuit.CX(0, 1), circuit.CX(2, 1))
 	if err := HardwareCompliant(c2, line); err != nil {
 		t.Fatalf("compliant circuit rejected: %v", err)
+	}
+}
+
+// TestHardwareCompliantMatchesDecomposed: checking a SWAP's pair in
+// both directions in place gives the verdict of checking its 3-CX
+// decomposition, for any connectivity predicate, directed ones
+// included. Random short circuits with SWAPs under random directed
+// predicates reach both verdicts; every Table II row routed onto IBM
+// Q20 Tokyo is checked under the device's predicate and under that
+// predicate with one direction of one used coupler removed.
+func TestHardwareCompliantMatchesDecomposed(t *testing.T) {
+	same := func(c *circuit.Circuit, connected func(a, b int) bool) bool {
+		t.Helper()
+		got, want := HardwareCompliant(c, connected), HardwareCompliant(c.DecomposeSwaps(), connected)
+		if (got == nil) != (want == nil) {
+			t.Fatalf("in place: %v; decomposed: %v", got, want)
+		}
+		return got == nil
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	verdicts := map[bool]int{}
+	for trial := 0; trial < 500; trial++ {
+		n := 2 + rng.Intn(5)
+		coupled := make([]bool, n*n)
+		for i := range coupled {
+			coupled[i] = rng.Intn(5) != 0
+		}
+		c := circuit.New(n)
+		for i := rng.Intn(6); i > 0; i-- {
+			a, b := rng.Intn(n), rng.Intn(n-1)
+			if b >= a {
+				b++
+			}
+			switch rng.Intn(3) {
+			case 0:
+				c.Append(circuit.Swap(a, b))
+			case 1:
+				c.Append(circuit.CX(a, b))
+			default:
+				c.Append(circuit.G1(circuit.KindH, a))
+			}
+		}
+		verdicts[same(c, func(a, b int) bool { return coupled[a*n+b] })]++
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Fatalf("random cases reached only one verdict: %v", verdicts)
+	}
+
+	dev := arch.IBMQ20Tokyo()
+	opts := core.DefaultOptions()
+	opts.Trials, opts.Traversals = 1, 1
+	for _, b := range workloads.All() {
+		res, err := core.Compile(b.Build(), dev, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(res.Circuit, dev.Connected) {
+			t.Fatalf("%s: routed output not compliant", b.Name)
+		}
+		var cut arch.Edge
+		for _, g := range res.Circuit.Gates() {
+			if g.Kind == circuit.KindSwap {
+				cut = arch.Edge{A: g.Q1, B: g.Q0}
+				break
+			}
+		}
+		same(res.Circuit, func(a, b int) bool { return (a != cut.A || b != cut.B) && dev.Connected(a, b) })
 	}
 }
 

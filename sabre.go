@@ -714,7 +714,7 @@ func BenchmarkByName(name string) (Benchmark, bool) { return workloads.ByName(na
 
 // VerifyCompliant checks every two-qubit gate acts on coupled qubits.
 func VerifyCompliant(c *Circuit, dev *Device) error {
-	return verify.HardwareCompliant(c.DecomposeSwaps(), dev.Connected)
+	return verify.HardwareCompliant(c, dev.Connected)
 }
 
 // VerifyRouted checks (exactly, over GF(2)) that a routed CNOT/SWAP
