@@ -102,13 +102,16 @@ crash-smoke:
 stream-smoke:
 	$(GO) run ./cmd/sabredsmoke $(if $(SMOKE_RACE),-race,) -stream $(if $(STREAM_FIXTURE),-stream-fixture $(STREAM_FIXTURE),)
 
-# Parser-vs-scanner fuzz smoke: FuzzParseScan mutates QASM inputs
-# for a fixed budget and fails on any input where Parse and GateScanner
-# disagree, a parsed circuit does not survive Format∘Parse, or either
-# panics. Crashers land in internal/qasm/testdata/fuzz/FuzzParseScan;
-# commit them as regression inputs.
+# QASM fuzz smoke: FuzzParseScan mutates QASM inputs for a fixed
+# budget and fails on any input where Parse and GateScanner disagree, a
+# parsed circuit does not survive Format∘Parse, or either panics; then
+# FuzzProgramJSON fails on any parsed program whose JSON-escaped text
+# (the sabred response encoder) differs from json.Marshal(Format(c)).
+# Crashers land in internal/qasm/testdata/fuzz/<target>; commit them as
+# regression inputs.
 fuzz-smoke:
 	$(GO) test ./internal/qasm -run '^$$' -fuzz '^FuzzParseScan$$' -fuzztime 20s
+	$(GO) test ./internal/qasm -run '^$$' -fuzz '^FuzzProgramJSON$$' -fuzztime 10s
 
 clean:
 	$(GO) clean ./...
@@ -129,5 +132,6 @@ help:
 	@echo "crash-smoke  SIGKILL + durable-log replay drill (always race-built)"
 	@echo "stream-smoke million-gate chunked /compile + webhook-chunk job smoke"
 	@echo "             (STREAM_FIXTURE=f reuses a cached trace, SMOKE_RACE=1 for -race)"
-	@echo "fuzz-smoke   FuzzParseScan for 20s: Parse vs GateScanner"
+	@echo "fuzz-smoke   FuzzParseScan for 20s (Parse vs GateScanner), then"
+	@echo "             FuzzProgramJSON for 10s (AppendJSON vs encoding/json)"
 	@echo "clean        go clean ./..."

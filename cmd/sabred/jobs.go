@@ -2,12 +2,14 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 	"time"
 
+	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/jobqueue"
 )
@@ -51,12 +53,12 @@ type jobResponse struct {
 
 // jobResponseOf renders a queue snapshot. A done job embeds the
 // compile response built by the exact code path /compile uses, so
-// the async output is byte-identical to the synchronous one. full
-// selects whether the result carries the rendered QASM (poll and
-// webhook payloads) or just the metrics summary (the list view —
-// serializing every retained circuit per dashboard poll would be
-// pure waste).
-func jobResponseOf(snap jobqueue.Snapshot, full bool) jobResponse {
+// the async output is byte-identical to the synchronous one. Its
+// "qasm" is empty: writeJob fills it from jobProgram for the poll and
+// webhook payloads, and the list view sends the summary as is
+// (serializing every retained circuit per dashboard poll would be pure
+// waste).
+func jobResponseOf(snap jobqueue.Snapshot) jobResponse {
 	out := jobResponse{
 		ID:      snap.ID,
 		State:   snap.State,
@@ -84,15 +86,30 @@ func jobResponseOf(snap jobqueue.Snapshot, full bool) jobResponse {
 	}
 	if snap.State == jobqueue.StateDone && snap.Result != nil {
 		in := &compileInput{circ: snap.Request.Job.Circuit, dev: snap.Request.Job.Device, fleet: snap.Request.Fleet}
-		var cr compileResponse
-		if full {
-			cr = buildCompileResponse(in, snap.Result)
-		} else {
-			cr = buildCompileSummary(in, snap.Result)
-		}
+		cr := buildCompileResponse(in, snap.Result)
 		out.Result = &cr
 	}
 	return out
+}
+
+// jobProgram returns a done job's routed program, nil otherwise.
+func jobProgram(snap jobqueue.Snapshot) *circuit.Circuit {
+	if snap.State == jobqueue.StateDone && snap.Result != nil {
+		return snap.Result.Final
+	}
+	return nil
+}
+
+// writeJob writes a job's full view: jobResponseOf with the program.
+func writeJob(w http.ResponseWriter, snap jobqueue.Snapshot) {
+	writeResponse(w, jobResponseOf(snap), jobProgram(snap))
+}
+
+// webhookPayload is the webhook body: the full view a poller reads, so
+// both delivery paths share one schema. The queue marshals it compact,
+// which drops the raw message's indent.
+func webhookPayload(snap jobqueue.Snapshot) any {
+	return json.RawMessage(responseBody(jobResponseOf(snap), jobProgram(snap)))
 }
 
 // handleJobs serves the collection: POST submits, GET lists.
@@ -136,7 +153,7 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Location", "/jobs/"+snap.ID)
 	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, jobResponseOf(snap, true))
+	writeJob(w, snap)
 }
 
 // handleJobList reports every retained job (newest first) plus the
@@ -147,7 +164,7 @@ func (s *server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	for i, snap := range snaps {
 		// The list is a dashboard, not a result fetch: summaries only
 		// (no QASM). Poll the job URL for the full result.
-		jobs[i] = jobResponseOf(snap, false)
+		jobs[i] = jobResponseOf(snap)
 	}
 	writeJSON(w, map[string]any{
 		"jobs":  jobs,
@@ -187,13 +204,13 @@ func (s *server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 		if jobError(w, err) {
 			return
 		}
-		writeJSON(w, jobResponseOf(snap, true))
+		writeJob(w, snap)
 	case http.MethodDelete:
 		snap, err := s.queue.Cancel(id)
 		if jobError(w, err) {
 			return
 		}
-		writeJSON(w, jobResponseOf(snap, true))
+		writeJob(w, snap)
 	default:
 		http.Error(w, "GET or DELETE only", http.StatusMethodNotAllowed)
 	}

@@ -163,6 +163,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -176,6 +177,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -296,12 +298,13 @@ const maxBodyBytes = 16 << 20
 // useful restart schedule (the paper uses 5).
 const maxTrials = 10_000
 
-// server carries the shared engine, the async job queue, and a
-// construct-once device cache (device construction runs
+// server carries the shared engine, the async job queue, the parse
+// memo, and a construct-once device cache (device construction runs
 // Floyd–Warshall, worth amortizing).
 type server struct {
 	eng   *batch.Engine
 	queue *jobqueue.Queue
+	memo  *circuitMemo
 	start time.Time
 
 	// draining is closed when graceful shutdown begins. Long-poll
@@ -316,10 +319,8 @@ type server struct {
 }
 
 func newServer(eng *batch.Engine, qcfg jobqueue.Config) (*server, error) {
-	s := &server{eng: eng, start: time.Now(), devices: make(map[string]*arch.Device), draining: make(chan struct{})}
-	// The webhook body is the exact jobResponse a poller would read —
-	// one schema for both delivery paths.
-	qcfg.Payload = func(snap jobqueue.Snapshot) any { return jobResponseOf(snap, true) }
+	s := &server{eng: eng, memo: newCircuitMemo(memoBudget), start: time.Now(), devices: make(map[string]*arch.Device), draining: make(chan struct{})}
+	qcfg.Payload = webhookPayload
 	if qcfg.Durable.Dir != "" && qcfg.Durable.Device == nil {
 		// Replayed jobs resolve their device through the server's memo
 		// so they share calibratable device instances with live
@@ -620,7 +621,7 @@ func (s *server) parseCompile(w http.ResponseWriter, r *http.Request) (*compileI
 	if err != nil {
 		return nil, err
 	}
-	circ, err := qasm.Parse(src)
+	circ, err := s.memo.parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("parse QASM: %w", err)
 	}
@@ -646,19 +647,12 @@ func validWebhook(raw string) error {
 	return nil
 }
 
-// buildCompileResponse renders an engine result exactly as /compile
-// always has; the async poll/webhook paths reuse it so their payloads
-// are byte-identical to the synchronous endpoint's.
+// buildCompileResponse renders an engine result as /compile returns
+// it, less the routed program: writeResponse escapes res.Final into
+// the empty "qasm" field. The async poll/webhook paths reuse it, so
+// their payloads are byte-identical to the synchronous endpoint's, and
+// the job list sends it as is, a summary without the program.
 func buildCompileResponse(in *compileInput, res *batch.Result) compileResponse {
-	out := buildCompileSummary(in, res)
-	out.QASM = qasm.Format(res.Final)
-	return out
-}
-
-// buildCompileSummary is buildCompileResponse without the QASM
-// rendering — the job-list view, where serializing every retained
-// circuit per dashboard poll would be pure waste.
-func buildCompileSummary(in *compileInput, res *batch.Result) compileResponse {
 	rep := metrics.Compare(in.circ, res.Final)
 	return compileResponse{
 		Name:          in.circ.Name(),
@@ -715,7 +709,7 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, res.Err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	writeJSON(w, buildCompileResponse(in, &res))
+	writeResponse(w, buildCompileResponse(in, &res), res.Final)
 }
 
 func (s *server) handleDevices(w http.ResponseWriter, r *http.Request) {
@@ -738,14 +732,49 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"workers":  s.eng.Workers(),
 		"uptime_s": int64(time.Since(s.start).Seconds()),
 		"queue":    s.queue.Stats(),
+		"memo":     s.memo.snapshot(),
 	})
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON writes v as JSON indented by two spaces.
+func writeJSON(w http.ResponseWriter, v any) { writeResponse(w, v, nil) }
+
+// writeResponse writes v as writeJSON does. A non-nil prog is the
+// routed program of v's compile result, whose "qasm" field v leaves
+// empty; it is written as that field's value.
+func writeResponse(w http.ResponseWriter, v any, prog *circuit.Circuit) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
+	_, _ = w.Write(responseBody(v, prog))
+}
+
+// emptyQASM is an empty "qasm" field as the indenting encoder writes
+// it. A compile result is the only object with a "qasm" key, and a
+// quote inside a JSON string is always escaped, so in an envelope that
+// carries one result the last match is its field.
+var emptyQASM = []byte(`"qasm": ""`)
+
+// responseBody encodes a response in one pass over the program. The
+// envelope v goes through encoding/json with a two-space indent; prog
+// is escaped by qasm.AppendJSON straight from the circuit into the
+// body, so it is never formatted to a string, and encoding/json
+// neither escapes nor indents it.
+func responseBody(v any, prog *circuit.Circuit) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+	env := buf.Bytes()
+	if prog == nil {
+		return env
+	}
+	i := bytes.LastIndex(env, emptyQASM)
+	if i < 0 {
+		panic("sabred: a response with a program has no empty qasm field")
+	}
+	i += len(emptyQASM) - len(`""`)
+	head, tail := env[:i], env[i+len(`""`):]
+	body := qasm.AppendJSON(slices.Clip(head), prog) // a new array: tail stays intact
+	return append(body, tail...)
 }
 
 // maxCachedDevices bounds the device memo: specs are client-chosen

@@ -307,5 +307,5 @@ func (s *server) handleJobSubmitStream(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Location", "/jobs/"+snap.ID)
 	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, jobResponseOf(snap, true))
+	writeJob(w, snap)
 }

@@ -194,6 +194,18 @@ func main() {
 		daemon.fail("warm pre-calibration compile: status %d cache_hit=%v cal_version=%d, want hit at version 0",
 			resp.StatusCode, warm.CacheHit, warm.CalVersion)
 	}
+	// The request went out three times (/jobs, then /compile twice): the
+	// parse memo served the last two, and the two cache hits are the
+	// same bytes.
+	if !bytes.Equal(body, sbody) {
+		daemon.fail("repeated /compile bodies differ:\n%s\nvs\n%s", sbody, body)
+	}
+	var memo statsView
+	mustUnmarshal(getOK(client, base+"/stats"), &memo, daemon)
+	if memo.Memo.Hits < 2 || memo.Memo.Entries < 1 {
+		daemon.fail("parse memo counted %d hits and %d entries, want at least 2 and 1", memo.Memo.Hits, memo.Memo.Entries)
+	}
+	step("repeated request byte-identical, parse memo hit %d times", memo.Memo.Hits)
 	calReq := map[string]any{
 		"default": 0.002,
 		"edges": []map[string]any{
@@ -732,8 +744,12 @@ func (c *chunkSink) concat() []byte {
 	return out.Bytes()
 }
 
-// statsView mirrors the /stats fields the crash drill asserts.
+// statsView mirrors the /stats fields the smokes assert.
 type statsView struct {
+	Memo struct {
+		Hits    int `json:"hits"`
+		Entries int `json:"entries"`
+	} `json:"memo"`
 	Queue struct {
 		Queued   int `json:"queued"`
 		Running  int `json:"running"`

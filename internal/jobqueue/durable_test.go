@@ -460,3 +460,28 @@ func TestRetryDelayDeterministicAndBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestDurableSubmitEncodeError: a request the log cannot persist is
+// refused before it takes a job ID, and a closed queue answers
+// ErrClosed before it reports the encoding error.
+func TestDurableSubmitEncodeError(t *testing.T) {
+	q, _ := newDurableQueue(t, Config{Workers: 1, Durable: durableCfg(t.TempDir())})
+	if _, err := q.Submit(Request{Job: fastJob("nospec")}); err == nil || !strings.Contains(err.Error(), "DeviceSpec") {
+		t.Fatalf("submit without DeviceSpec = %v, want DeviceSpec error", err)
+	}
+	snap, err := q.Submit(durableReq("ok"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(snap.ID, "job-1-") {
+		t.Fatalf("first accepted job is %s, want sequence 1", snap.ID)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := q.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Submit(Request{Job: fastJob("nospec")}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("submit to a closed queue = %v, want ErrClosed", err)
+	}
+}

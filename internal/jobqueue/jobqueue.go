@@ -379,10 +379,21 @@ func (q *Queue) Submit(req Request) (Snapshot, error) {
 	} else if req.Job.Circuit == nil || req.Job.Device == nil {
 		return Snapshot{}, errors.New("jobqueue: job needs a non-nil Circuit and Device")
 	}
+	// The accepted record's payload formats the whole circuit. It reads
+	// only the request, so it is encoded before the lock: Get, Wait,
+	// List and job completions do not wait behind it.
+	var payload []byte
+	var encErr error
+	if q.log != nil {
+		payload, encErr = encodeRequest(req)
+	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return Snapshot{}, ErrClosed
+	}
+	if encErr != nil {
+		return Snapshot{}, encErr
 	}
 	q.seq++
 	j := &job{
@@ -393,13 +404,7 @@ func (q *Queue) Submit(req Request) (Snapshot, error) {
 		created: q.now(),
 		done:    make(chan struct{}),
 		webhook: WebhookStatus{URL: req.Webhook},
-	}
-	if q.log != nil {
-		payload, err := encodeRequest(req)
-		if err != nil {
-			return Snapshot{}, err
-		}
-		j.payload = payload
+		payload: payload,
 	}
 	select {
 	case q.pending <- j:

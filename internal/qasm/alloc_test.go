@@ -2,6 +2,7 @@ package qasm_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"testing"
 
@@ -61,6 +62,16 @@ func TestFormatAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, func() { _ = qasm.Format(c) }); allocs > 2 {
 			t.Fatalf("Format(%d gates): %v allocs, want at most 2", c.NumGates(), allocs)
 		}
+	}
+}
+
+// TestAppendJSONAllocs: escaping a program into a buffer that has room
+// for it allocates nothing.
+func TestAppendJSONAllocs(t *testing.T) {
+	c := workloads.QFT(20)
+	buf := qasm.AppendJSON(nil, c)
+	if allocs := testing.AllocsPerRun(10, func() { buf = qasm.AppendJSON(buf[:0], c) }); allocs != 0 {
+		t.Fatalf("AppendJSON(%d gates): %v allocs, want 0", c.NumGates(), allocs)
 	}
 }
 
@@ -127,4 +138,35 @@ func BenchmarkStreamWriter(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(gates)), "ns/gate")
+}
+
+// BenchmarkProgramJSON compares the two ways a response writes a routed
+// program: AppendJSON escaping it into a reused buffer, and Format
+// followed by an indenting json.Encoder, which escapes the text and
+// scans it again to indent.
+func BenchmarkProgramJSON(b *testing.B) {
+	c := benchCircuit(b)
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			buf = qasm.AppendJSON(buf[:0], c)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.NumGates()), "ns/gate")
+	})
+	b.Run("format+encoder", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			enc := json.NewEncoder(&buf)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(struct {
+				QASM string `json:"qasm"`
+			}{qasm.Format(c)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.NumGates()), "ns/gate")
+	})
 }

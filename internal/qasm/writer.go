@@ -1,10 +1,13 @@
 package qasm
 
 import (
+	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/circuit"
 )
@@ -23,33 +26,85 @@ func Write(w io.Writer, c *circuit.Circuit) error {
 // length.
 func Format(c *circuit.Circuit) string {
 	var line [lineBound]byte
-	gates := c.Gates()
-	digits := len(strconv.AppendInt(line[:0], int64(c.NumQubits()), 10))
-	size := headerBound + len(gates)*(gateBound+2*digits)
-	for _, g := range gates {
-		size += len(g.Params) * paramBound
-	}
 	var sb strings.Builder
-	sb.Grow(size)
+	sb.Grow(textBound(c))
 	sb.Write(appendHeader(line[:0], c.NumQubits(), c.CountKind(circuit.KindMeasure) > 0))
-	for _, g := range gates {
+	for _, g := range c.Gates() {
 		sb.Write(appendGate(line[:0], g))
 	}
 	return sb.String()
 }
 
+// AppendJSON appends the circuit's QASM text, as Format returns it, to
+// dst as a JSON string, escaped as encoding/json escapes it by default.
+// Each line is encoded into a stack buffer and escaped from there, so
+// the text is never held whole: a response encoder can write a routed
+// program straight into its body.
+func AppendJSON(dst []byte, c *circuit.Circuit) []byte {
+	var line [lineBound]byte
+	gates := c.Gates()
+	dst = slices.Grow(dst, textBound(c)+len(gates)*gateEscapeBound+2)
+	dst = append(dst, '"')
+	dst = appendEscaped(dst, appendHeader(line[:0], c.NumQubits(), c.CountKind(circuit.KindMeasure) > 0))
+	for _, g := range gates {
+		dst = appendEscaped(dst, appendGate(line[:0], g))
+	}
+	return append(dst, '"')
+}
+
+// textBound bounds the length of the circuit's QASM text.
+func textBound(c *circuit.Circuit) int {
+	var buf [20]byte
+	digits := len(strconv.AppendInt(buf[:0], int64(c.NumQubits()), 10))
+	size := headerBound + c.NumGates()*(gateBound+2*digits)
+	for _, g := range c.Gates() {
+		size += len(g.Params) * paramBound
+	}
+	return size
+}
+
 // Length bounds behind Format's single allocation: the header with
-// both registers of a 20-digit width; a gate line less its qubit
-// digits and parameters ("measure q[] -> c[];\n" is the longest); one
-// parameter with its separator, where %.17g never needs more than 24
-// bytes ("-2.2250738585072014e-308"); and the stack buffer a single
-// line is encoded in.
+// both registers of a 20-digit width, escaped or not; a gate line less
+// its qubit digits and parameters ("measure q[] -> c[];\n" is the
+// longest); one parameter with its separator, where %.17g never needs
+// more than 24 bytes ("-2.2250738585072014e-308"); and the stack buffer
+// a single line is encoded in. A gate line grows by at most 6 bytes
+// when escaped for JSON: its newline as `\n` and "->" as `-\u003e`.
 const (
-	headerBound = 128
-	gateBound   = 24
-	paramBound  = 25
-	lineBound   = 160
+	headerBound     = 128
+	gateBound       = 24
+	paramBound      = 25
+	lineBound       = 160
+	gateEscapeBound = 6
 )
+
+// jsonEscapes holds encoding/json's escape for each ASCII byte it
+// escapes inside a string: short forms for the quote, the backslash
+// and \b, \f, \n, \r, \t, and \u00XX for the other control bytes
+// and the HTML-sensitive <, > and &. The encoders here emit ASCII
+// only, so no byte needs UTF-8 validation.
+var jsonEscapes = func() (t [256]string) {
+	for b := range utf8.RuneSelf {
+		if b < ' ' || strings.ContainsRune("<>&", rune(b)) {
+			t[b] = fmt.Sprintf(`\u%04x`, b)
+		}
+	}
+	t['"'], t['\\'], t['\b'], t['\f'], t['\n'], t['\r'], t['\t'] = `\"`, `\\`, `\b`, `\f`, `\n`, `\r`, `\t`
+	return t
+}()
+
+// appendEscaped appends ASCII text to dst as the inside of a JSON
+// string, escaped as encoding/json escapes it.
+func appendEscaped(dst, text []byte) []byte {
+	start := 0
+	for i, b := range text {
+		if esc := jsonEscapes[b]; esc != "" {
+			dst = append(append(dst, text[start:i]...), esc...)
+			start = i + 1
+		}
+	}
+	return append(dst, text[start:]...)
+}
 
 // appendHeader appends the program header: version, include, and the
 // qreg (plus, with creg, a matching classical register) of width
