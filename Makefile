@@ -102,16 +102,23 @@ crash-smoke:
 stream-smoke:
 	$(GO) run ./cmd/sabredsmoke $(if $(SMOKE_RACE),-race,) -stream $(if $(STREAM_FIXTURE),-stream-fixture $(STREAM_FIXTURE),)
 
-# QASM fuzz smoke: FuzzParseScan mutates QASM inputs for a fixed
-# budget and fails on any input where Parse and GateScanner disagree, a
-# parsed circuit does not survive Format∘Parse, or either panics; then
+# Fuzz smoke: FuzzParseScan mutates QASM inputs for a fixed budget and
+# fails on any input where Parse and GateScanner disagree, a parsed
+# circuit does not survive Format∘Parse, or either panics; then
 # FuzzProgramJSON fails on any parsed program whose JSON-escaped text
-# (the sabred response encoder) differs from json.Marshal(Format(c)).
-# Crashers land in internal/qasm/testdata/fuzz/<target>; commit them as
-# regression inputs.
+# (the sabred response encoder) differs from json.Marshal(Format(c));
+# then FuzzRouteOracles fails on any small circuit where the bitset
+# scorer and the exhaustive reference route differently, the windowed
+# stream and its materialized oracle emit differently, or a routed
+# circuit is not hardware compliant. Crashers land in
+# internal/<pkg>/testdata/fuzz/<target>; commit them as regression
+# inputs. A routing input costs milliseconds, so the default 60 s spent
+# minimizing each new corpus entry would stall FuzzRouteOracles' whole
+# budget; it minimizes for 1 s.
 fuzz-smoke:
 	$(GO) test ./internal/qasm -run '^$$' -fuzz '^FuzzParseScan$$' -fuzztime 20s
 	$(GO) test ./internal/qasm -run '^$$' -fuzz '^FuzzProgramJSON$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzRouteOracles$$' -fuzztime 10s -fuzzminimizetime 1s
 
 clean:
 	$(GO) clean ./...
@@ -133,5 +140,7 @@ help:
 	@echo "stream-smoke million-gate chunked /compile + webhook-chunk job smoke"
 	@echo "             (STREAM_FIXTURE=f reuses a cached trace, SMOKE_RACE=1 for -race)"
 	@echo "fuzz-smoke   FuzzParseScan for 20s (Parse vs GateScanner), then"
-	@echo "             FuzzProgramJSON for 10s (AppendJSON vs encoding/json)"
+	@echo "             FuzzProgramJSON for 10s (AppendJSON vs encoding/json), then"
+	@echo "             FuzzRouteOracles for 10s (bitset vs exhaustive, windowed vs"
+	@echo "             materialized stream, hardware compliance)"
 	@echo "clean        go clean ./..."

@@ -248,8 +248,7 @@ func BenchmarkRoutePassOnly(b *testing.B) {
 
 // BenchmarkAblationHeuristic compares the three cost functions of §IV-D
 // on the same workload: basic (Eq. 1), lookahead (Eq. 2 w/o decay) and
-// the full decay heuristic — the design-choice ablation DESIGN.md
-// calls out.
+// the full decay heuristic.
 func BenchmarkAblationHeuristic(b *testing.B) {
 	dev := arch.IBMQ20Tokyo()
 	circ := workloads.QFT(13)

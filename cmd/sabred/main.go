@@ -298,6 +298,19 @@ const maxBodyBytes = 16 << 20
 // useful restart schedule (the paper uses 5).
 const maxTrials = 10_000
 
+// maxTraversals bounds the client-requested forward/backward passes
+// per trial: every traversal re-routes the whole circuit, so the value
+// multiplies a job's CPU time, and an unchecked one ties up a queue
+// worker for as many passes as it asks. 101 is far above any useful
+// schedule (the paper uses 3).
+const maxTraversals = 101
+
+// maxExtendedSetSize bounds the client-requested look-ahead |E|: every
+// SWAP round's breadth-first walk runs until it holds that many
+// two-qubit gates, so a huge value walks the rest of the circuit each
+// round. 1024 is far above any useful window (the paper uses 20).
+const maxExtendedSetSize = 1024
+
 // server carries the shared engine, the async job queue, the parse
 // memo, and a construct-once device cache (device construction runs
 // Floyd–Warshall, worth amortizing).
@@ -831,6 +844,9 @@ func (o optionsRequest) toCore() (core.Options, error) {
 		}
 		opts.Heuristic = h
 	}
+	if o.ExtendedSetSize > maxExtendedSetSize {
+		return opts, fmt.Errorf("bad extended_set_size %d: at most %d", o.ExtendedSetSize, maxExtendedSetSize)
+	}
 	if o.ExtendedSetSize > 0 {
 		opts.ExtendedSetSize = o.ExtendedSetSize
 	}
@@ -842,6 +858,9 @@ func (o optionsRequest) toCore() (core.Options, error) {
 	}
 	if o.Trials > 0 {
 		opts.Trials = o.Trials
+	}
+	if o.Traversals > maxTraversals {
+		return opts, fmt.Errorf("bad traversals %d: at most %d", o.Traversals, maxTraversals)
 	}
 	if o.Traversals > 0 {
 		opts.Traversals = o.Traversals

@@ -24,8 +24,9 @@ func postJSON(t *testing.T, url, body string) *http.Response {
 }
 
 // TestCompileRejectsInvalidParams covers every client-error rejection
-// path: invalid trials, passes, and route values must produce 400 (the
-// client's fault), never 500/422, in both the JSON envelope and the
+// path: invalid trials, traversals, extended-set sizes, passes, and
+// route values must produce 400 (the client's fault), never 500/422,
+// in both the JSON envelope (on /compile and /jobs) and the
 // query-parameter form.
 func TestCompileRejectsInvalidParams(t *testing.T) {
 	ts, _ := newTestServer(t)
@@ -35,13 +36,17 @@ func TestCompileRejectsInvalidParams(t *testing.T) {
 		"negative options.trials":  `{"qasm": "` + escaped(tinyQASM) + `", "device": "line:3", "options": {"trials": -4}}`,
 		"oversized trials":         `{"qasm": "` + escaped(tinyQASM) + `", "device": "line:3", "trials": 1000000000}`,
 		"oversized options.trials": `{"qasm": "` + escaped(tinyQASM) + `", "device": "line:3", "options": {"trials": 20000}}`,
+		"oversized traversals":     `{"qasm": "` + escaped(tinyQASM) + `", "device": "line:3", "options": {"traversals": 1000000001}}`,
+		"oversized extended set":   `{"qasm": "` + escaped(tinyQASM) + `", "device": "line:3", "options": {"extended_set_size": 1025}}`,
 		"non-post-routing pass":    `{"qasm": "` + escaped(tinyQASM) + `", "device": "line:3", "passes": ["layout"]}`,
 		"unknown pass":             `{"qasm": "` + escaped(tinyQASM) + `", "device": "line:3", "passes": ["polish"]}`,
 		"unknown route":            `{"qasm": "` + escaped(tinyQASM) + `", "device": "line:3", "route": "warp-drive"}`,
 	}
 	for name, body := range jsonCases {
-		if resp := postJSON(t, ts.URL+"/compile", body); resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("JSON %s: status %d, want 400", name, resp.StatusCode)
+		for _, path := range []string{"/compile", "/jobs"} {
+			if resp := postJSON(t, ts.URL+path, body); resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("JSON %s %s: status %d, want 400", path, name, resp.StatusCode)
+			}
 		}
 	}
 

@@ -159,9 +159,10 @@ func TestTrialBytesPerGate(t *testing.T) {
 	}
 }
 
-// TestPrepareBytesPerGate is the byte guard on Prepare: one DAG and one
-// pair table, at most 64 B per gate. Copying the circuit to widen or
-// reverse it, or building a second DAG, costs over 200.
+// TestPrepareBytesPerGate is the byte guard on Prepare: one pair table
+// and the dependency table in both directions, 8 B per gate each, at
+// most 32 B per gate. A CSR DAG of []int edges costs 56; copying the
+// circuit to widen or reverse it costs over 200.
 func TestPrepareBytesPerGate(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	for _, name := range []string{"9symml_195", "rd84_253"} {
@@ -177,8 +178,8 @@ func TestPrepareBytesPerGate(t *testing.T) {
 		runtime.KeepAlive(p)
 		perGate := float64(bytes) / float64(circ.NumGates())
 		t.Logf("%s: %.1f B/gate", name, perGate)
-		if perGate > 64 {
-			t.Errorf("%s: Prepare allocates %.1f B per gate, want <= 64", name, perGate)
+		if perGate > 32 {
+			t.Errorf("%s: Prepare allocates %.1f B per gate, want <= 32", name, perGate)
 		}
 	}
 }

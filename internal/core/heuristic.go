@@ -122,9 +122,9 @@ func (r *router) buildRoundIndexBitset() {
 //sabre:hotpath
 func (r *router) scoreCandidatesBitset() int {
 	if r.wdist != nil {
-		return scoreBitset(r, r.wdist, r.frontSumF, r.extSumF)
+		return scoreBitset(r, r.wdist, r.frontSumF, r.extSumF, false)
 	}
-	return scoreBitset(r, r.dist, int(r.frontSumI), int(r.extSumI))
+	return scoreBitset(r, r.dist, int(r.frontSumI), int(r.extSumI), true)
 }
 
 // scoreBitset is the branch-free candidate scoring loop. For each
@@ -150,8 +150,13 @@ func (r *router) scoreCandidatesBitset() int {
 // (asserted by the golden suite). Returns the winning candidate's
 // index.
 //
+// With hop counts (hops) a candidate whose scoreBound already lies
+// above the tie band is skipped before its extended-set terms are
+// summed: its score could neither win nor tie, so no comparison or
+// RNG draw is lost.
+//
 //sabre:hotpath
-func scoreBitset[D int | float64](r *router, dist []D, baseF, baseE D) int {
+func scoreBitset[D int | float64](r *router, dist []D, baseF, baseE D, hops bool) int {
 	s := r.s
 	n := r.n
 	fpart, off, phys := s.fpart, s.extOff, s.extPhys
@@ -177,33 +182,28 @@ func scoreBitset[D int | float64](r *router, dist []D, baseF, baseE D) int {
 		if pp := fpart[qb]; pp >= 0 && int(pp) != A {
 			dF += rowA[pp] - rowB[pp]
 		}
-		for _, pp := range phys[off[qa]:off[qa+1]] {
+		front := float64(baseF + dF)
+		d := decay[qa]
+		if decay[qb] > d {
+			d = decay[qb]
+		}
+		extA, extB := phys[off[qa]:off[qa+1]], phys[off[qb]:off[qb+1]]
+		if hops && scoreBound(heur, invF, invE, front, int(baseE), len(extA)+len(extB), d) > bestScore+1e-12 {
+			continue
+		}
+		for _, pp := range extA {
 			if int(pp) == B {
 				continue
 			}
 			dE += rowB[pp] - rowA[pp]
 		}
-		for _, pp := range phys[off[qb]:off[qb+1]] {
+		for _, pp := range extB {
 			if int(pp) == A {
 				continue
 			}
 			dE += rowA[pp] - rowB[pp]
 		}
-
-		front := float64(baseF + dF)
-		var score float64
-		switch heur {
-		case HeuristicBasic:
-			score = front
-		case HeuristicLookahead:
-			score = front*invF + float64(baseE+dE)*invE
-		default: // HeuristicDecay
-			d := decay[qa]
-			if decay[qb] > d {
-				d = decay[qb]
-			}
-			score = d * (front*invF + float64(baseE+dE)*invE)
-		}
+		score := cost(heur, invF, invE, front, float64(baseE+dE), d)
 
 		switch {
 		case score < bestScore-1e-12:
@@ -216,6 +216,38 @@ func scoreBitset[D int | float64](r *router, dist []D, baseF, baseE D) int {
 		}
 	}
 	return best
+}
+
+// cost is the heuristic cost function H of a candidate SWAP, from its
+// front and extended distance sums and its decay factor d (the larger
+// of its two qubits'): Eq. 1, or Eq. 2 with or without decay, with the
+// per-round reciprocals invF and invE (see setRoundScale). It is
+// monotone in ext: invE and d are non-negative, and IEEE rounding is
+// monotone.
+//
+//sabre:hotpath
+func cost(heur Heuristic, invF, invE, front, ext, d float64) float64 {
+	switch heur {
+	case HeuristicBasic:
+		return front
+	case HeuristicLookahead:
+		return front*invF + ext*invE
+	}
+	return d * (front*invF + ext*invE)
+}
+
+// scoreBound is an exact lower bound on the hop-count score of a
+// candidate SWAP whose front sum is front and whose two qubits have
+// partners extended-set terms in the round index, taken before those
+// terms are summed. The SWAP's edge is a coupler, so it moves each
+// partner distance by at most one hop and the extended sum is at least
+// baseE-partners. The sums are exact integers and cost is monotone in
+// the extended sum, so the bound, evaluated by the score's own
+// expression, never exceeds the score.
+//
+//sabre:hotpath
+func scoreBound(heur Heuristic, invF, invE, front float64, baseE, partners int, d float64) float64 {
+	return cost(heur, invF, invE, front, float64(baseE-partners), d)
 }
 
 // scoreSwapExhaustive evaluates the heuristic cost function H for one

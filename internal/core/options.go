@@ -119,7 +119,7 @@ type Options struct {
 	// MaxStall bounds consecutive SWAP insertions without executing a
 	// gate before the router falls back to deterministic shortest-path
 	// routing of the oldest front gate (a termination safeguard; 0
-	// selects 4·diameter+16). See DESIGN.md "Algorithm notes".
+	// selects 4·diameter+16). See ARCHITECTURE.md § Routing hot path.
 	MaxStall int
 
 	// UseBridge enables the 4-CNOT bridge transformation for distance-2
@@ -130,8 +130,9 @@ type Options struct {
 
 	// Noise, when non-nil, makes the heuristic route over
 	// reliability-weighted distances (-ln(1-err) per edge) instead of
-	// hop counts — the variability-aware extension of §VI. The distance
-	// matrix is recomputed per traversal from the model.
+	// hop counts — the variability-aware extension of §VI. The weighted
+	// matrix is computed once per model and memoized on the device
+	// (arch.Device.WeightedDistancesFor), so every traversal shares it.
 	Noise *arch.NoiseModel
 
 	// MaxEdgeError, with Noise set, excludes couplers whose error rate

@@ -12,10 +12,11 @@ import (
 // BenchmarkRoutePass measures one full routing traversal over real
 // Table II workloads (largest rows included), under each scoring
 // engine: the branch-free bitset default and the exhaustive
-// reference. All share the prepared DAG and warm scratch,
-// so the gaps are purely the per-round scoring machinery; allocs/op ≈
-// a handful per pass (output circuit + layout clones), none of them
-// per-round.
+// reference, plus the bitset engine over the reverse traversal, which
+// a trial's middle pass runs on the dependency table read backwards.
+// All share the prepared tables and warm scratch, so the gaps are
+// purely the per-round scoring machinery; allocs/op ≈ a handful per
+// pass (output circuit + layout clones), none of them per-round.
 func BenchmarkRoutePass(b *testing.B) {
 	dev := arch.IBMQ20Tokyo()
 	for _, name := range []string{"qft_16", "qft_20", "rd84_253", "9symml_195"} {
@@ -27,10 +28,14 @@ func BenchmarkRoutePass(b *testing.B) {
 		for _, mode := range []struct {
 			name    string
 			scoring Scoring
-		}{{"bitset", ScoringBitset}, {"exhaustive", ScoringExhaustive}} {
+			reverse bool
+		}{{"bitset", ScoringBitset, false}, {"exhaustive", ScoringExhaustive, false}, {"bitset/reverse", ScoringBitset, true}} {
 			opts := DefaultOptions()
 			opts.Scoring = mode.scoring
 			pr := NewPassRunner(circ, dev, opts)
+			if mode.reverse {
+				pr = pr.reversed()
+			}
 			b.Run(name+"/"+mode.name, func(b *testing.B) {
 				scratch := NewScratch()
 				rng := rand.New(rand.NewSource(1))

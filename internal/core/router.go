@@ -51,23 +51,22 @@ func (s PassStats) AvgCandidates() float64 {
 }
 
 // PassRunner binds one (circuit, device, options) triple to the
-// trial-invariant state a traversal needs: the dependency DAG of the
-// circuit and the (possibly noise-weighted) flat distance matrix.
-// Construct once, then Run many times with different layouts and
-// seeds — restart trials, annealing chains and reverse traversals all
-// re-route the same circuit, and rebuilding the DAG per traversal was
-// pure waste. A PassRunner is immutable after construction and safe
-// for concurrent Run calls (each Run's mutable state lives in its
-// Scratch).
+// trial-invariant state a traversal needs: the circuit's dependency
+// table in both directions and the (possibly noise-weighted) flat
+// distance matrix. Construct once, then Run many times with different
+// layouts and seeds — restart trials, annealing chains and reverse
+// traversals all re-route the same circuit, and rebuilding the
+// dependencies per traversal was pure waste. A PassRunner is immutable
+// after construction and safe for concurrent Run calls (each Run's
+// mutable state lives in its Scratch).
 type PassRunner struct {
 	circ  *circuit.Circuit
-	dag   *circuit.DAG
 	dev   *arch.Device
 	opts  Options
 	wdist []float64 // flat noise-weighted matrix, nil for hop counts
 
-	// reverse routes the reversed circuit (paper Fig. 5) by reading
-	// circ's DAG backwards (revDeps); see reversed.
+	// reverse routes the reversed circuit (paper Fig. 5) by reading the
+	// dependency table backwards (rev as successors); see reversed.
 	reverse bool
 
 	// q2 is the flat per-gate qubit-pair table: entries 2*gi and
@@ -77,28 +76,47 @@ type PassRunner struct {
 	// two int32 loads instead of copying a circuit.Gate (whose Params
 	// slice header alone is wider than both entries).
 	q2 []int32
+
+	// fwd and rev are the dependency table in both directions, two
+	// entries per gate, -1-padded; gate i depends on gate j when j is
+	// the most recent earlier gate sharing a qubit with i (paper
+	// Fig. 4). fwd[2i], fwd[2i+1] are i's successors, ascending; one
+	// sharing both of i's qubits appears twice. rev[2i], rev[2i+1] are
+	// i's predecessors, descending: its successors in the reversed
+	// circuit's program order.
+	fwd, rev []int32
 }
 
 // NewPassRunner prepares circ (already widened to the device size) for
-// repeated traversals on dev under opts.
+// repeated traversals on dev under opts. One pass over the gates fills
+// the pair table and both directions of the dependency table.
 func NewPassRunner(circ *circuit.Circuit, dev *arch.Device, opts Options) *PassRunner {
 	opts = opts.normalized()
+	g := circ.NumGates()
 	pr := &PassRunner{
 		circ: circ,
-		dag:  circuit.BuildDAG(circ),
 		dev:  dev,
 		opts: opts,
-		q2:   make([]int32, 2*circ.NumGates()),
+		q2:   make([]int32, 2*g),
+		fwd:  make([]int32, 2*g),
+		rev:  make([]int32, 2*g),
 	}
-	for gi := 0; gi < circ.NumGates(); gi++ {
-		g := circ.Gate(gi)
-		if g.TwoQubit() {
-			pr.q2[2*gi] = int32(g.Q0)
-			pr.q2[2*gi+1] = int32(g.Q1)
+	for i := range pr.fwd {
+		pr.fwd[i] = -1
+	}
+	last := make([]int32, circ.NumQubits()) // latest gate on each wire, -1 none
+	for i := range last {
+		last[i] = -1
+	}
+	for i, gate := range circ.Gates() {
+		p0, p1 := pr.link(last, gate.Q0, i), int32(-1)
+		if gate.TwoQubit() {
+			pr.q2[2*i], pr.q2[2*i+1] = int32(gate.Q0), int32(gate.Q1)
+			p1 = pr.link(last, gate.Q1, i)
 		} else {
-			pr.q2[2*gi] = -1
-			pr.q2[2*gi+1] = -1
+			pr.q2[2*i], pr.q2[2*i+1] = -1, -1
 		}
+		pr.rev[2*i], pr.rev[2*i+1] = max(p0, p1), min(p0, p1)
 	}
 	if opts.Noise != nil {
 		// Memoized on the device: every traversal of every trial shares
@@ -108,10 +126,25 @@ func NewPassRunner(circ *circuit.Circuit, dev *arch.Device, opts Options) *PassR
 	return pr
 }
 
+// link records gate i on wire q: the wire's latest gate, if any, gains
+// i as its next successor. It returns that predecessor, or -1.
+func (pr *PassRunner) link(last []int32, q, i int) int32 {
+	p := last[q]
+	last[q] = int32(i)
+	if p >= 0 {
+		if pr.fwd[2*p] < 0 {
+			pr.fwd[2*p] = int32(i)
+		} else {
+			pr.fwd[2*p+1] = int32(i)
+		}
+	}
+	return p
+}
+
 // reversed returns the runner of the reverse traversal (§IV-C2): pr's
-// circuit, DAG and pair table, read backwards, so neither the reversed
-// circuit nor its DAG is ever built. It routes exactly as
-// NewPassRunner(circ.Reverse(), …) does, gate for gate.
+// circuit, pair table and dependency table, read backwards, so neither
+// the reversed circuit nor its dependencies are ever built. It routes
+// exactly as NewPassRunner(circ.Reverse(), …) does, gate for gate.
 func (pr *PassRunner) reversed() *PassRunner {
 	rev := *pr
 	rev.reverse = true
@@ -165,26 +198,25 @@ func (pr *PassRunner) traverse(init mapping.Layout, rng *rand.Rand, s *Scratch, 
 }
 
 // newRouter starts one traversal of pr's circuit from init with every
-// gate admitted up front: the DAG store holds the whole circuit and
-// the ready list is seeded with its sources in program order (the
-// reversed circuit's order for a reversed runner). A nil s allocates a
-// private scratch.
+// gate admitted up front: the ready list is seeded with the sources in
+// program order (the reversed circuit's order for a reversed runner).
+// A nil s allocates a private scratch.
 func (pr *PassRunner) newRouter(init mapping.Layout, rng *rand.Rand, s *Scratch, cancelled <-chan struct{}) *router {
 	if s == nil {
 		s = NewScratch()
 	}
 	r := newRouter(pr.dev, pr.opts, pr.wdist, init.Clone(), rng, s, pr.circ.NumGates(), cancelled)
 	pr.attach(r)
-	r.dag.admitted = len(r.dag.inDeg)
+	r.bound = int32(len(r.inDeg))
 	if pr.reverse {
-		for h := len(r.dag.inDeg) - 1; h >= 0; h-- {
-			if r.dag.inDeg[h] == 0 {
+		for h := len(r.inDeg) - 1; h >= 0; h-- {
+			if r.inDeg[h] == 0 {
 				s.ready = append(s.ready, h)
 			}
 		}
 		return r
 	}
-	for i, deg := range r.dag.inDeg {
+	for i, deg := range r.inDeg {
 		if deg == 0 {
 			s.ready = append(s.ready, i)
 		}
@@ -192,27 +224,34 @@ func (pr *PassRunner) newRouter(init mapping.Layout, rng *rand.Rand, s *Scratch,
 	return r
 }
 
-// attach points r at pr's circuit: its gate and qubit-pair tables, and
-// a DAG store with nothing admitted yet (the streaming driver of
-// RouteStreamMaterialized admits in program order from here). A
-// reversed runner's store starts from the forward out-degrees.
+// attach points r at pr's circuit: its gate and qubit-pair tables, the
+// dependency table of pr's direction and a working indegree per gate
+// (the count of its predecessors in that direction), with nothing
+// admitted yet (the streaming driver of RouteStreamMaterialized admits
+// in program order from here).
 func (pr *PassRunner) attach(r *router) {
 	r.gates, r.q2 = pr.circ.Gates(), pr.q2
+	succ, pred := pr.fwd, pr.rev
 	if pr.reverse {
-		g := pr.dag.NumNodes()
-		if cap(r.s.inDeg) < g {
-			r.s.inDeg = make([]int, g)
-		}
-		r.s.inDeg = r.s.inDeg[:g]
-		for h := range r.s.inDeg {
-			r.s.inDeg[h] = len(pr.dag.Successors(h))
-		}
-		r.deps = (*revDeps)(&r.dag)
-	} else {
-		r.s.inDeg = pr.dag.InDegreesInto(r.s.inDeg)
-		r.deps = &r.dag
+		succ, pred = pr.rev, pr.fwd
 	}
-	r.dag = dagDeps{dag: pr.dag, inDeg: r.s.inDeg}
+	g := len(pr.q2) / 2
+	if cap(r.s.inDeg) < g {
+		r.s.inDeg = make([]int32, g)
+	}
+	inDeg := r.s.inDeg[:g]
+	for h := range inDeg {
+		deg := int32(0)
+		if pred[2*h] >= 0 {
+			deg++
+		}
+		if pred[2*h+1] >= 0 {
+			deg++
+		}
+		inDeg[h] = deg
+	}
+	r.s.inDeg = inDeg
+	r.succ, r.inDeg, r.reverse = succ, inDeg, pr.reverse
 }
 
 // newRouter resets s for a traversal on dev whose dependency store
@@ -220,7 +259,7 @@ func (pr *PassRunner) attach(r *router) {
 // every traversal shares: the layout, the flat read-only tables the
 // round hot loops gather from (distance matrices, dense edge
 // endpoints, incident-edge bitsets) and the stall bound. The caller
-// attaches the dependency store and its gate and pair tables.
+// attaches the store's gate, pair and dependency tables.
 func newRouter(dev *arch.Device, opts Options, wdist []float64, layout mapping.Layout, rng *rand.Rand, s *Scratch, handles int, cancelled <-chan struct{}) *router {
 	n := dev.NumQubits()
 	s.reset(n, handles, len(dev.Edges()))
@@ -257,131 +296,36 @@ func RoutePass(circ *circuit.Circuit, dev *arch.Device, init mapping.Layout, opt
 	return NewPassRunner(circ, dev, opts).Run(init, rng, nil)
 }
 
-// deps is the dependency store Algorithm 1's loop runs over. A handle
-// indexes the store's gate and qubit-pair tables (router.gates,
-// router.q2): a gate index of a materialized circuit (dagDeps) or a
-// slot of the streaming window (ringDeps). Both stores order
-// successors by admission, so the loop releases and visits gates
-// identically over either — which is what lets RouteStreamMaterialized
-// stay RouteStream's independent oracle while sharing its loop.
-type deps interface {
-	// release retires h and appends its newly dependency-free
-	// successors to ready, in admission order.
-	release(h int, ready []int) []int
-	// succs returns h's admitted successors in admission order,
-	// -1-padded. A successor sharing both of h's qubits appears twice,
-	// as in BuildDAG.
-	succs(h int) (s0, s1 int)
-	// seq returns h's admission sequence number: its position in
-	// program order.
-	seq(h int) int64
-}
-
-// dagDeps is the dependency store of a materialized circuit: its CSR
-// DAG plus a working indegree per gate. A PassRunner traversal admits
-// every gate up front. RouteStreamMaterialized admits them one by one
-// in program order under the streaming refill policy; a gate's working
-// indegree then counts only its predecessors not yet executed (-1
-// marks an executed gate), and release is clipped to the admitted
-// prefix, so readiness transitions match the window's decision for
-// decision while the bookkeeping shares nothing with it.
+// dagDeps admits a materialized circuit's gates one by one in program
+// order, for RouteStreamMaterialized under the streaming refill policy.
+// A gate's working indegree then counts only its predecessors not yet
+// executed (-1 marks an executed gate), and the router's admission
+// bound clips release and the extended-set BFS to the admitted prefix,
+// so readiness transitions match the window's decision for decision
+// while the bookkeeping shares nothing with it.
 type dagDeps struct {
-	dag      *circuit.DAG
-	inDeg    []int // working indegree, -1 once executed
-	admitted int   // gates [0, admitted) have entered the store
+	r    *router
+	pred []int32 // PassRunner.rev: each gate's predecessors
 }
 
 // admit enters the next gate in program order.
 //
 //sabre:hotpath
 func (d *dagDeps) admit(circuit.Gate) (int, bool) {
-	h := d.admitted
-	d.admitted++
-	deg := 0
-	for _, p := range d.dag.Predecessors(h) {
-		if d.inDeg[p] >= 0 {
+	r := d.r
+	h := int(r.bound)
+	r.bound++
+	deg := int32(0)
+	for _, p := range d.pred[2*h : 2*h+2] {
+		if p >= 0 && r.inDeg[p] >= 0 {
 			deg++
 		}
 	}
-	d.inDeg[h] = deg
+	r.inDeg[h] = deg
 	return h, deg == 0
 }
 
-//sabre:hotpath
-func (d *dagDeps) release(h int, ready []int) []int {
-	d.inDeg[h] = -1
-	for _, succ := range d.dag.Successors(h) {
-		if succ >= d.admitted {
-			break // ascending: the rest are unadmitted too
-		}
-		d.inDeg[succ]--
-		if d.inDeg[succ] == 0 {
-			ready = append(ready, succ)
-		}
-	}
-	return ready
-}
-
-//sabre:hotpath
-func (d *dagDeps) succs(h int) (int, int) {
-	ss := d.dag.Successors(h)
-	s0, s1 := -1, -1
-	if len(ss) > 0 && ss[0] < d.admitted {
-		s0 = ss[0]
-		if len(ss) > 1 && ss[1] < d.admitted {
-			s1 = ss[1]
-		}
-	}
-	return s0, s1
-}
-
 func (d *dagDeps) seq(h int) int64 { return int64(h) }
-
-// revDeps is the reverse traversal's store: the forward DAG read
-// backwards, standing in for the DAG of the reversed circuit. Handles
-// stay forward gate indices, so the gate and pair tables are the
-// forward ones. Reversal mirrors every edge: h's successors are its
-// forward predecessors in descending index (the reversed circuit's
-// program order), its indegree is its forward out-degree (see attach),
-// and its sequence number is g-1-h. The whole circuit is admitted up
-// front, so release is never clipped.
-type revDeps dagDeps
-
-//sabre:hotpath
-func (d *revDeps) release(h int, ready []int) []int {
-	d.inDeg[h] = -1
-	s0, s1 := d.succs(h)
-	for _, succ := range [2]int{s0, s1} {
-		if succ < 0 {
-			break
-		}
-		d.inDeg[succ]--
-		if d.inDeg[succ] == 0 {
-			ready = append(ready, succ)
-		}
-	}
-	return ready
-}
-
-// succs returns h's forward predecessors, highest index first. A gate
-// has at most two (one per qubit); BuildDAG lists them in qubit order,
-// not index order.
-//
-//sabre:hotpath
-func (d *revDeps) succs(h int) (int, int) {
-	ps := d.dag.Predecessors(h)
-	switch {
-	case len(ps) == 0:
-		return -1, -1
-	case len(ps) == 1:
-		return ps[0], -1
-	case ps[0] < ps[1]:
-		return ps[1], ps[0]
-	}
-	return ps[0], ps[1]
-}
-
-func (d *revDeps) seq(h int) int64 { return int64(len(d.inDeg) - 1 - h) }
 
 // emitMode is a traversal's output policy, set by the calling path.
 // The loop's decisions never read it, so every policy routes
@@ -495,7 +439,8 @@ func (pr *PassRunner) materialize(log []int32, init mapping.Layout, size int) *c
 }
 
 // router holds the mutable state of one traversal of Algorithm 1, over
-// either dependency store. Every slice it appends to lives in the
+// either dependency store: a materialized circuit's gate indices or
+// the streaming window's slots. Every slice it appends to lives in the
 // Scratch so steady-state SWAP rounds never touch the allocator.
 type router struct {
 	dev  *arch.Device
@@ -503,10 +448,25 @@ type router struct {
 	opts Options
 	rng  *rand.Rand
 
-	// deps is the dependency store; dag backs it for a materialized
-	// circuit (deps == &dag), so a traversal allocates no store.
-	deps deps
-	dag  dagDeps
+	// succ and inDeg are the store's dependency table, which retire and
+	// the extended-set BFS read directly: succ[2h] and succ[2h+1] are
+	// h's successors in admission order, -1-padded (one sharing both of
+	// h's qubits appears twice), and inDeg[h] is h's working indegree,
+	// -1 once executed. Handles at or above bound are not admitted yet.
+	// Only RouteStreamMaterialized admits while routing, in gate order
+	// over ascending successor lists, so both walks stop at the first
+	// unadmitted entry. The window lists only admitted slots (bound
+	// MaxInt32).
+	succ  []int32
+	inDeg []int32
+	bound int32
+
+	// reverse marks the reverse traversal, whose program order is
+	// descending gate index (see seq); arena is the windowed store's
+	// slot arena, whose slots retire recycles (nil for a materialized
+	// circuit).
+	reverse bool
+	arena   *streamScratch
 
 	// gates and q2 are the store's handle-indexed tables: the logical
 	// gate, and its qubit pair (entries 2h and 2h+1; -1, -1 for
@@ -551,6 +511,11 @@ type router struct {
 	decaySteps int // SWAP selections since last decay reset
 	stall      int // consecutive SWAPs without executing a gate
 	maxStall   int // stall bound before a forced route
+
+	// moved records a SWAP since drain last scanned the front layer.
+	// Whether a gate can execute depends only on the layout, so the
+	// front needs a rescan only after the layout changed.
+	moved bool
 
 	// cancelled is the cancellation signal of the owning context (nil
 	// when the traversal is uncancellable); step polls it once per SWAP
@@ -750,47 +715,49 @@ func (r *router) pairRecurs(a, b int) bool {
 }
 
 // drain executes every gate whose dependencies are met and whose
-// physical qubits (for two-qubit gates) are coupled, looping until no
-// further progress. It maintains the front layer F and bumps frontGen
-// whenever F's contents change (which invalidates the extended-set
-// cache).
+// physical qubits (for two-qubit gates) are coupled, until no further
+// progress. It maintains the front layer F and bumps frontGen whenever
+// F's contents change (which invalidates the extended-set cache).
+// Executing a gate never makes a parked one executable, so the front
+// is scanned once, and only after a SWAP moved qubits, between two
+// passes over the ready list: the second pass takes the gates the
+// scan released.
 //
 //sabre:hotpath
 func (r *router) drain() {
 	s := r.s
 	changed := false
-	for {
-		progress := false
-		// Newly-ready gates: execute or park in the front layer.
+	for scan := r.moved; ; scan = false {
+		// Newly-ready gates, last in first out: execute (releasing
+		// successors onto the list) or park in the front layer.
 		for len(s.ready) > 0 {
 			h := s.ready[len(s.ready)-1]
 			s.ready = s.ready[:len(s.ready)-1]
 			if r.executable(h) {
 				r.execute(h)
-				progress = true
 			} else {
 				s.front = append(s.front, h)
 				changed = true
 			}
 		}
-		// Front-layer gates that a SWAP (or an executed gate) unlocked.
+		if !scan {
+			break
+		}
+		// Front-layer gates the SWAP unlocked.
+		r.moved = false
 		keep := s.front[:0]
 		for _, h := range s.front {
 			if r.executable(h) {
 				r.execute(h)
-				progress = true
 				changed = true
 			} else {
 				keep = append(keep, h)
 			}
 		}
 		s.front = keep
-		if !progress {
-			if changed {
-				r.frontGen++
-			}
-			return
-		}
+	}
+	if changed {
+		r.frontGen++
 	}
 }
 
@@ -833,13 +800,40 @@ func (r *router) execute(h int) {
 	r.retire(h)
 }
 
-// retire counts h as executed and releases its successors into the
-// ready list.
+// retire counts h as executed and releases its admitted successors
+// whose last dependency it was into the ready list, in admission
+// order; the window recycles h's slot.
 //
 //sabre:hotpath
 func (r *router) retire(h int) {
 	r.done++
-	r.s.ready = r.deps.release(h, r.s.ready)
+	r.inDeg[h] = -1
+	for _, succ := range r.succ[2*h : 2*h+2] {
+		// One unsigned compare rejects both the -1 padding and an
+		// unadmitted successor.
+		if uint32(succ) >= uint32(r.bound) {
+			break
+		}
+		r.inDeg[succ]--
+		if r.inDeg[succ] == 0 {
+			r.s.ready = append(r.s.ready, int(succ))
+		}
+	}
+	if r.arena != nil {
+		r.arena.recycle(h)
+	}
+}
+
+// seq returns h's admission sequence number: its position in program
+// order (the reversed circuit's for a reverse traversal).
+func (r *router) seq(h int) int64 {
+	switch {
+	case r.stream != nil:
+		return r.stream.deps.seq(h)
+	case r.reverse:
+		return int64(len(r.inDeg) - 1 - h)
+	}
+	return int64(h)
 }
 
 // scoreRound runs one SWAP-selection round up to (but excluding) the
@@ -964,7 +958,7 @@ func (r *router) candidate(i int) arch.Edge {
 }
 
 // ensureExtended refreshes r.s.extended — up to ExtendedSetSize
-// two-qubit gates that follow the front layer in the dependency store
+// two-qubit gates that follow the front layer in the dependency table
 // (BFS order),
 // the heuristic's look-ahead window (§IV-D) — unless the cached set is
 // still valid. The set is a pure function of the front layer, so it is
@@ -985,7 +979,7 @@ func (r *router) ensureExtended() {
 		return
 	}
 	limit := r.opts.ExtendedSetSize
-	// BFS from the front layer through the dependency store.
+	// BFS from the front layer through the dependency table.
 	// Decremented indegree bookkeeping is not needed for an estimate: we
 	// walk successors breadth-first and take the first `limit`
 	// two-qubit gates; the gate that hits the limit is not queued.
@@ -998,19 +992,22 @@ func (r *router) ensureExtended() {
 		s.gateMark[h] = epoch
 	}
 	for head := 0; head < len(queue) && len(s.extended) < limit; head++ {
-		s0, s1 := r.deps.succs(queue[head])
-		for _, succ := range [2]int{s0, s1} {
-			if succ < 0 || s.gateMark[succ] == epoch {
+		h := queue[head]
+		for _, succ := range r.succ[2*h : 2*h+2] {
+			if uint32(succ) >= uint32(r.bound) {
+				break // -1 padding or unadmitted, as in retire
+			}
+			if s.gateMark[succ] == epoch {
 				continue
 			}
 			s.gateMark[succ] = epoch
 			if r.q2[2*succ] >= 0 {
-				s.extended = append(s.extended, succ)
+				s.extended = append(s.extended, int(succ))
 				if len(s.extended) >= limit {
 					break
 				}
 			}
-			queue = append(queue, succ)
+			queue = append(queue, int(succ))
 		}
 	}
 	s.bfsQueue = queue
@@ -1030,6 +1027,7 @@ func (r *router) applySwap(e arch.Edge) {
 	}
 	qa, qb := r.layout.Log(e.A), r.layout.Log(e.B)
 	r.layout.SwapPhysical(e.A, e.B)
+	r.moved = true
 	r.swaps++
 	r.stall++
 
@@ -1059,9 +1057,9 @@ func (r *router) resetDecay() {
 // materializing it.
 func (r *router) forceRoute() {
 	g := r.s.front[0]
-	oldest := r.deps.seq(g)
+	oldest := r.seq(g)
 	for _, h := range r.s.front[1:] {
-		if q := r.deps.seq(h); q < oldest {
+		if q := r.seq(h); q < oldest {
 			g, oldest = h, q
 		}
 	}

@@ -17,27 +17,28 @@ import (
 // Prepared holds the trial-invariant inputs of a multi-trial compile:
 // the normalized options, the effective (possibly noise-pruned)
 // device, and the circuit widened to the device (a view sharing the
-// caller's gates, see Circuit.Widen) with its one dependency DAG and
-// qubit-pair table. Preparing once and fanning RunTrial out over many
-// seeds is how the trial runner in internal/pipeline shares the
-// precomputed state — the DAG and the device's cached distance
-// matrices — read-only across a worker pool. Trial results reference
-// it until SelectBest materializes the winner, and the winner does
-// not, so a retained Result never pins the DAG.
+// caller's gates, see Circuit.Widen) with its qubit-pair table and
+// its dependency table in both directions. Preparing once and fanning
+// RunTrial out over many seeds is how the trial runner in
+// internal/pipeline shares the precomputed state — the tables and the
+// device's cached distance matrices — read-only across a worker pool.
+// Trial results reference it until SelectBest materializes the
+// winner, and the winner does not, so a retained Result never pins
+// the tables.
 type Prepared struct {
 	dev  *arch.Device
 	opts Options
 
-	// fwd routes the widened circuit over its CSR DAG; rev is the same
-	// runner reading that DAG backwards, the reverse traversal of
-	// §IV-C2 without a reversed copy of the circuit or a second DAG.
+	// fwd routes the widened circuit forwards; rev is the same runner
+	// reading the dependency table backwards, the reverse traversal of
+	// §IV-C2 without a reversed copy of the circuit.
 	fwd *PassRunner
 	rev *PassRunner
 }
 
 // Prepare validates circ against dev and precomputes the shared
 // read-only state every trial needs: the widened circuit view, its
-// dependency DAG (read forwards and backwards), and the device's
+// dependency table (forwards and backwards), and the device's
 // (possibly noise-weighted) distance matrices. Nothing the size of
 // the circuit is copied. The returned value is safe for concurrent
 // RunTrial calls.
@@ -186,7 +187,8 @@ func BetterTrial(a *Result, aDepth, aTrial int, b *Result, bDepth, bTrial int) b
 // The winner is the only trial whose circuit is built: a RunTrialCtx
 // result gets its Circuit from its op log here, and then drops the log
 // and its reference to the Prepared, so neither a result cache nor a
-// retained job pins the DAG. The other results are left as they are.
+// retained job pins the Prepared. The other results are left as they
+// are.
 func SelectBest(results []*Result, depths []int) (*Result, error) {
 	best := -1
 	for trial, res := range results {

@@ -28,7 +28,7 @@ type Scratch struct {
 	// Traversal state, sized per pass. front, ready and extended hold
 	// dependency-store handles: gate indices, or window slots when
 	// streaming.
-	inDeg []int          // DAG store's working indegree, len = gate count
+	inDeg []int32        // working indegree of a circuit's gates
 	front []int          // front layer F
 	ready []int          // dependency-released, executability unchecked
 	out   []circuit.Gate // routed output accumulator (emitGates)
@@ -77,9 +77,10 @@ type Scratch struct {
 	extPhys []int32
 
 	// stream owns the streaming window (RouteStream): a slot arena
-	// that stands in for the DAG, so the gate-indexed buffers above
-	// become slot-indexed and a streaming traversal's memory is
-	// O(device + window) however long the gate stream runs.
+	// that stands in for the circuit's dependency table, so the
+	// gate-indexed buffers above become slot-indexed and a streaming
+	// traversal's memory is O(device + window) however long the gate
+	// stream runs.
 	stream streamScratch
 }
 
@@ -91,17 +92,19 @@ type Scratch struct {
 // never pin the slots of the pass-through traffic admitted after them
 // (a position-indexed ring would — its span is unbounded on streams
 // that execute out of admission order). Per-qubit dependency chains
-// replace the DAG: chainTail remembers the last gate admitted on each
-// wire, and a tail whose slot was since recycled is detected by
-// comparing the remembered gid against the slot's current one
-// (slotGid is set to -1 on free and to a fresh, strictly increasing
-// gid on reuse, so a stale tail can never alias a live slot).
+// replace the precomputed table: chainTail remembers the last gate
+// admitted on each wire, and a tail whose slot was since recycled is
+// detected by comparing the remembered gid against the slot's current
+// one (slotGid is set to -1 on free and to a fresh, strictly
+// increasing gid on reuse, so a stale tail can never alias a live
+// slot).
 type streamScratch struct {
 	// Slot arena, all indexed by slot id; slotQ2 and slotSucc hold two
-	// entries per slot. slotGate and slotQ2 are the router's gate and
-	// pair tables while streaming. slotSucc[2s] and slotSucc[2s+1] are
-	// the slots depending on s, in admission order (-1 none); one that
-	// shares both of s's wires appears twice.
+	// entries per slot. slotGate, slotQ2, slotSucc and slotInDeg are
+	// the router's gate, pair and dependency tables while streaming.
+	// slotSucc[2s] and slotSucc[2s+1] are the slots depending on s, in
+	// admission order (-1 none); one that shares both of s's wires
+	// appears twice.
 	slotGate  []circuit.Gate
 	slotGid   []int64 // admission gid, -1 = slot free
 	slotQ2    []int32
@@ -135,6 +138,15 @@ func (z *streamScratch) resetStream(n int) {
 		z.slotGid[i] = -1
 		z.free = append(z.free, int32(i))
 	}
+}
+
+// recycle frees slot h once its gate has retired.
+//
+//sabre:hotpath
+func (z *streamScratch) recycle(h int) {
+	z.slotGate[h] = circuit.Gate{}
+	z.slotGid[h] = -1
+	z.free = append(z.free, int32(h))
 }
 
 // growArena grows the slot arena to hold target slots, pushing the new

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -16,21 +17,21 @@ import (
 // O(device + window), independent of circuit length.
 //
 // The materialized pipeline (Compile and friends) builds the whole
-// circuit and its DAG before the first SWAP is chosen, so peak memory
-// scales with gate count. But Algorithm 1 itself only ever consults a
-// bounded neighborhood of the execution frontier: the front layer F,
-// the extended set E, and the decay state — all device-sized. The
-// streaming mode below exploits that: gates are admitted from a
-// GateSource one at a time into a slot-arena window (ringDeps),
-// dependencies are tracked with per-qubit chains instead of a DAG, and
-// routed gates leave through a StreamSink in bounded chunks. The SWAP
-// loop itself is the router's, unchanged: drain, extended set,
-// scoring round, bridge, forced route and decay all run over the
-// window's handles exactly as they run over a materialized DAG, so
-// streaming inherits every scoring property (and its zero-alloc
-// guarantee) without duplicating it. streamRouter adds only what
-// streaming needs: admission and refill from the source, chunk
-// flushes to the sink, and StreamStats.
+// circuit and its dependency table before the first SWAP is chosen,
+// so peak memory scales with gate count. But Algorithm 1 itself only
+// ever consults a bounded neighborhood of the execution frontier: the
+// front layer F, the extended set E, and the decay state — all
+// device-sized. The streaming mode below exploits that: gates are
+// admitted from a GateSource one at a time into a slot-arena window
+// (ringDeps), dependencies are tracked with per-qubit chains instead
+// of a precomputed table, and routed gates leave through a StreamSink
+// in bounded chunks. The SWAP loop itself is the router's, unchanged:
+// drain, extended set, scoring round, bridge, forced route and decay
+// all run over the window's handles exactly as they run over a
+// materialized circuit's gate indices, so streaming inherits every
+// scoring property (and its zero-alloc guarantee) without duplicating
+// it. streamRouter adds only what streaming needs: admission and
+// refill from the source, chunk flushes to the sink, and StreamStats.
 //
 // Streaming semantics are pinned, deterministic, and intentionally
 // simpler than Compile's default search: one trial, one forward
@@ -39,11 +40,12 @@ import (
 // the input cannot be replayed. Consequently the parity contract is
 // between the two *streaming* paths: RouteStream (windowed, O(window)
 // memory) and RouteStreamMaterialized (same pinned semantics executed
-// over a fully materialized circuit and its BuildDAG) emit
+// over a fully materialized circuit and its dependency table) emit
 // byte-identical gate streams for every circuit, seed, and worker
-// count. The two share the loop but no dependency bookkeeping — slot
-// arena + qubit chains vs. CSR DAG — which makes each the independent
-// oracle for the other.
+// count. The two share the loop and the shape of its dependency table
+// but not how the table is filled — slot arena + qubit chains vs. the
+// circuit's precomputed table with an admission bound — which makes
+// each the independent oracle for the other.
 //
 // Window admission policy (identical in both paths, so it is part of
 // the pinned semantics): after every drain the router tops the window
@@ -145,14 +147,17 @@ type StreamResult struct {
 	Stats         StreamStats
 }
 
-// streamDeps is a dependency store the streaming driver admits into:
-// the windowed slot arena (ringDeps) or the DAG store of a
-// materialized circuit (dagDeps).
+// streamDeps is what differs between the dependency stores the
+// streaming driver admits into, the windowed slot arena (ringDeps) and
+// a materialized circuit (dagDeps): both fill the router's one
+// dependency table, which the loop reads directly.
 type streamDeps interface {
-	deps
 	// admit enters g, the next gate of the stream, and reports its
 	// handle and whether it is dependency-free.
 	admit(g circuit.Gate) (h int, ready bool)
+	// seq returns h's admission sequence number: its position in
+	// program order.
+	seq(h int) int64
 }
 
 // ringDeps is the windowed dependency store: a free-list slot arena
@@ -160,7 +165,7 @@ type streamDeps interface {
 // streamScratch doc for the recycling and stale-tail invariants. A
 // slot's gid is its gate's admission sequence number.
 type ringDeps struct {
-	r       *router // whose gate, pair and mark tables alias the arena
+	r       *router // whose gate, pair, dependency and mark tables alias the arena
 	z       *streamScratch
 	nextGid int64
 }
@@ -222,39 +227,15 @@ func (d *ringDeps) link(w int, s int32) {
 }
 
 // grow doubles the arena (from 64 slots) and re-points the router's
-// gate, pair and mark tables at it. Amortized: once the window's
-// high-water mark is reached the free list never empties again.
+// gate, pair, dependency and mark tables at it. Amortized: once the
+// window's high-water mark is reached the free list never empties
+// again.
 func (d *ringDeps) grow() {
-	d.z.growArena(max(2*len(d.z.slotGid), 64))
-	d.r.gates, d.r.q2 = d.z.slotGate, d.z.slotQ2
-	d.r.s.growMarks(len(d.z.slotGid))
-}
-
-//sabre:hotpath
-func (d *ringDeps) release(h int, ready []int) []int {
 	z := d.z
-	a, b := d.succs(h)
-	if a >= 0 {
-		z.slotInDeg[a]--
-		if z.slotInDeg[a] == 0 {
-			ready = append(ready, a)
-		}
-	}
-	if b >= 0 {
-		z.slotInDeg[b]--
-		if z.slotInDeg[b] == 0 {
-			ready = append(ready, b)
-		}
-	}
-	z.slotGate[h] = circuit.Gate{}
-	z.slotGid[h] = -1
-	z.free = append(z.free, int32(h))
-	return ready
-}
-
-//sabre:hotpath
-func (d *ringDeps) succs(h int) (int, int) {
-	return int(d.z.slotSucc[2*h]), int(d.z.slotSucc[2*h+1])
+	z.growArena(max(2*len(z.slotGid), 64))
+	d.r.gates, d.r.q2 = z.slotGate, z.slotQ2
+	d.r.succ, d.r.inDeg = z.slotSucc, z.slotInDeg
+	d.r.s.growMarks(len(z.slotGid))
 }
 
 func (d *ringDeps) seq(h int) int64 { return d.z.slotGid[h] }
@@ -301,7 +282,7 @@ type streamRouter struct {
 
 // newStreamRouter wires one streaming traversal from a seeded random
 // layout. A nil pr routes through the windowed slot arena; otherwise
-// the stream is pr's circuit, admitted from its DAG store.
+// the stream is pr's circuit, admitted gate by gate (dagDeps).
 func newStreamRouter(dev *arch.Device, opts Options, sopts StreamOptions, src GateSource, sink StreamSink, s *Scratch, pr *PassRunner, cancelled <-chan struct{}) *streamRouter {
 	n := dev.NumQubits()
 	rng := rand.New(rand.NewSource(opts.Seed))
@@ -310,17 +291,19 @@ func newStreamRouter(dev *arch.Device, opts Options, sopts StreamOptions, src Ga
 	if pr != nil {
 		sr.rt = newRouter(dev, opts, pr.wdist, layout, rng, s, pr.circ.NumGates(), cancelled)
 		pr.attach(sr.rt)
-		sr.deps = &sr.rt.dag
+		sr.deps = &dagDeps{r: sr.rt, pred: pr.rev}
 	} else {
 		var wdist []float64
 		if opts.Noise != nil {
 			wdist = dev.WeightedDistancesFor(opts.Noise)
 		}
-		sr.rt = newRouter(dev, opts, wdist, layout, rng, s, len(s.stream.slotGid), cancelled)
-		s.stream.resetStream(n)
-		ring := &ringDeps{r: sr.rt, z: &s.stream}
-		sr.rt.gates, sr.rt.q2, sr.rt.deps = s.stream.slotGate, s.stream.slotQ2, ring
-		sr.deps = ring
+		z := &s.stream
+		sr.rt = newRouter(dev, opts, wdist, layout, rng, s, len(z.slotGid), cancelled)
+		z.resetStream(n)
+		rt := sr.rt
+		rt.gates, rt.q2, rt.succ, rt.inDeg = z.slotGate, z.slotQ2, z.slotSucc, z.slotInDeg
+		rt.bound, rt.arena = math.MaxInt32, z
+		sr.deps = &ringDeps{r: rt, z: z}
 	}
 	sr.rt.stream = sr
 	return sr
@@ -525,7 +508,8 @@ func RouteStream(ctx context.Context, src GateSource, dev *arch.Device, opts Opt
 }
 
 // RouteStreamMaterialized runs the identical pinned streaming
-// semantics over a fully materialized circuit and its dependency DAG.
+// semantics over a fully materialized circuit and its dependency
+// table.
 // It is the independent oracle for RouteStream — same loop, same
 // admission policy, zero shared dependency bookkeeping — and the
 // reference the golden parity suite holds the windowed path to.

@@ -95,7 +95,8 @@ func assertStreamParity(t *testing.T, label string, circ *circuit.Circuit, dev *
 	}
 	if rres.Stats.SwapCount != fres.Stats.SwapCount || rres.Stats.BridgeCount != fres.Stats.BridgeCount ||
 		rres.Stats.SwapRounds != fres.Stats.SwapRounds || rres.Stats.ForcedRoutes != fres.Stats.ForcedRoutes ||
-		rres.Stats.GatesIn != fres.Stats.GatesIn || rres.Stats.GatesOut != fres.Stats.GatesOut {
+		rres.Stats.GatesIn != fres.Stats.GatesIn || rres.Stats.GatesOut != fres.Stats.GatesOut ||
+		rres.Stats.Chunks != fres.Stats.Chunks {
 		t.Fatalf("%s: stats diverge: windowed %+v vs materialized %+v", label, rres.Stats, fres.Stats)
 	}
 	if rres.Stats.GatesIn != int64(circ.NumGates()) {

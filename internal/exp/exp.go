@@ -1,8 +1,7 @@
 // Package exp is the experiment harness: it drives the SABRE core and
 // the baselines over the Table II workload suite and renders the
-// paper's tables and figure series (see DESIGN.md's per-experiment
-// index). cmd/benchtab and bench_test.go are thin wrappers around this
-// package.
+// paper's tables and figure series. cmd/benchtab and bench_test.go are
+// thin wrappers around this package.
 package exp
 
 import (

@@ -3,9 +3,8 @@
 // examples.
 //
 // The original suite mixes QASM exports from IBM QISKit, RevLib,
-// Quipper and ScaffCC. Those files are not redistributable here, so —
-// per the substitution policy in DESIGN.md — each class is rebuilt from
-// its defining structure:
+// Quipper and ScaffCC. Those files are not redistributable here, so
+// each class is rebuilt from its defining structure:
 //
 //   - qft_n:    exact quantum Fourier transform (all-to-all long-range
 //     CNOT structure; the paper's scalability stress test).
