@@ -9,7 +9,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/circuit"
+	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/jobqueue"
 )
@@ -54,7 +54,7 @@ type jobResponse struct {
 // jobResponseOf renders a queue snapshot. A done job embeds the
 // compile response built by the exact code path /compile uses, so
 // the async output is byte-identical to the synchronous one. Its
-// "qasm" is empty: writeJob fills it from jobProgram for the poll and
+// "qasm" is empty: writeJob fills it from jobResult for the poll and
 // webhook payloads, and the list view sends the summary as is
 // (serializing every retained circuit per dashboard poll would be pure
 // waste).
@@ -92,24 +92,24 @@ func jobResponseOf(snap jobqueue.Snapshot) jobResponse {
 	return out
 }
 
-// jobProgram returns a done job's routed program, nil otherwise.
-func jobProgram(snap jobqueue.Snapshot) *circuit.Circuit {
-	if snap.State == jobqueue.StateDone && snap.Result != nil {
-		return snap.Result.Final
+// jobResult returns a done job's compile result, nil otherwise.
+func jobResult(snap jobqueue.Snapshot) *batch.Result {
+	if snap.State == jobqueue.StateDone {
+		return snap.Result
 	}
 	return nil
 }
 
 // writeJob writes a job's full view: jobResponseOf with the program.
-func writeJob(w http.ResponseWriter, snap jobqueue.Snapshot) {
-	writeResponse(w, jobResponseOf(snap), jobProgram(snap))
+func (s *server) writeJob(w http.ResponseWriter, snap jobqueue.Snapshot) {
+	s.writeResponse(w, jobResponseOf(snap), jobResult(snap))
 }
 
 // webhookPayload is the webhook body: the full view a poller reads, so
 // both delivery paths share one schema. The queue marshals it compact,
 // which drops the raw message's indent.
-func webhookPayload(snap jobqueue.Snapshot) any {
-	return json.RawMessage(responseBody(jobResponseOf(snap), jobProgram(snap)))
+func (s *server) webhookPayload(snap jobqueue.Snapshot) any {
+	return json.RawMessage(s.responseBody(jobResponseOf(snap), jobResult(snap)))
 }
 
 // handleJobs serves the collection: POST submits, GET lists.
@@ -128,14 +128,15 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // the webhook field/param) and parks the compilation on the queue:
 // 202 Accepted with the queued jobResponse and a Location header.
 func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	if mode, err := streamMode(r); err != nil {
+	q := r.URL.Query()
+	if mode, err := streamMode(q); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	} else if mode != "" {
-		s.handleJobSubmitStream(w, r)
+		s.handleJobSubmitStream(w, r, q)
 		return
 	}
-	in, err := s.parseCompile(w, r)
+	in, err := s.parseCompile(w, r, q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -153,7 +154,7 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Location", "/jobs/"+snap.ID)
 	w.WriteHeader(http.StatusAccepted)
-	writeJob(w, snap)
+	s.writeJob(w, snap)
 }
 
 // handleJobList reports every retained job (newest first) plus the
@@ -204,13 +205,13 @@ func (s *server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 		if jobError(w, err) {
 			return
 		}
-		writeJob(w, snap)
+		s.writeJob(w, snap)
 	case http.MethodDelete:
 		snap, err := s.queue.Cancel(id)
 		if jobError(w, err) {
 			return
 		}
-		writeJob(w, snap)
+		s.writeJob(w, snap)
 	default:
 		http.Error(w, "GET or DELETE only", http.StatusMethodNotAllowed)
 	}

@@ -181,6 +181,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -327,13 +328,18 @@ type server struct {
 	// budget.
 	draining chan struct{}
 
+	// programsKept and programsReused count the results whose JSON
+	// program was kept and the responses written from kept bytes (see
+	// responseBody).
+	programsKept, programsReused atomic.Int64
+
 	mu      sync.Mutex
 	devices map[string]*arch.Device
 }
 
 func newServer(eng *batch.Engine, qcfg jobqueue.Config) (*server, error) {
 	s := &server{eng: eng, memo: newCircuitMemo(memoBudget), start: time.Now(), devices: make(map[string]*arch.Device), draining: make(chan struct{})}
-	qcfg.Payload = webhookPayload
+	qcfg.Payload = s.webhookPayload
 	if qcfg.Durable.Dir != "" && qcfg.Durable.Device == nil {
 		// Replayed jobs resolve their device through the server's memo
 		// so they share calibratable device instances with live
@@ -545,9 +551,9 @@ func fleetJSONOf(dec *fleet.Decision) *fleetJSON {
 }
 
 // parseCompile reads and validates a compile request in either
-// encoding (raw QASM + query params, or the JSON envelope). Every
+// encoding (raw QASM + query params q, or the JSON envelope). Every
 // failure is the client's fault and maps to 400.
-func (s *server) parseCompile(w http.ResponseWriter, r *http.Request) (*compileInput, error) {
+func (s *server) parseCompile(w http.ResponseWriter, r *http.Request, q url.Values) (*compileInput, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		return nil, fmt.Errorf("read body: %w", err)
@@ -570,7 +576,7 @@ func (s *server) parseCompile(w http.ResponseWriter, r *http.Request) (*compileI
 		}
 		src, devName = req.QASM, req.Device
 		if devName == "" {
-			devName = r.URL.Query().Get("device")
+			devName = q.Get("device")
 		}
 		if opts, err = req.Options.toCore(); err != nil {
 			return nil, err
@@ -585,16 +591,16 @@ func (s *server) parseCompile(w http.ResponseWriter, r *http.Request) (*compileI
 		fleetSpecs = req.Fleet
 	} else {
 		src = string(body)
-		devName = r.URL.Query().Get("device")
-		if opts, err = queryOptions(r); err != nil {
+		devName = q.Get("device")
+		if opts, err = queryOptions(q); err != nil {
 			return nil, err
 		}
-		routeName = r.URL.Query().Get("route")
-		if v := r.URL.Query().Get("passes"); v != "" {
+		routeName = q.Get("route")
+		if v := q.Get("passes"); v != "" {
 			passes = strings.Split(v, ",")
 		}
-		webhook = r.URL.Query().Get("webhook")
-		if v := r.URL.Query().Get("fleet"); v != "" {
+		webhook = q.Get("webhook")
+		if v := q.Get("fleet"); v != "" {
 			fleetSpecs = strings.Split(v, ",")
 		}
 	}
@@ -661,7 +667,7 @@ func validWebhook(raw string) error {
 }
 
 // buildCompileResponse renders an engine result as /compile returns
-// it, less the routed program: writeResponse escapes res.Final into
+// it, less the routed program: writeResponse writes res's program into
 // the empty "qasm" field. The async poll/webhook paths reuse it, so
 // their payloads are byte-identical to the synchronous endpoint's, and
 // the job list sends it as is, a summary without the program.
@@ -694,14 +700,15 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if mode, err := streamMode(r); err != nil {
+	q := r.URL.Query()
+	if mode, err := streamMode(q); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	} else if mode != "" {
-		s.handleCompileStream(w, r, mode)
+		s.handleCompileStream(w, r, q, mode)
 		return
 	}
-	in, err := s.parseCompile(w, r)
+	in, err := s.parseCompile(w, r, q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -722,7 +729,7 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, res.Err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	writeResponse(w, buildCompileResponse(in, &res), res.Final)
+	s.writeResponse(w, buildCompileResponse(in, &res), &res)
 }
 
 func (s *server) handleDevices(w http.ResponseWriter, r *http.Request) {
@@ -746,18 +753,31 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"uptime_s": int64(time.Since(s.start).Seconds()),
 		"queue":    s.queue.Stats(),
 		"memo":     s.memo.snapshot(),
+		"programs": map[string]int64{"kept": s.programsKept.Load(), "reused": s.programsReused.Load()},
 	})
 }
 
 // writeJSON writes v as JSON indented by two spaces.
-func writeJSON(w http.ResponseWriter, v any) { writeResponse(w, v, nil) }
-
-// writeResponse writes v as writeJSON does. A non-nil prog is the
-// routed program of v's compile result, whose "qasm" field v leaves
-// empty; it is written as that field's value.
-func writeResponse(w http.ResponseWriter, v any, prog *circuit.Circuit) {
+func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(responseBody(v, prog))
+	_, _ = w.Write(indentJSON(v))
+}
+
+// writeResponse writes v as writeJSON does. A non-nil res is the
+// compile result in v, whose "qasm" field v leaves empty; res's routed
+// program is written as that field's value.
+func (s *server) writeResponse(w http.ResponseWriter, v any, res *batch.Result) {
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(s.responseBody(v, res))
+}
+
+// indentJSON encodes v with encoding/json and a two-space indent.
+func indentJSON(v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+	return buf.Bytes()
 }
 
 // emptyQASM is an empty "qasm" field as the indenting encoder writes
@@ -767,17 +787,16 @@ func writeResponse(w http.ResponseWriter, v any, prog *circuit.Circuit) {
 var emptyQASM = []byte(`"qasm": ""`)
 
 // responseBody encodes a response in one pass over the program. The
-// envelope v goes through encoding/json with a two-space indent; prog
-// is escaped by qasm.AppendJSON straight from the circuit into the
-// body, so it is never formatted to a string, and encoding/json
-// neither escapes nor indents it.
-func responseBody(v any, prog *circuit.Circuit) []byte {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-	env := buf.Bytes()
-	if prog == nil {
+// envelope v goes through indentJSON; res's program is escaped by
+// qasm.AppendJSON straight from res.Final into the body, so it is
+// never formatted to a string, and encoding/json neither escapes nor
+// indents it. A result written before is not escaped again: the
+// second write keeps the escaped program on the result's shared
+// outcome (batch.Result.WroteProgram), and every later write copies
+// the kept bytes between the envelope's head and tail.
+func (s *server) responseBody(v any, res *batch.Result) []byte {
+	env := indentJSON(v)
+	if res == nil {
 		return env
 	}
 	i := bytes.LastIndex(env, emptyQASM)
@@ -786,7 +805,15 @@ func responseBody(v any, prog *circuit.Circuit) []byte {
 	}
 	i += len(emptyQASM) - len(`""`)
 	head, tail := env[:i], env[i+len(`""`):]
-	body := qasm.AppendJSON(slices.Clip(head), prog) // a new array: tail stays intact
+	if prog := res.KeptProgram(); prog != nil {
+		s.programsReused.Add(1)
+		body := make([]byte, 0, len(head)+len(prog)+len(tail))
+		return append(append(append(body, head...), prog...), tail...)
+	}
+	body := qasm.AppendJSON(slices.Clip(head), res.Final) // a new array: tail stays intact
+	if res.WroteProgram(body[len(head):]) {
+		s.programsKept.Add(1)
+	}
 	return append(body, tail...)
 }
 
@@ -871,10 +898,9 @@ func (o optionsRequest) toCore() (core.Options, error) {
 }
 
 // queryOptions builds options from ?seed=&trials=&bridge=&heuristic=.
-func queryOptions(r *http.Request) (core.Options, error) {
+func queryOptions(q url.Values) (core.Options, error) {
 	opts := core.DefaultOptions()
 	opts.Seed = 0
-	q := r.URL.Query()
 	if v := q.Get("seed"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -52,6 +53,7 @@ func TestResponseBytesOracle(t *testing.T) {
 		progs = append(progs, b.Build())
 	}
 	created := time.Date(2026, 7, 26, 12, 0, 0, 0, time.UTC)
+	s := &server{}
 	for _, prog := range progs {
 		res := &batch.Result{
 			Result: &core.Result{InitialLayout: []int{2, 0, 1}, FinalLayout: []int{0, 2, 1}, SwapCount: 1, AddedGates: 3},
@@ -61,7 +63,7 @@ func TestResponseBytesOracle(t *testing.T) {
 		cr := buildCompileResponse(in, res)
 		want := cr
 		want.QASM = qasm.Format(prog)
-		if got := responseBody(cr, prog); !bytes.Equal(got, indented(t, want)) {
+		if got := s.responseBody(cr, res); !bytes.Equal(got, indented(t, want)) {
 			t.Fatalf("%s: /compile body differs from the indenting encoder's", prog.Name())
 		}
 
@@ -75,10 +77,10 @@ func TestResponseBytesOracle(t *testing.T) {
 		jr := jobResponseOf(snap)
 		wantJob := jobResponseOf(snap)
 		wantJob.Result.QASM = want.QASM
-		if got := responseBody(jr, jobProgram(snap)); !bytes.Equal(got, indented(t, wantJob)) {
+		if got := s.responseBody(jr, jobResult(snap)); !bytes.Equal(got, indented(t, wantJob)) {
 			t.Fatalf("%s: GET /jobs/{id} body differs from the indenting encoder's", prog.Name())
 		}
-		hook, err := json.Marshal(webhookPayload(snap))
+		hook, err := json.Marshal(s.webhookPayload(snap))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +96,9 @@ func TestResponseBytesOracle(t *testing.T) {
 
 // TestResponseBytesEndToEnd: bodies served over HTTP, /compile,
 // GET /jobs/{id} and the webhook delivery, are the indenting encoder's
-// (compact for the webhook) encoding of what they decode to.
+// (compact for the webhook) encoding of what they decode to, whether
+// the program is escaped from the circuit or copied from the bytes
+// kept on the result's outcome. Results written once keep nothing.
 func TestResponseBytesEndToEnd(t *testing.T) {
 	hooks := make(chan []byte, 1)
 	sink := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -104,36 +108,68 @@ func TestResponseBytesEndToEnd(t *testing.T) {
 	defer sink.Close()
 	ts, _ := newTestServer(t)
 	src := "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[4];\ncreg c[4];\nh q[0];\ncx q[0],q[3];\ncx q[1],q[2];\ncu1(pi/8) q[3],q[1];\nmeasure q -> c;\n"
+	compile := func(query string) []byte {
+		t.Helper()
+		status, body := post(t, ts.URL+"/compile?device=tokyo&"+query, "text/plain", src)
+		var cr compileResponse
+		if err := json.Unmarshal(body, &cr); status != http.StatusOK || err != nil {
+			t.Fatalf("/compile: %d %v: %s", status, err, body)
+		}
+		if !strings.Contains(cr.QASM, "measure q[") || !bytes.Equal(body, indented(t, cr)) {
+			t.Fatalf("/compile body is not the indenting encoder's:\n%s", body)
+		}
+		return body
+	}
+	programs := func(kept, reused int64) {
+		t.Helper()
+		var st struct {
+			Programs struct{ Kept, Reused int64 } `json:"programs"`
+		}
+		if err := json.Unmarshal(get(t, ts.URL+"/stats"), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Programs.Kept != kept || st.Programs.Reused != reused {
+			t.Fatalf("/stats programs: kept %d, reused %d; want %d, %d", st.Programs.Kept, st.Programs.Reused, kept, reused)
+		}
+	}
 
-	status, body := post(t, ts.URL+"/compile?device=tokyo&seed=5", "text/plain", src)
+	// Distinct requests, each written once, keep no program.
+	for seed := 11; seed <= 14; seed++ {
+		compile("seed=" + strconv.Itoa(seed))
+	}
+	programs(0, 0)
+
+	// The first write escapes the program, the second keeps it, and
+	// the third copies the kept bytes.
+	var bodies [3][]byte
+	for i := range bodies {
+		bodies[i] = compile("seed=5")
+	}
+	programs(1, 1)
+	if !bytes.Equal(bodies[1], bodies[2]) {
+		t.Fatalf("a /compile served from kept bytes differs:\n%s\nvs\n%s", bodies[1], bodies[2])
+	}
 	var cr compileResponse
-	if err := json.Unmarshal(body, &cr); status != http.StatusOK || err != nil {
-		t.Fatalf("/compile: %d %v: %s", status, err, body)
-	}
-	if !strings.Contains(cr.QASM, "measure q[") || !bytes.Equal(body, indented(t, cr)) {
-		t.Fatalf("/compile body is not the indenting encoder's:\n%s", body)
+	if err := json.Unmarshal(bodies[2], &cr); err != nil {
+		t.Fatal(err)
 	}
 
-	status, body = post(t, ts.URL+"/jobs?device=tokyo&seed=5&webhook="+sink.URL, "text/plain", src)
+	// A job on the same key shares the outcome: its polls and its
+	// webhook are written from the kept bytes too.
+	status, body := post(t, ts.URL+"/jobs?device=tokyo&seed=5&webhook="+sink.URL, "text/plain", src)
 	var jr jobResponse
 	if err := json.Unmarshal(body, &jr); status != http.StatusAccepted || err != nil {
 		t.Fatalf("/jobs: %d %v: %s", status, err, body)
 	}
-	resp, err := http.Get(ts.URL + "/jobs/" + jr.ID + "?wait=30s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	jr = jobResponse{}
-	if err := json.Unmarshal(body, &jr); err != nil || jr.State != jobqueue.StateDone || jr.Result == nil {
-		t.Fatalf("GET /jobs/{id}: %v: %s", err, body)
-	}
-	if jr.Result.QASM != cr.QASM || !bytes.Equal(body, indented(t, jr)) {
-		t.Fatalf("GET /jobs/{id} body is not the indenting encoder's:\n%s", body)
+	for poll := 0; poll < 2; poll++ {
+		body = get(t, ts.URL+"/jobs/"+jr.ID+"?wait=30s")
+		jr = jobResponse{}
+		if err := json.Unmarshal(body, &jr); err != nil || jr.State != jobqueue.StateDone || jr.Result == nil {
+			t.Fatalf("GET /jobs/{id}: %v: %s", err, body)
+		}
+		if jr.Result.QASM != cr.QASM || !bytes.Equal(body, indented(t, jr)) {
+			t.Fatalf("GET /jobs/{id} body is not the indenting encoder's:\n%s", body)
+		}
 	}
 
 	select {
@@ -148,4 +184,20 @@ func TestResponseBytesEndToEnd(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("webhook never arrived")
 	}
+	programs(1, 4)
+}
+
+// get fetches url and returns its body, failing on any status but 200.
+func get(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %d %v: %s", url, resp.StatusCode, err, body)
+	}
+	return body
 }

@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -56,8 +57,8 @@ const statusClientClosedRequest = 499
 
 // streamMode classifies the ?stream= query value. Empty means the
 // request is not a streaming request.
-func streamMode(r *http.Request) (string, error) {
-	v := strings.ToLower(r.URL.Query().Get("stream"))
+func streamMode(q url.Values) (string, error) {
+	v := strings.ToLower(q.Get("stream"))
 	switch v {
 	case "", "0", "false":
 		return "", nil
@@ -71,9 +72,8 @@ func streamMode(r *http.Request) (string, error) {
 
 // streamQueryOptions builds core.StreamOptions from ?lookahead= and
 // ?chunk=. Zero/absent fields keep the defaults.
-func streamQueryOptions(r *http.Request) (core.StreamOptions, error) {
+func streamQueryOptions(q url.Values) (core.StreamOptions, error) {
 	var sopts core.StreamOptions
-	q := r.URL.Query()
 	for _, p := range []struct {
 		name string
 		dst  *int
@@ -130,13 +130,14 @@ func (c *countingWriter) commit() error {
 	return nil
 }
 
-// handleCompileStream serves POST /compile?stream=1|materialized.
-func (s *server) handleCompileStream(w http.ResponseWriter, r *http.Request, mode string) {
+// handleCompileStream serves POST /compile?stream=1|materialized; q is
+// the request's parsed query.
+func (s *server) handleCompileStream(w http.ResponseWriter, r *http.Request, q url.Values, mode string) {
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
 		http.Error(w, "streaming compiles take raw QASM bodies, not JSON envelopes", http.StatusBadRequest)
 		return
 	}
-	devName := r.URL.Query().Get("device")
+	devName := q.Get("device")
 	if devName == "" {
 		devName = "tokyo"
 	}
@@ -145,12 +146,12 @@ func (s *server) handleCompileStream(w http.ResponseWriter, r *http.Request, mod
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	opts, err := queryOptions(r)
+	opts, err := queryOptions(q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	sopts, err := streamQueryOptions(r)
+	sopts, err := streamQueryOptions(q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -255,12 +256,13 @@ func (s *qasmHTTPSink) Emit(gates []circuit.Gate) error {
 // QASM gate stream, ?webhook= is mandatory (chunks are delivered
 // through it), and the job queue streams the routed program out as
 // the compilation progresses. 202 Accepted mirrors the unit-job path.
-func (s *server) handleJobSubmitStream(w http.ResponseWriter, r *http.Request) {
+// q is the request's parsed query.
+func (s *server) handleJobSubmitStream(w http.ResponseWriter, r *http.Request, q url.Values) {
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
 		http.Error(w, "streaming jobs take raw QASM bodies, not JSON envelopes", http.StatusBadRequest)
 		return
 	}
-	devName := r.URL.Query().Get("device")
+	devName := q.Get("device")
 	if devName == "" {
 		devName = "tokyo"
 	}
@@ -269,17 +271,17 @@ func (s *server) handleJobSubmitStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	opts, err := queryOptions(r)
+	opts, err := queryOptions(q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	sopts, err := streamQueryOptions(r)
+	sopts, err := streamQueryOptions(q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	webhook := r.URL.Query().Get("webhook")
+	webhook := q.Get("webhook")
 	if err := validWebhook(webhook); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -307,5 +309,5 @@ func (s *server) handleJobSubmitStream(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Location", "/jobs/"+snap.ID)
 	w.WriteHeader(http.StatusAccepted)
-	writeJob(w, snap)
+	s.writeJob(w, snap)
 }

@@ -156,7 +156,7 @@ func TestCompileStreamMemoryIgnoresURL(t *testing.T) {
 	body := "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncx q[0],q[1];\n"
 	post := func(url string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		srv.handleCompileStream(rec, httptest.NewRequest(http.MethodPost, url, strings.NewReader(body)), "windowed")
+		srv.handleCompile(rec, httptest.NewRequest(http.MethodPost, url, strings.NewReader(body)))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", url, rec.Code, rec.Body)
 		}
@@ -182,7 +182,7 @@ func TestCompileStreamClientGone499(t *testing.T) {
 	cancel()
 	req := httptest.NewRequest(http.MethodPost, "/compile?stream=1", strings.NewReader(src)).WithContext(ctx)
 	rec := httptest.NewRecorder()
-	srv.handleCompileStream(rec, req, "windowed")
+	srv.handleCompile(rec, req)
 	if rec.Code != statusClientClosedRequest {
 		t.Fatalf("status %d, want %d", rec.Code, statusClientClosedRequest)
 	}

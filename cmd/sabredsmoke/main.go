@@ -194,18 +194,23 @@ func main() {
 		daemon.fail("warm pre-calibration compile: status %d cache_hit=%v cal_version=%d, want hit at version 0",
 			resp.StatusCode, warm.CacheHit, warm.CalVersion)
 	}
-	// The request went out three times (/jobs, then /compile twice): the
-	// parse memo served the last two, and the two cache hits are the
-	// same bytes.
-	if !bytes.Equal(body, sbody) {
-		daemon.fail("repeated /compile bodies differ:\n%s\nvs\n%s", sbody, body)
+	// The request went out four times (/jobs, then /compile three
+	// times): the parse memo served the last three, and the three cache
+	// hits are the same bytes. The job's poll and webhook already wrote
+	// the result, so the last /compile copies the program kept on it.
+	_, third := postJSON(client, base+"/compile", req)
+	if !bytes.Equal(body, sbody) || !bytes.Equal(third, sbody) {
+		daemon.fail("repeated /compile bodies differ:\n%s\nvs\n%s\nvs\n%s", sbody, body, third)
 	}
 	var memo statsView
 	mustUnmarshal(getOK(client, base+"/stats"), &memo, daemon)
-	if memo.Memo.Hits < 2 || memo.Memo.Entries < 1 {
-		daemon.fail("parse memo counted %d hits and %d entries, want at least 2 and 1", memo.Memo.Hits, memo.Memo.Entries)
+	if memo.Memo.Hits < 3 || memo.Memo.Entries < 1 {
+		daemon.fail("parse memo counted %d hits and %d entries, want at least 3 and 1", memo.Memo.Hits, memo.Memo.Entries)
 	}
-	step("repeated request byte-identical, parse memo hit %d times", memo.Memo.Hits)
+	if memo.Programs.Reused < 1 {
+		daemon.fail("no response was written from a kept program (kept %d, reused %d)", memo.Programs.Kept, memo.Programs.Reused)
+	}
+	step("repeated request byte-identical, parse memo hit %d times, %d responses from kept programs", memo.Memo.Hits, memo.Programs.Reused)
 	calReq := map[string]any{
 		"default": 0.002,
 		"edges": []map[string]any{
@@ -750,6 +755,10 @@ type statsView struct {
 		Hits    int `json:"hits"`
 		Entries int `json:"entries"`
 	} `json:"memo"`
+	Programs struct {
+		Kept   int `json:"kept"`
+		Reused int `json:"reused"`
+	} `json:"programs"`
 	Queue struct {
 		Queued   int `json:"queued"`
 		Running  int `json:"running"`

@@ -132,6 +132,9 @@ type Result struct {
 	// Err is the compile error, if any; the embedded Result is nil
 	// when Err is non-nil.
 	Err error
+
+	// out is the outcome the result was filled from, nil on error.
+	out *outcome
 }
 
 // outcome is the shareable product of one pipeline run — what the
@@ -140,6 +143,13 @@ type outcome struct {
 	res     *core.Result
 	final   *circuit.Circuit
 	metrics []pipeline.PassMetric
+
+	// written marks an outcome whose program has been written once;
+	// prog holds the kept encoding from the second write on (see
+	// Result.WroteProgram). Holders of one outcome write concurrently,
+	// so both are atomics, and prog is never written once published.
+	written atomic.Bool
+	prog    atomic.Pointer[[]byte]
 }
 
 // fill copies an outcome into a caller-visible Result.
@@ -147,6 +157,38 @@ func (r *Result) fill(o *outcome) {
 	r.Result = o.res
 	r.Final = o.final
 	r.PassMetrics = o.metrics
+	r.out = o
+}
+
+// KeptProgram returns the encoding of Final that WroteProgram kept on
+// the result's shared outcome, or nil while none is kept. The bytes
+// are shared by every holder of the outcome: read them, never write.
+func (r *Result) KeptProgram() []byte {
+	if r.out == nil {
+		return nil
+	}
+	if p := r.out.prog.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// WroteProgram records that the caller wrote prog, its encoding of
+// Final, into a response, and reports whether this call kept a copy.
+// Results share an outcome only under equal keys, so its holders share
+// one Final, and an encoding of Final alone is the same bytes for each.
+// The first write of an outcome keeps nothing, so a result written
+// once costs no bytes; the second keeps an exact-size copy of prog,
+// never prog itself, for KeptProgram to serve to later writes. The
+// copy lives as long as the outcome: in the cache or with its holders.
+func (r *Result) WroteProgram(prog []byte) bool {
+	o := r.out
+	if o == nil || !o.written.Swap(true) {
+		return false
+	}
+	kept := make([]byte, len(prog))
+	copy(kept, prog)
+	return o.prog.CompareAndSwap(nil, &kept)
 }
 
 // Stats is a snapshot of engine counters.

@@ -1,9 +1,11 @@
 package batch
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/arch"
@@ -86,6 +88,83 @@ func TestCacheHitReturnsIdenticalResult(t *testing.T) {
 	}
 	if first.Key != second.Key {
 		t.Fatalf("key changed between submissions: %x vs %x", first.Key, second.Key)
+	}
+}
+
+// TestKeptProgram: the first write of a result keeps nothing; the
+// second keeps, on the outcome every holder shares, an exact-size copy
+// of the offered encoding that does not alias the offered buffer.
+func TestKeptProgram(t *testing.T) {
+	e := NewEngine(Config{Workers: 2})
+	defer e.Close()
+	job := Job{Circuit: workloads.QFT(6), Device: arch.IBMQ20Tokyo()}
+
+	first := e.CompileBatch([]Job{job})[0]
+	if first.Err != nil {
+		t.Fatal(first.Err)
+	}
+	want := qasm.AppendJSON(nil, first.Final)
+	if first.WroteProgram(qasm.AppendJSON(nil, first.Final)) || first.KeptProgram() != nil {
+		t.Fatal("the first write kept the program")
+	}
+	second := e.CompileBatch([]Job{job})[0]
+	if !second.CacheHit || second.KeptProgram() != nil {
+		t.Fatalf("second compile: cache hit %v, kept %d bytes before its write", second.CacheHit, len(second.KeptProgram()))
+	}
+	offered := qasm.AppendJSON(nil, second.Final)
+	if !second.WroteProgram(offered) {
+		t.Fatal("the second write kept nothing")
+	}
+	for i := range offered {
+		offered[i] = 'x'
+	}
+	for _, r := range []Result{first, second} {
+		kept := r.KeptProgram()
+		if !bytes.Equal(kept, want) || cap(kept) != len(kept) {
+			t.Fatalf("kept %d bytes (cap %d), want an exact-size copy of qasm.AppendJSON's %d", len(kept), cap(kept), len(want))
+		}
+	}
+	if second.WroteProgram(want) {
+		t.Fatal("a third write replaced the kept program")
+	}
+	if failed := (Result{Err: errNilJob}); failed.WroteProgram(want) || failed.WroteProgram(want) || failed.KeptProgram() != nil {
+		t.Fatal("a failed result kept a program")
+	}
+}
+
+// TestKeptProgramConcurrent: holders of one outcome that write and
+// read its program at once keep exactly one copy, and every reader sees
+// qasm.AppendJSON's bytes. Run with -race.
+func TestKeptProgramConcurrent(t *testing.T) {
+	e := NewEngine(Config{Workers: 4})
+	defer e.Close()
+	job := Job{Circuit: workloads.QFT(6), Device: arch.IBMQ20Tokyo()}
+	want := qasm.AppendJSON(nil, e.CompileBatch([]Job{job})[0].Final)
+
+	var kept atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				res := <-e.Submit(job)
+				if p := res.KeptProgram(); p != nil {
+					if !bytes.Equal(p, want) {
+						t.Error("a reader saw other bytes than qasm.AppendJSON's")
+						return
+					}
+					continue
+				}
+				if res.WroteProgram(qasm.AppendJSON(nil, res.Final)) {
+					kept.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := kept.Load(); n != 1 {
+		t.Fatalf("%d writes kept the program, want 1", n)
 	}
 }
 

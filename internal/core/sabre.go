@@ -107,7 +107,7 @@ func (p *Prepared) RunTrialCtx(ctx context.Context, trial int, s *Scratch) (*Res
 	if s == nil {
 		s = NewScratch() // shared by this trial's traversals at least
 	}
-	rng := rand.New(rand.NewSource(p.opts.Seed + int64(trial)))
+	rng := s.seeded(p.opts.Seed + int64(trial))
 	layout := mapping.Random(p.dev.NumQubits(), rng)
 
 	var r *router
@@ -372,7 +372,7 @@ func InitialMapping(circ *circuit.Circuit, dev *arch.Device, opts Options) (mapp
 	bestAdded := -1
 	var bestLayout mapping.Layout
 	for trial := 0; trial < p.opts.Trials; trial++ {
-		rng := rand.New(rand.NewSource(p.opts.Seed + int64(trial)))
+		rng := s.seeded(p.opts.Seed + int64(trial))
 		layout := mapping.Random(p.dev.NumQubits(), rng)
 		// Forward then backward: the backward pass's final mapping is
 		// the improved initial mapping for the original circuit.

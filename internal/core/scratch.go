@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"unsafe"
 
 	"repro/internal/circuit"
@@ -82,6 +83,9 @@ type Scratch struct {
 	// traversal's memory is O(device + window) however long the gate
 	// stream runs.
 	stream streamScratch
+
+	// rng is the trial generator, reseeded per trial (see seeded).
+	rng *rand.Rand
 }
 
 // streamScratch is the streaming window's reusable state: the slot
@@ -191,6 +195,19 @@ func (z *streamScratch) arenaBytes() int64 {
 // NewScratch returns an empty scratch. Buffers grow to the sizes of
 // whatever passes it serves and are then reused; keep one per worker.
 func NewScratch() *Scratch { return &Scratch{} }
+
+// seeded returns the scratch's generator seeded with seed. Seeding
+// resets a math/rand source in full, so its stream is that of
+// rand.New(rand.NewSource(seed)), and a trial allocates no new 4.9 KB
+// source.
+func (s *Scratch) seeded(seed int64) *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(seed))
+	} else {
+		s.rng.Seed(seed)
+	}
+	return s.rng
+}
 
 // reset sizes the scratch for one traversal: n device qubits, handles
 // dependency-store handles (gates, or arena slots when streaming),
