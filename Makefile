@@ -110,15 +110,19 @@ stream-smoke:
 # then FuzzRouteOracles fails on any small circuit where the bitset
 # scorer and the exhaustive reference route differently, the windowed
 # stream and its materialized oracle emit differently, or a routed
-# circuit is not hardware compliant. Crashers land in
+# circuit is not hardware compliant; then FuzzFromSpec fails on any
+# device spec that makes arch.FromSpec panic, accept a device outside
+# 1 to 1024 qubits, or build differently twice. Crashers land in
 # internal/<pkg>/testdata/fuzz/<target>; commit them as regression
 # inputs. A routing input costs milliseconds, so the default 60 s spent
 # minimizing each new corpus entry would stall FuzzRouteOracles' whole
-# budget; it minimizes for 1 s.
+# budget; it minimizes for 1 s, and so does FuzzFromSpec, whose
+# 1024-qubit devices take about a second to build.
 fuzz-smoke:
 	$(GO) test ./internal/qasm -run '^$$' -fuzz '^FuzzParseScan$$' -fuzztime 20s
 	$(GO) test ./internal/qasm -run '^$$' -fuzz '^FuzzProgramJSON$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzRouteOracles$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/arch -run '^$$' -fuzz '^FuzzFromSpec$$' -fuzztime 5s -fuzzminimizetime 1s
 
 clean:
 	$(GO) clean ./...
@@ -142,5 +146,6 @@ help:
 	@echo "fuzz-smoke   FuzzParseScan for 20s (Parse vs GateScanner), then"
 	@echo "             FuzzProgramJSON for 10s (AppendJSON vs encoding/json), then"
 	@echo "             FuzzRouteOracles for 10s (bitset vs exhaustive, windowed vs"
-	@echo "             materialized stream, hardware compliance)"
+	@echo "             materialized stream, hardware compliance), then"
+	@echo "             FuzzFromSpec for 5s (device specs: no panic, 1..1024 qubits)"
 	@echo "clean        go clean ./..."

@@ -13,7 +13,6 @@ import (
 	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/jobqueue"
-	"repro/internal/metrics"
 	"repro/internal/workloads"
 )
 
@@ -66,7 +65,7 @@ func runAsync(benches []workloads.Benchmark, dev *arch.Device, opts core.Options
 		if snap.State != jobqueue.StateDone {
 			fatal(fmt.Errorf("%s: job %s finished as %s (%s)", benches[i].Name, id, snap.State, snap.Err))
 		}
-		rep := metrics.Compare(snap.Request.Job.Circuit, snap.Result.Final)
+		rep := &snap.Result.Report
 		fmt.Printf("%-16s %-22s %6d %6d %7d %7.1f\n",
 			benches[i].Name, id, rep.RefGates, snap.Result.AddedGates, rep.Depth,
 			float64(snap.Result.Elapsed.Nanoseconds())/1e6)

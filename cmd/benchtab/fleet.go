@@ -8,7 +8,6 @@ import (
 	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/metrics"
 	"repro/internal/workloads"
 )
 
@@ -68,7 +67,7 @@ func runFleet(benches []workloads.Benchmark, specs []string, opts core.Options, 
 		if res.Err != nil {
 			fatal(fmt.Errorf("%s: %w", b.Name, res.Err))
 		}
-		rep := metrics.Compare(circ, res.Final)
+		rep := &res.Report
 
 		fmt.Printf("%-16s %6d", b.Name, rep.RefGates)
 		for _, s := range dec.Scores {

@@ -306,8 +306,8 @@ func runBatch(benches []workloads.Benchmark, dev *arch.Device, opts core.Options
 		}
 		if round == 1 {
 			fmt.Printf("%-16s %6s %6s %7s %7s\n", "benchmark", "g_ori", "g_add", "depth", "ms")
-			for i, res := range results {
-				rep := metrics.Compare(jobs[i].Circuit, res.Final)
+			for _, res := range results {
+				rep := &res.Report
 				fmt.Printf("%-16s %6d %6d %7d %7.1f\n",
 					res.Tag, rep.RefGates, res.AddedGates, rep.Depth,
 					float64(res.Elapsed.Nanoseconds())/1e6)
@@ -371,7 +371,7 @@ func runRouters(benches []workloads.Benchmark, dev *arch.Device, opts core.Optio
 			if res.Err != nil {
 				fatal(fmt.Errorf("%s: %w", res.Tag, res.Err))
 			}
-			rep := metrics.Compare(jobs[bi*len(routers)+ri].Circuit, res.Final)
+			rep := &res.Report
 			fmt.Printf(" %9d %6d", res.AddedGates, rep.Depth)
 			totals[ri] += res.AddedGates
 		}

@@ -102,7 +102,7 @@ func jobResult(snap jobqueue.Snapshot) *batch.Result {
 
 // writeJob writes a job's full view: jobResponseOf with the program.
 func (s *server) writeJob(w http.ResponseWriter, snap jobqueue.Snapshot) {
-	s.writeResponse(w, jobResponseOf(snap), jobResult(snap))
+	writeBody(w, s.responseBody(jobResponseOf(snap), jobResult(snap)))
 }
 
 // webhookPayload is the webhook body: the full view a poller reads, so
@@ -145,7 +145,7 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	snap, err := s.queue.Submit(jobqueue.Request{Job: in.batchJob(), Webhook: in.webhook, Fleet: in.fleet, DeviceSpec: in.devSpec})
+	snap, err := s.queue.Submit(jobqueue.Request{Job: s.batchJob(in), Webhook: in.webhook, Fleet: in.fleet, DeviceSpec: in.devSpec})
 	if err != nil {
 		// A full backlog or a draining daemon is load, not client
 		// error: 503 tells well-behaved clients to back off and retry.

@@ -184,6 +184,7 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unsafe"
 
 	"repro/internal/arch"
 	"repro/internal/batch"
@@ -193,7 +194,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/joblog"
 	"repro/internal/jobqueue"
-	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/qasm"
 	"repro/internal/route"
@@ -410,6 +410,10 @@ type optionsRequest struct {
 }
 
 // compileResponse reports the routed circuit and the paper's metrics.
+// /compile writes it through appendCompileHead (envelope.go), which
+// mirrors its field order and tags: a field added, moved or retagged
+// here must change there too. TestResponseBytesOracle holds the two to
+// encoding/json's bytes.
 type compileResponse struct {
 	Name          string `json:"name,omitempty"`
 	Device        string `json:"device"`
@@ -480,6 +484,10 @@ type compileInput struct {
 	// durable job log persists (device display names do not re-parse).
 	devSpec string
 
+	// entry is the parse-memo entry keeping circ, nil when the memo
+	// does not keep it.
+	entry *memoEntry
+
 	// fleetDevs holds the resolved fleet candidates (empty = no fleet
 	// request); scheduleFleet turns them into a decision and rebinds
 	// dev (and devSpec, via fleetSpecs) to the winner.
@@ -488,17 +496,31 @@ type compileInput struct {
 	fleet      *fleet.Decision
 }
 
-// batchJob lifts the parsed input to the engine's job form. Every
-// daemon job routes under the device's live calibration snapshot
+// batchJob lifts the parsed input to the engine's job form, with the
+// cache-key state kept for its circuit and device. Every daemon job
+// routes under the device's live calibration snapshot
 // (UseCalibration): a no-op until POST /calibrations/{device} installs
 // one, after which compiles are noise-aware and the snapshot version
 // joins the cache key.
-func (in *compileInput) batchJob() batch.Job {
+func (s *server) batchJob(in *compileInput) batch.Job {
 	return batch.Job{
 		Circuit: in.circ, Device: in.dev, Options: in.opts,
 		Trials: in.trials, Route: in.route, Passes: in.passes,
-		UseCalibration: true,
+		UseCalibration: true, KeyState: s.keyState(in),
 	}
+}
+
+// keyState returns the cache-key state of in's circuit on in's device
+// that the circuit's memo entry keeps, making and keeping it on first
+// use. A state holds its device, so one is kept only for a device the
+// device cache keeps too; on any other device, or for a circuit the
+// memo does not keep, the engine hashes the whole key.
+func (s *server) keyState(in *compileInput) *batch.KeyState {
+	ks := s.memo.keyState(in.entry, in.dev)
+	if ks == nil && in.entry != nil && s.deviceKept(in.devSpec, in.dev) {
+		ks = in.entry.keepKeyState(in.dev)
+	}
+	return ks
 }
 
 // scheduleFleet resolves a fleet request: score every candidate under
@@ -554,9 +576,9 @@ func fleetJSONOf(dec *fleet.Decision) *fleetJSON {
 // encoding (raw QASM + query params q, or the JSON envelope). Every
 // failure is the client's fault and maps to 400.
 func (s *server) parseCompile(w http.ResponseWriter, r *http.Request, q url.Values) (*compileInput, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := readBody(w, r)
 	if err != nil {
-		return nil, fmt.Errorf("read body: %w", err)
+		return nil, err
 	}
 
 	var (
@@ -590,7 +612,7 @@ func (s *server) parseCompile(w http.ResponseWriter, r *http.Request, q url.Valu
 		trials, routeName, passes, webhook = req.Trials, req.Route, req.Passes, req.Webhook
 		fleetSpecs = req.Fleet
 	} else {
-		src = string(body)
+		src = bytesString(body)
 		devName = q.Get("device")
 		if opts, err = queryOptions(q); err != nil {
 			return nil, err
@@ -640,15 +662,48 @@ func (s *server) parseCompile(w http.ResponseWriter, r *http.Request, q url.Valu
 	if err != nil {
 		return nil, err
 	}
-	circ, err := s.memo.parse(src)
+	circ, entry, err := s.memo.parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("parse QASM: %w", err)
 	}
 	return &compileInput{
 		circ: circ, dev: dev, opts: opts,
 		trials: trials, route: routeName, passes: passes, webhook: webhook,
-		devSpec: devName, fleetDevs: fleetDevs, fleetSpecs: fleetSpecs,
+		devSpec: devName, entry: entry, fleetDevs: fleetDevs, fleetSpecs: fleetSpecs,
 	}, nil
+}
+
+// exactBodyBytes bounds the buffer readBody allocates for a declared
+// length before any byte of the body arrives, so a client that
+// declares a large body and stalls holds no more than this. 1 MiB
+// covers every Table II source.
+const exactBodyBytes = 1 << 20
+
+// readBody reads a request body of at most maxBodyBytes. A body that
+// declares a length of at most exactBodyBytes is read into one buffer
+// of exactly that size; any other goes through the capped io.ReadAll,
+// which grows its buffer only as bytes arrive and refuses a body over
+// the cap. w may be nil.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if n := r.ContentLength; n >= 0 && n <= exactBodyBytes {
+		body := make([]byte, n)
+		if _, err := io.ReadFull(r.Body, body); err != nil {
+			return nil, fmt.Errorf("read body: %w", err)
+		}
+		return body, nil
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		return nil, fmt.Errorf("read body: %w", err)
+	}
+	return body, nil
+}
+
+// bytesString views a body readBody returned as a string without
+// copying it. Nothing writes to a body once read, and a parsed circuit
+// keeps no substring of its source, so a memo entry never pins one.
+func bytesString(body []byte) string {
+	return unsafe.String(unsafe.SliceData(body), len(body))
 }
 
 // validWebhook accepts empty or an absolute http(s) URL.
@@ -667,12 +722,14 @@ func validWebhook(raw string) error {
 }
 
 // buildCompileResponse renders an engine result as /compile returns
-// it, less the routed program: writeResponse writes res's program into
-// the empty "qasm" field. The async poll/webhook paths reuse it, so
-// their payloads are byte-identical to the synchronous endpoint's, and
-// the job list sends it as is, a summary without the program.
+// it, less the routed program: compileBody and responseBody write
+// res's program into the empty "qasm" field. The async poll/webhook
+// paths reuse it, so their payloads are byte-identical to the
+// synchronous endpoint's, and the job list sends it as is, a summary
+// without the program. The gate and depth figures are res.Report,
+// measured once per compilation, never per response.
 func buildCompileResponse(in *compileInput, res *batch.Result) compileResponse {
-	rep := metrics.Compare(in.circ, res.Final)
+	rep := &res.Report
 	return compileResponse{
 		Name:          in.circ.Name(),
 		Device:        in.dev.Name(),
@@ -721,7 +778,7 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// The request context rides along: a disconnected client cancels
 	// the job, and an in-flight compile stops within one SWAP round
 	// instead of burning a worker on a dead request.
-	res := <-s.eng.SubmitContext(r.Context(), in.batchJob())
+	res := <-s.eng.SubmitContext(r.Context(), s.batchJob(in))
 	if res.Err != nil {
 		if r.Context().Err() != nil {
 			return // client is gone; nothing to write
@@ -729,7 +786,8 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, res.Err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	s.writeResponse(w, buildCompileResponse(in, &res), &res)
+	cr := buildCompileResponse(in, &res)
+	writeBody(w, s.compileBody(&cr, &res))
 }
 
 func (s *server) handleDevices(w http.ResponseWriter, r *http.Request) {
@@ -759,16 +817,13 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // writeJSON writes v as JSON indented by two spaces.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(indentJSON(v))
+	writeBody(w, indentJSON(v))
 }
 
-// writeResponse writes v as writeJSON does. A non-nil res is the
-// compile result in v, whose "qasm" field v leaves empty; res's routed
-// program is written as that field's value.
-func (s *server) writeResponse(w http.ResponseWriter, v any, res *batch.Result) {
+// writeBody writes a JSON response body in one write.
+func writeBody(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(s.responseBody(v, res))
+	_, _ = w.Write(body)
 }
 
 // indentJSON encodes v with encoding/json and a two-space indent.
@@ -786,14 +841,10 @@ func indentJSON(v any) []byte {
 // carries one result the last match is its field.
 var emptyQASM = []byte(`"qasm": ""`)
 
-// responseBody encodes a response in one pass over the program. The
-// envelope v goes through indentJSON; res's program is escaped by
-// qasm.AppendJSON straight from res.Final into the body, so it is
-// never formatted to a string, and encoding/json neither escapes nor
-// indents it. A result written before is not escaped again: the
-// second write keeps the escaped program on the result's shared
-// outcome (batch.Result.WroteProgram), and every later write copies
-// the kept bytes between the envelope's head and tail.
+// responseBody encodes a job view v, whose compile result res (nil
+// for none) leaves its "qasm" field empty, in one pass over the
+// program: the envelope goes through indentJSON, and appendProgram
+// writes res's program between the envelope's head and tail.
 func (s *server) responseBody(v any, res *batch.Result) []byte {
 	env := indentJSON(v)
 	if res == nil {
@@ -805,16 +856,31 @@ func (s *server) responseBody(v any, res *batch.Result) []byte {
 	}
 	i += len(emptyQASM) - len(`""`)
 	head, tail := env[:i], env[i+len(`""`):]
+	body := slices.Clip(head) // appendProgram's first append copies it: tail stays intact
+	if prog := res.KeptProgram(); prog != nil {
+		body = append(make([]byte, 0, len(head)+len(prog)+len(tail)), head...)
+	}
+	return append(s.appendProgram(body, res), tail...)
+}
+
+// appendProgram appends res's routed program to dst as a JSON string.
+// It is escaped by qasm.AppendJSON straight from res.Final, so it is
+// never formatted to a string, and encoding/json neither escapes nor
+// indents it. A result written before is not escaped again: the
+// second write keeps the escaped program on the result's shared
+// outcome (batch.Result.WroteProgram), and every later write copies
+// the kept bytes.
+func (s *server) appendProgram(dst []byte, res *batch.Result) []byte {
 	if prog := res.KeptProgram(); prog != nil {
 		s.programsReused.Add(1)
-		body := make([]byte, 0, len(head)+len(prog)+len(tail))
-		return append(append(append(body, head...), prog...), tail...)
+		return append(dst, prog...)
 	}
-	body := qasm.AppendJSON(slices.Clip(head), res.Final) // a new array: tail stays intact
-	if res.WroteProgram(body[len(head):]) {
+	start := len(dst)
+	dst = qasm.AppendJSON(dst, res.Final)
+	if res.WroteProgram(dst[start:]) {
 		s.programsKept.Add(1)
 	}
-	return append(body, tail...)
+	return dst
 }
 
 // maxCachedDevices bounds the device memo: specs are client-chosen
@@ -828,7 +894,7 @@ const maxCachedDevices = 64
 // must not stall every other request's lookup; the worst case is two
 // concurrent requests building the same device once each.
 func (s *server) device(spec string) (*arch.Device, error) {
-	key := strings.ToLower(strings.TrimSpace(spec))
+	key := deviceKey(spec)
 	s.mu.Lock()
 	d, ok := s.devices[key]
 	s.mu.Unlock()
@@ -848,6 +914,17 @@ func (s *server) device(spec string) (*arch.Device, error) {
 	s.mu.Unlock()
 	return d, nil
 }
+
+// deviceKept reports whether d is the device the device cache keeps
+// for spec, and so lives as long as the daemon.
+func (s *server) deviceKept(spec string, d *arch.Device) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.devices[deviceKey(spec)] == d
+}
+
+// deviceKey is the device cache's key for a spec.
+func deviceKey(spec string) string { return strings.ToLower(strings.TrimSpace(spec)) }
 
 // buildDevice constructs a device from its spec string (the shared
 // vocabulary lives in arch.FromSpec; the daemon only adds the /devices

@@ -5,8 +5,11 @@ import (
 	"crypto/sha256"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
+	"repro/internal/arch"
+	"repro/internal/batch"
 	"repro/internal/circuit"
 	"repro/internal/qasm"
 )
@@ -18,11 +21,16 @@ const gateBytes = int(unsafe.Sizeof(circuit.Gate{}))
 // bytes, 12 MiB, hold all 26 Table II circuits (153,733 gates).
 const memoBudget = (1 << 18) * gateBytes
 
+// keyStateBytes is the heap a kept batch.KeyState holds: its 48-byte
+// header and its 108-byte hash state in a 112-byte allocation.
+const keyStateBytes = 48 + 112
+
 // memoEntryBytes is charged for every entry on top of its gates and
 // parameters: the map slot with the map's growth headroom, the list
-// element, the entry and the circuit header. So even empty circuits
-// cannot grow the map past the budget.
-const memoEntryBytes = 320
+// element, the entry, the circuit header, and the entry's key-state
+// pointer with a kept key state. So even empty circuits cannot grow
+// the map past the budget.
+const memoEntryBytes = 320 + 8 + keyStateBytes
 
 // circuitMemo parses each QASM source once. It maps the SHA-256 of a
 // source to its parsed circuit and hands that one circuit, read-only,
@@ -38,33 +46,46 @@ type circuitMemo struct {
 	entries map[[sha256.Size]byte]*list.Element
 	lru     list.List // of *memoEntry, most recently used first
 	stats   memoStats
+
+	// resumes counts the requests that took a key state an earlier
+	// request kept (memoStats.KeyResumes).
+	resumes atomic.Uint64
 }
 
 type memoEntry struct {
 	key   [sha256.Size]byte
 	circ  *circuit.Circuit
 	bytes int
+
+	// state is the cache-key state of circ on the device the latest
+	// request that made one named. Requests read and replace it without
+	// the memo's lock.
+	state atomic.Pointer[batch.KeyState]
 }
 
 // memoStats is the memo's counters, as /stats reports them. Bytes is
-// what the kept entries are charged against the budget.
+// what the kept entries are charged against the budget. KeyResumes
+// counts the requests whose cache key resumed from a key state an
+// earlier request kept.
 type memoStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Entries   int    `json:"entries"`
-	Gates     int    `json:"gates"`
-	Bytes     int    `json:"bytes"`
-	Evictions uint64 `json:"evictions"`
+	Hits       uint64 `json:"hits"`
+	Misses     uint64 `json:"misses"`
+	Entries    int    `json:"entries"`
+	Gates      int    `json:"gates"`
+	Bytes      int    `json:"bytes"`
+	Evictions  uint64 `json:"evictions"`
+	KeyResumes uint64 `json:"key_resumes"`
 }
 
 func newCircuitMemo(budget int) *circuitMemo {
 	return &circuitMemo{budget: budget, entries: make(map[[sha256.Size]byte]*list.Element)}
 }
 
-// parse returns the circuit of src, parsing it only if no kept entry
-// has src's digest. Two concurrent misses on one source both parse;
-// the first to finish is kept and both return it.
-func (m *circuitMemo) parse(src string) (*circuit.Circuit, error) {
+// parse returns the circuit of src and the entry keeping it, parsing
+// it only if no kept entry has src's digest. The entry is nil for a
+// circuit the memo does not keep. Two concurrent misses on one source
+// both parse; the first to finish is kept and both return it.
+func (m *circuitMemo) parse(src string) (*circuit.Circuit, *memoEntry, error) {
 	// Sum256 only reads its input, so the source is hashed in place.
 	key := sha256.Sum256(unsafe.Slice(unsafe.StringData(src), len(src)))
 	m.mu.Lock()
@@ -72,27 +93,29 @@ func (m *circuitMemo) parse(src string) (*circuit.Circuit, error) {
 		m.lru.MoveToFront(e)
 		m.stats.Hits++
 		m.mu.Unlock()
-		return e.Value.(*memoEntry).circ, nil
+		entry := e.Value.(*memoEntry)
+		return entry.circ, entry, nil
 	}
 	m.stats.Misses++
 	m.mu.Unlock()
 
 	c, err := qasm.Parse(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if c.NumGates()*gateBytes > m.budget {
-		return c, nil // over budget before it is copied
+		return c, nil, nil // over budget before it is copied
 	}
 	c, size := compact(c)
 	if size > m.budget {
-		return c, nil
+		return c, nil, nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e, ok := m.entries[key]; ok {
 		m.lru.MoveToFront(e)
-		return e.Value.(*memoEntry).circ, nil
+		entry := e.Value.(*memoEntry)
+		return entry.circ, entry, nil
 	}
 	for m.stats.Bytes+size > m.budget {
 		old := m.lru.Remove(m.lru.Back()).(*memoEntry)
@@ -101,10 +124,35 @@ func (m *circuitMemo) parse(src string) (*circuit.Circuit, error) {
 		m.stats.Gates -= old.circ.NumGates()
 		m.stats.Evictions++
 	}
-	m.entries[key] = m.lru.PushFront(&memoEntry{key: key, circ: c, bytes: size})
+	entry := &memoEntry{key: key, circ: c, bytes: size}
+	m.entries[key] = m.lru.PushFront(entry)
 	m.stats.Bytes += size
 	m.stats.Gates += c.NumGates()
-	return c, nil
+	return c, entry, nil
+}
+
+// keyState returns the cache-key state e keeps for dev, or nil; a
+// returned state counts as a resume.
+func (m *circuitMemo) keyState(e *memoEntry, dev *arch.Device) *batch.KeyState {
+	if e == nil {
+		return nil
+	}
+	if ks := e.state.Load(); ks.Matches(dev, e.circ) {
+		m.resumes.Add(1)
+		return ks
+	}
+	return nil
+}
+
+// keepKeyState makes the cache-key state of e's circuit on dev and
+// keeps it in place of the entry's state for another device, so a
+// source sent to several devices in turn hashes in full, as without a
+// state, on each switch. The state holds dev, so callers keep states
+// only for devices that live as long as the daemon.
+func (e *memoEntry) keepKeyState(dev *arch.Device) *batch.KeyState {
+	ks := batch.NewKeyState(dev, e.circ)
+	e.state.Store(ks)
+	return ks
 }
 
 // compact copies c into one gate array and one parameter array, each
@@ -137,5 +185,6 @@ func (m *circuitMemo) snapshot() memoStats {
 	defer m.mu.Unlock()
 	st := m.stats
 	st.Entries = len(m.entries)
+	st.KeyResumes = m.resumes.Load()
 	return st
 }

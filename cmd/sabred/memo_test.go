@@ -11,7 +11,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/arch"
+	"repro/internal/batch"
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/qasm"
 	"repro/internal/workloads"
 )
@@ -126,7 +129,7 @@ func TestMemoBudgetLRU(t *testing.T) {
 	m := newCircuitMemo(budget)
 	mustParse := func(s string) *circuit.Circuit {
 		t.Helper()
-		circ, err := m.parse(s)
+		circ, _, err := m.parse(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,9 +173,10 @@ func TestMemoBudgetLRU(t *testing.T) {
 // more than their gates need: a comment full of semicolons (Parse
 // reserves a gate slot per semicolon, up to one per 7 bytes), a lone
 // parameter (Parse keeps parameters in 2 KB slabs), and tiny sources
-// whose cost is the entry itself.
+// whose cost is the entry itself. Every entry keeps a cache-key state.
 func TestMemoRetainedHeapWithinBudget(t *testing.T) {
 	const budget = 4 << 20
+	dev := arch.IBMQ20Tokyo()
 	flood := strings.Repeat(";", 1000)
 	families := map[string]func(i int) string{
 		"semicolon comment": func(i int) string {
@@ -192,9 +196,11 @@ func TestMemoRetainedHeapWithinBudget(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			m := newCircuitMemo(budget)
 			for i := range 2 * budget / memoEntryBytes {
-				if _, err := m.parse(src(i)); err != nil {
-					t.Fatal(err)
+				_, e, err := m.parse(src(i))
+				if err != nil || e == nil {
+					t.Fatalf("source %d: kept %v, error %v", i, e != nil, err)
 				}
+				e.keepKeyState(dev)
 			}
 			runtime.GC()
 			runtime.ReadMemStats(&after)
@@ -209,6 +215,67 @@ func TestMemoRetainedHeapWithinBudget(t *testing.T) {
 			}
 			runtime.KeepAlive(m)
 		})
+	}
+}
+
+// TestMemoKeepsNoSourceBytes: the memo parses a raw body through a
+// string view of the read buffer, so the circuit it keeps must hold no
+// byte of that buffer. Overwriting the buffer after the parse leaves
+// the kept circuit as a fresh parse of the source makes it.
+func TestMemoKeepsNoSourceBytes(t *testing.T) {
+	src := qasm.Format(workloads.QFT(5))
+	body := []byte(src)
+	m := newCircuitMemo(memoBudget)
+	kept, e, err := m.parse(bytesString(body))
+	if err != nil || e == nil {
+		t.Fatalf("parse: kept %v, error %v", e != nil, err)
+	}
+	for i := range body {
+		body[i] = ';'
+	}
+	fresh, err := qasm.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !kept.Equal(fresh) || qasm.Format(kept) != src {
+		t.Fatal("the kept circuit changed with the body it was parsed from")
+	}
+	if again, _, _ := m.parse(src); again != kept {
+		t.Fatal("the source no longer hits its entry")
+	}
+}
+
+// TestMemoKeyStateFollowsDevice: an entry keeps the cache-key state of
+// the device a state was last made for. A request on that device
+// resumes from it and counts; one on another device gets none, and the
+// state it keeps replaces the first.
+func TestMemoKeyStateFollowsDevice(t *testing.T) {
+	tokyo := arch.IBMQ20Tokyo()
+	grid, err := arch.FromSpec("grid:4x5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newCircuitMemo(memoBudget)
+	_, e, err := m.parse(qasm.Format(workloads.QFT(5)))
+	if err != nil || e == nil {
+		t.Fatalf("parse: kept %v, error %v", e != nil, err)
+	}
+	if m.keyState(e, tokyo) != nil {
+		t.Fatal("a new entry served a key state")
+	}
+	ks := e.keepKeyState(tokyo)
+	if m.keyState(e, tokyo) != ks {
+		t.Fatal("the entry did not serve the state kept for its device")
+	}
+	if m.keyState(e, grid) != nil {
+		t.Fatal("a state made for tokyo served grid:4x5")
+	}
+	e.keepKeyState(grid)
+	if m.keyState(e, tokyo) != nil {
+		t.Fatal("the tokyo state outlived the grid state that replaced it")
+	}
+	if got := m.snapshot().KeyResumes; got != 1 {
+		t.Fatalf("counted %d resumes, want 1", got)
 	}
 }
 
@@ -279,9 +346,13 @@ func tableIISources() ([]string, int) {
 	return srcs, gates
 }
 
+var benchKey batch.Key
+
 // BenchmarkMemo compares, per gate over the 26 Table II sources,
 // qasm.Parse with the memo's miss path (digest, parse and insert into
-// an empty memo) and its hit path (digest and lookup).
+// an empty memo), the miss path of a request (the same, then keep the
+// cache-key state on Tokyo and compute the key from it) and the hit
+// path (digest and lookup).
 func BenchmarkMemo(b *testing.B) {
 	srcs, gates := tableIISources()
 	perGate := func(b *testing.B) {
@@ -301,9 +372,23 @@ func BenchmarkMemo(b *testing.B) {
 		for range b.N {
 			m := newCircuitMemo(memoBudget)
 			for _, src := range srcs {
-				if _, err := m.parse(src); err != nil {
+				if _, _, err := m.parse(src); err != nil {
 					b.Fatal(err)
 				}
+			}
+		}
+		perGate(b)
+	})
+	b.Run("miss-key", func(b *testing.B) {
+		dev := arch.IBMQ20Tokyo()
+		for range b.N {
+			m := newCircuitMemo(memoBudget)
+			for _, src := range srcs {
+				c, e, err := m.parse(src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchKey = batch.KeyOf(batch.Job{Circuit: c, Device: dev, Options: core.DefaultOptions(), KeyState: e.keepKeyState(dev)})
 			}
 		}
 		perGate(b)
@@ -316,7 +401,7 @@ func BenchmarkMemo(b *testing.B) {
 		b.ResetTimer()
 		for range b.N {
 			for _, src := range srcs {
-				if _, err := m.parse(src); err != nil {
+				if _, _, err := m.parse(src); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -339,7 +424,7 @@ func BenchmarkMemoRetained(b *testing.B) {
 		runtime.ReadMemStats(&before)
 		m := newCircuitMemo(memoBudget)
 		for _, src := range srcs {
-			if _, err := m.parse(src); err != nil {
+			if _, _, err := m.parse(src); err != nil {
 				b.Fatal(err)
 			}
 		}

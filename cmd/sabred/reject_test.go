@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/qasm"
 	"repro/internal/workloads"
@@ -24,9 +25,9 @@ func postJSON(t *testing.T, url, body string) *http.Response {
 }
 
 // TestCompileRejectsInvalidParams covers every client-error rejection
-// path: invalid trials, traversals, extended-set sizes, passes, and
-// route values must produce 400 (the client's fault), never 500/422,
-// in both the JSON envelope (on /compile and /jobs) and the
+// path: invalid trials, traversals, extended-set sizes, passes, route
+// values and device specs must produce 400 (the client's fault), never
+// 500/422, in both the JSON envelope (on /compile and /jobs) and the
 // query-parameter form.
 func TestCompileRejectsInvalidParams(t *testing.T) {
 	ts, _ := newTestServer(t)
@@ -63,6 +64,35 @@ func TestCompileRejectsInvalidParams(t *testing.T) {
 		resp, _ := postQASM(t, ts.URL+"/compile"+query, tinyQASM)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("query %s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+
+	// Device specs are resolved before the QASM is parsed, so a spec
+	// whose side product wraps (0 and negative mod 2^64) or a sycamore
+	// side below 2 must be refused at once, as a device or in a fleet,
+	// not start building a device or drop the connection.
+	client := &http.Client{Timeout: 10 * time.Second}
+	for _, spec := range []string{"grid:4294967296x4294967296", "grid:3037000500x3037000500", "sycamore:1x5", "sycamore:5x1"} {
+		type request struct{ path, contentType, body string }
+		reqs := []request{
+			{"/compile?device=" + spec, "text/plain", tinyQASM},
+			{"/compile?fleet=tokyo," + spec, "text/plain", tinyQASM},
+		}
+		for _, path := range []string{"/compile", "/jobs"} {
+			reqs = append(reqs,
+				request{path, "application/json", `{"qasm": "` + escaped(tinyQASM) + `", "device": "` + spec + `"}`},
+				request{path, "application/json", `{"qasm": "` + escaped(tinyQASM) + `", "fleet": ["tokyo", "` + spec + `"]}`})
+		}
+		for _, r := range reqs {
+			resp, err := client.Post(ts.URL+r.path, r.contentType, strings.NewReader(r.body))
+			if err != nil {
+				t.Errorf("%s %s: %v", r.path, r.body, err)
+				continue
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400", r.path, r.body, resp.StatusCode)
+			}
 		}
 	}
 }

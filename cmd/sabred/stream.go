@@ -217,11 +217,11 @@ func (s *server) handleCompileStream(w http.ResponseWriter, r *http.Request, q u
 // the windowed path — which is the point: differential testing over
 // HTTP without touching the daemon's internals.
 func (s *server) compileStreamMaterialized(ctx context.Context, r *http.Request, dev *arch.Device, opts core.Options, sopts core.StreamOptions, w io.Writer, onChunk func(int64) error) (*core.StreamResult, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+	body, err := readBody(nil, r)
 	if err != nil {
-		return nil, fmt.Errorf("read body: %w", err)
+		return nil, err
 	}
-	circ, err := qasm.Parse(string(body))
+	circ, err := qasm.Parse(bytesString(body))
 	if err != nil {
 		return nil, fmt.Errorf("parse QASM: %w", err)
 	}
@@ -290,15 +290,15 @@ func (s *server) handleJobSubmitStream(w http.ResponseWriter, r *http.Request, q
 		http.Error(w, "streaming jobs require ?webhook=: routed chunks are delivered through it", http.StatusBadRequest)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := readBody(w, r)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("read body: %v", err), http.StatusBadRequest)
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	snap, err := s.queue.SubmitStream(jobqueue.Request{
 		Job:     batch.Job{Device: dev, Options: opts},
 		Webhook: webhook,
-	}, jobqueue.StreamSpec{QASM: string(body), Options: sopts})
+	}, jobqueue.StreamSpec{QASM: bytesString(body), Options: sopts})
 	if err != nil {
 		status := http.StatusServiceUnavailable
 		if strings.Contains(err.Error(), "durable") {

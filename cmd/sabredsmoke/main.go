@@ -195,7 +195,8 @@ func main() {
 			resp.StatusCode, warm.CacheHit, warm.CalVersion)
 	}
 	// The request went out four times (/jobs, then /compile three
-	// times): the parse memo served the last three, and the three cache
+	// times): the parse memo served the last three, their cache keys
+	// resumed from the key state the first kept, and the three cache
 	// hits are the same bytes. The job's poll and webhook already wrote
 	// the result, so the last /compile copies the program kept on it.
 	_, third := postJSON(client, base+"/compile", req)
@@ -207,10 +208,14 @@ func main() {
 	if memo.Memo.Hits < 3 || memo.Memo.Entries < 1 {
 		daemon.fail("parse memo counted %d hits and %d entries, want at least 3 and 1", memo.Memo.Hits, memo.Memo.Entries)
 	}
+	if memo.Memo.KeyResumes < 3 {
+		daemon.fail("parse memo counted %d keys resumed from a kept state, want at least 3", memo.Memo.KeyResumes)
+	}
 	if memo.Programs.Reused < 1 {
 		daemon.fail("no response was written from a kept program (kept %d, reused %d)", memo.Programs.Kept, memo.Programs.Reused)
 	}
-	step("repeated request byte-identical, parse memo hit %d times, %d responses from kept programs", memo.Memo.Hits, memo.Programs.Reused)
+	step("repeated request byte-identical, parse memo hit %d times, %d keys resumed, %d responses from kept programs",
+		memo.Memo.Hits, memo.Memo.KeyResumes, memo.Programs.Reused)
 	calReq := map[string]any{
 		"default": 0.002,
 		"edges": []map[string]any{
@@ -752,8 +757,9 @@ func (c *chunkSink) concat() []byte {
 // statsView mirrors the /stats fields the smokes assert.
 type statsView struct {
 	Memo struct {
-		Hits    int `json:"hits"`
-		Entries int `json:"entries"`
+		Hits       int `json:"hits"`
+		Entries    int `json:"entries"`
+		KeyResumes int `json:"key_resumes"`
 	} `json:"memo"`
 	Programs struct {
 		Kept   int `json:"kept"`

@@ -284,7 +284,14 @@ func TestFromSpec(t *testing.T) {
 			t.Errorf("FromSpec(%q) = %d qubits, want %d", spec, d.NumQubits(), wantQubits)
 		}
 	}
-	for _, bad := range []string{"", "nope", "grid:0x4", "line:-1", "ring:2", "grid:64x64"} {
+	for _, bad := range []string{
+		"", "nope", "grid:0x4", "line:-1", "ring:2", "grid:64x64",
+		// The product of the sides wraps: 0 and negative mod 2^64.
+		"grid:4294967296x4294967296", "grid:3037000500x3037000500",
+		"sycamore:4294967296x4294967296",
+		// Sycamore needs at least a 2x2 array.
+		"sycamore:1x5", "sycamore:5x1", "sycamore:1x1",
+	} {
 		if _, err := FromSpec(bad); err == nil {
 			t.Errorf("FromSpec(%q) accepted", bad)
 		}

@@ -28,29 +28,35 @@ func FromSpec(spec string) (*Device, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown device %q", spec)
 	}
-	dims := func() (int, int, error) {
+	// dims parses <rows>x<cols>, each side at least minSide. Each side
+	// is bounded before the product is taken, so the product cannot
+	// wrap past the qubit cap.
+	dims := func(minSide int) (int, int, error) {
 		rs, cs, ok := strings.Cut(arg, "x")
 		if !ok {
 			return 0, 0, fmt.Errorf("device %q needs <rows>x<cols>", spec)
 		}
 		r, err1 := strconv.Atoi(rs)
 		c, err2 := strconv.Atoi(cs)
-		if err1 != nil || err2 != nil || r < 1 || c < 1 {
-			return 0, 0, fmt.Errorf("device %q: bad dimensions %q", spec, arg)
+		if err1 != nil || err2 != nil || r < minSide || c < minSide {
+			return 0, 0, fmt.Errorf("device %q: bad dimensions %q (each side at least %d)", spec, arg, minSide)
+		}
+		if r > 1024 || c > 1024 || r*c > 1024 {
+			return 0, 0, fmt.Errorf("device %q too large (max 1024 qubits)", spec)
 		}
 		return r, c, nil
 	}
 	switch kind {
-	case "grid", "sycamore":
-		r, c, err := dims()
+	case "grid":
+		r, c, err := dims(1)
 		if err != nil {
 			return nil, err
 		}
-		if r*c > 1024 {
-			return nil, fmt.Errorf("device %q too large (max 1024 qubits)", spec)
-		}
-		if kind == "grid" {
-			return Grid(r, c), nil
+		return Grid(r, c), nil
+	case "sycamore":
+		r, c, err := dims(2)
+		if err != nil {
+			return nil, err
 		}
 		return Sycamore(r, c), nil
 	case "line", "ring", "star", "full", "aspen":

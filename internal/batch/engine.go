@@ -26,6 +26,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/route"
 )
@@ -81,6 +82,13 @@ type Job struct {
 	// scheduler sets it (with Options.Noise) to pin a job to the exact
 	// snapshot it scored.
 	CalVersion uint64
+
+	// KeyState, when NewKeyState made it for this job's own Device and
+	// Circuit, lets KeyOf resume from the hashed device and circuit
+	// sections instead of encoding them again. Any other state is
+	// ignored.
+	//sabre:nokey a hashing shortcut: KeyOf's digest is the same with or without it
+	KeyState *KeyState
 }
 
 // ResolveCalibration pins the job to its device's current calibration
@@ -129,6 +137,12 @@ type Result struct {
 	// CacheHit reports that the result was served from the cache or
 	// joined an identical in-flight compilation.
 	CacheHit bool
+	// Report is metrics.Compare of the compiled job's Circuit and
+	// Final, measured once when the pipeline finished and shared by
+	// every result filled from that run. Equal keys hash every gate, so
+	// each holder's circuit measures the same; Report.Name is the name
+	// of the circuit that compiled.
+	Report metrics.Report
 	// Err is the compile error, if any; the embedded Result is nil
 	// when Err is non-nil.
 	Err error
@@ -143,6 +157,7 @@ type outcome struct {
 	res     *core.Result
 	final   *circuit.Circuit
 	metrics []pipeline.PassMetric
+	report  metrics.Report
 
 	// written marks an outcome whose program has been written once;
 	// prog holds the kept encoding from the second write on (see
@@ -157,6 +172,7 @@ func (r *Result) fill(o *outcome) {
 	r.Result = o.res
 	r.Final = o.final
 	r.PassMetrics = o.metrics
+	r.Report = o.report
 	r.out = o
 }
 
@@ -602,7 +618,7 @@ func (e *Engine) runPipelineNoRecover(ctx context.Context, job Job, opts core.Op
 	if err != nil {
 		return nil, err
 	}
-	return &outcome{res: pc.Result, final: pc.Circuit, metrics: pc.Metrics}, nil
+	return &outcome{res: pc.Result, final: pc.Circuit, metrics: pc.Metrics, report: metrics.Compare(job.Circuit, pc.Circuit)}, nil
 }
 
 // normalizePasses lowercases, trims, drops empty pass names, and

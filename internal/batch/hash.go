@@ -2,6 +2,7 @@ package batch
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"hash"
 	"math"
@@ -35,45 +36,17 @@ const keyVersion = 4
 // map-backed structures (the noise model) are sorted before hashing.
 // Options.ParallelTrials is deliberately excluded — the sequential and
 // parallel trial paths return bit-identical results, so they must
-// share cache entries.
+// share cache entries. A job whose KeyState was made for its own
+// Device and Circuit hashes only the options section; the digest is
+// the same either way.
 func KeyOf(job Job) Key {
 	// Defensive for callers hashing unresolved jobs directly; inside
 	// the engine this is a no-op (process resolves before hashing).
 	job = job.ResolveCalibration()
-	e := keyEncoders.Get().(*keyEncoder)
+	e := newKeyEncoder()
 	defer keyEncoders.Put(e)
-	// Reset both halves: an encoder a panicking KeyOf returned to the
-	// pool may hold a partial encoding.
-	e.h.Reset()
-	e.buf = e.buf[:0]
-
-	e.u64(keyVersion)
-
-	// Device: name alone is not unique (custom devices may collide), so
-	// the size and full edge list are folded in. Edges() is canonical:
-	// construction order with each edge normalized to A < B. Every
-	// variable-length section carries a length prefix so distinct
-	// (device, circuit) byte streams can never alias each other.
-	e.str(job.Device.Name())
-	e.i64(int64(job.Device.NumQubits()))
-	e.u64(uint64(len(job.Device.Edges())))
-	for _, d := range job.Device.Edges() {
-		e.i64(int64(d.A))
-		e.i64(int64(d.B))
-	}
-
-	// Circuit structure. The name is excluded: it is reporting metadata
-	// and does not affect routing.
-	c := job.Circuit
-	e.i64(int64(c.NumQubits()))
-	e.i64(int64(c.NumGates()))
-	for _, g := range c.Gates() {
-		e.u64(uint64(g.Kind))
-		e.i64(int64(g.Q0))
-		e.i64(int64(g.Q1))
-		for _, p := range g.Params {
-			e.f64(p)
-		}
+	if !job.KeyState.Matches(job.Device, job.Circuit) || !e.resume(job.KeyState.state) {
+		e.prefix(job.Device, job.Circuit)
 	}
 
 	// Options, every result-affecting field. The Trials override is
@@ -127,6 +100,42 @@ func KeyOf(job Job) Key {
 	return e.sum()
 }
 
+// KeyState is the SHA-256 state of KeyOf's encoding after its version,
+// device and circuit sections, made for one device and one circuit
+// pointer. Those sections depend on nothing else, so a job carrying a
+// state made for its own Device and Circuit resumes from it and hashes
+// only its options section, about 150 bytes instead of 24 or more per
+// gate. Matching is by pointer identity, which makes it exact only
+// while neither the circuit nor the device's name, size and edges
+// change: a caller keeps states only for circuits it never mutates.
+// A state is 108 bytes (crypto/sha256's marshaled digest) plus its
+// header; it is never persisted.
+type KeyState struct {
+	dev   *arch.Device
+	circ  *circuit.Circuit
+	state []byte
+}
+
+// NewKeyState hashes the device and circuit sections of the cache key
+// of any job on dev and c, and returns the hash state after them.
+func NewKeyState(dev *arch.Device, c *circuit.Circuit) *KeyState {
+	e := newKeyEncoder()
+	defer keyEncoders.Put(e)
+	e.prefix(dev, c)
+	e.flush()
+	state, err := e.h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic("batch: " + err.Error()) // crypto/sha256 marshals any state
+	}
+	return &KeyState{dev: dev, circ: c, state: state}
+}
+
+// Matches reports whether s was made for exactly dev and c; a nil
+// state matches nothing.
+func (s *KeyState) Matches(dev *arch.Device, c *circuit.Circuit) bool {
+	return s != nil && s.dev == dev && s.circ == c
+}
+
 // keyBufSize is KeyOf's encoding buffer. A job of up to a few
 // thousand gates is hashed with a single Write; a larger one in blocks
 // of this size, so hashing never holds a second copy of a large
@@ -146,6 +155,56 @@ type keyEncoder struct {
 var keyEncoders = sync.Pool{New: func() any {
 	return &keyEncoder{h: sha256.New(), buf: make([]byte, 0, keyBufSize)}
 }}
+
+// newKeyEncoder takes an encoder from the pool and resets both halves:
+// an encoder a panicking caller returned may hold a partial encoding.
+func newKeyEncoder() *keyEncoder {
+	e := keyEncoders.Get().(*keyEncoder)
+	e.h.Reset()
+	e.buf = e.buf[:0]
+	return e
+}
+
+// prefix encodes the key's version, device and circuit sections.
+func (e *keyEncoder) prefix(dev *arch.Device, c *circuit.Circuit) {
+	e.u64(keyVersion)
+
+	// Device: name alone is not unique (custom devices may collide), so
+	// the size and full edge list are folded in. Edges() is canonical:
+	// construction order with each edge normalized to A < B. Every
+	// variable-length section carries a length prefix so distinct
+	// (device, circuit) byte streams can never alias each other.
+	e.str(dev.Name())
+	e.i64(int64(dev.NumQubits()))
+	e.u64(uint64(len(dev.Edges())))
+	for _, d := range dev.Edges() {
+		e.i64(int64(d.A))
+		e.i64(int64(d.B))
+	}
+
+	// Circuit structure. The name is excluded: it is reporting metadata
+	// and does not affect routing.
+	e.i64(int64(c.NumQubits()))
+	e.i64(int64(c.NumGates()))
+	for _, g := range c.Gates() {
+		e.u64(uint64(g.Kind))
+		e.i64(int64(g.Q0))
+		e.i64(int64(g.Q1))
+		for _, p := range g.Params {
+			e.f64(p)
+		}
+	}
+}
+
+// resume restores the hash to a state NewKeyState made, reporting
+// whether it could; the encoder must be empty.
+func (e *keyEncoder) resume(state []byte) bool {
+	if err := e.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
+		e.h.Reset()
+		return false
+	}
+	return true
+}
 
 func (e *keyEncoder) u64(v uint64) {
 	if len(e.buf)+8 > cap(e.buf) {

@@ -44,8 +44,9 @@ func TestKeyOfPinned(t *testing.T) {
 
 var benchKey Key
 
-// BenchmarkKeyOf hashes jobs of 21, 512 and 34,881 gates. KeyOf runs
-// on every request, cache hits included.
+// BenchmarkKeyOf hashes jobs of 21, 512 and 34,881 gates, in full and
+// resumed from a kept KeyState. KeyOf runs on every request, cache hits
+// included.
 func BenchmarkKeyOf(b *testing.B) {
 	for _, name := range []string{"4mod5-v1_22", "qft_16", "9symml_195"} {
 		bm, ok := workloads.ByName(name)
@@ -57,6 +58,14 @@ func BenchmarkKeyOf(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				benchKey = KeyOf(job)
+			}
+		})
+		resumed := job
+		resumed.KeyState = NewKeyState(job.Device, job.Circuit)
+		b.Run(name+"/resumed", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchKey = KeyOf(resumed)
 			}
 		})
 	}

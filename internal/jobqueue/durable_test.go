@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/joblog"
+	"repro/internal/metrics"
 	"repro/internal/qasm"
 	"repro/internal/workloads"
 )
@@ -67,6 +68,7 @@ func TestPersistRoundTrip(t *testing.T) {
 		Webhook:    "http://example.invalid/hook",
 		DeviceSpec: "tokyo",
 	}
+	req.Job.KeyState = batch.NewKeyState(req.Job.Device, req.Job.Circuit)
 	payload, err := encodeRequest(req)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
@@ -90,6 +92,9 @@ func TestPersistRoundTrip(t *testing.T) {
 	if dec.Job.Trials != 3 || dec.Job.Route != "greedy" || dec.Job.Tag != "round-trip" ||
 		!dec.Job.UseCalibration || len(dec.Job.Passes) != 2 {
 		t.Fatalf("job fields did not round-trip: %+v", dec.Job)
+	}
+	if dec.Job.KeyState != nil {
+		t.Fatal("a cache-key state was persisted")
 	}
 	o := dec.Job.Options
 	if o.Heuristic != core.HeuristicLookahead || o.Seed != 7 || o.Trials != 2 ||
@@ -159,11 +164,15 @@ func TestReplayOnBoot(t *testing.T) {
 	if _, err := q.Get("job-crash-4"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("terminal job resurrected: %v", err)
 	}
-	// All three replayed jobs — original IDs intact — run to done.
+	// All three replayed jobs — original IDs intact — run to done, and
+	// each result carries the report of its replayed circuit.
 	for _, id := range []string{"job-crash-1", "job-crash-2", "job-crash-3"} {
 		snap := waitState(t, q, id, StateDone)
 		if snap.Result == nil {
 			t.Fatalf("%s: done without result", id)
+		}
+		if want := metrics.Compare(snap.Request.Job.Circuit, snap.Result.Final); snap.Result.Report != want {
+			t.Fatalf("%s: report %+v, want %+v", id, snap.Result.Report, want)
 		}
 	}
 	// Replayed compilation is byte-identical to a fresh submission of
