@@ -25,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/qasm"
+	"repro/internal/route"
 	"repro/internal/workloads"
 )
 
@@ -282,5 +283,48 @@ func TestRoutedOutputStillValid(t *testing.T) {
 		if g.TwoQubit() && !dev.Connected(g.Q0, g.Q1) {
 			t.Fatalf("gate %d (%v %d,%d) on uncoupled qubits", i, g.Kind, g.Q0, g.Q1)
 		}
+	}
+}
+
+// goldenAnnealDigests pins resultDigest of route.AnnealRouter
+// {Iterations: 16, Chains: 3} on IBM Q20 Tokyo under default options,
+// per benchmark, plus one noise-model run with coupler pruning
+// (TestGoldenAnnealPinned).
+var goldenAnnealDigests = map[string]string{
+	"4mod5-v1_22":    "83c1992e8da1173224383d539dce17d0910dd9ea898032663fc38089f3157eee",
+	"qft_10":         "2143fc79da30193d4f41bf3354f3f1b1628579f3807dba52647608b9388c4002",
+	"rd84_142":       "6a9426a0337505ce5fd5d92450b3d977671993378206adf058fc0ce86579be39",
+	"ising_model_13": "80845bc5bd091497133d97f56034ff1c45309cbf967ebf5c6b87fa0dc2713c13",
+	"qft_10+noise":   "2c9133eb04989b51d6a3f8379d7526014768292c806170c2ad17da95d56dd46c",
+}
+
+// TestGoldenAnnealPinned pins the annealing router's output: its
+// chains, its per-chain incumbent and the selection across chains
+// must not move when the code that runs them does.
+func TestGoldenAnnealPinned(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	r := route.AnnealRouter{Iterations: 16, Chains: 3}
+	noisy := core.DefaultOptions()
+	noisy.Noise = arch.RandomNoise(dev, 1e-3, 1e-1, rand.New(rand.NewSource(7)))
+	noisy.MaxEdgeError = 0.05
+	for _, tc := range []struct {
+		label, bench string
+		opts         core.Options
+	}{
+		{"4mod5-v1_22", "4mod5-v1_22", core.DefaultOptions()},
+		{"qft_10", "qft_10", core.DefaultOptions()},
+		{"rd84_142", "rd84_142", core.DefaultOptions()},
+		{"ising_model_13", "ising_model_13", core.DefaultOptions()},
+		{"qft_10+noise", "qft_10", noisy},
+	} {
+		b, ok := workloads.ByName(tc.bench)
+		if !ok {
+			t.Fatalf("unknown benchmark %s", tc.bench)
+		}
+		res, err := r.Route(context.Background(), b.Build(), dev, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.label, err)
+		}
+		assertDigest(t, goldenAnnealDigests, tc.label, resultDigest(res))
 	}
 }
