@@ -37,8 +37,8 @@ bench:
 # End-to-end routing smoke: two small workloads through the batch
 # engine with a 4-trial fan-out and the verify pass in the job
 # pipeline, so any routing-validity error fails the target (exit 1),
-# plus one workload through each registry heuristic (anneal,
-# tokenswap) under the same verify gate, plus the async job queue
+# plus one workload through the registry's anneal heuristic under the
+# same verify gate, plus the async job queue
 # (submit/poll/webhook/cancel/drain) over the same workloads. The
 # final step runs the routing hot-path benchmarks once with allocation
 # reporting — the TestScoreRoundZeroAllocs and TestRecordStepZeroAllocs
@@ -49,7 +49,6 @@ bench:
 bench-smoke:
 	$(GO) run ./cmd/benchtab -batch -names 4mod5-v1_22,qft_10 -trials 4 -passes verify -rounds 1 -workers 2
 	$(GO) run ./cmd/benchtab -batch -names 4mod5-v1_22 -route anneal -trials 2 -passes verify -rounds 1 -workers 2
-	$(GO) run ./cmd/benchtab -batch -names 4mod5-v1_22 -route tokenswap -trials 4 -passes verify -rounds 1 -workers 2
 	$(GO) run ./cmd/benchtab -async -names 4mod5-v1_22,qft_10 -passes verify -workers 2
 	$(GO) test ./internal/core -run 'TestScoreRoundZeroAllocs|TestRecordStepZeroAllocs|TestTrialBytesPerGate|TestPrepareBytesPerGate' -count=1 -v \
 		-bench 'BenchmarkScoreRound|BenchmarkRoutePass/qft_20' -benchtime=1x -benchmem

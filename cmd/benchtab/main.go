@@ -5,7 +5,7 @@
 //	benchtab -fig8                Figure 8 (gates/depth trade-off vs δ)
 //	benchtab -scaling             §V-B scalability study on QFT
 //	benchtab -batch               batch engine over the full suite
-//	benchtab -routers sabre,anneal,tokenswap -names qft_10
+//	benchtab -routers sabre,greedy,anneal -names qft_10
 //	                              cross-heuristic comparison table
 //	benchtab -json BENCH.json     perf-trajectory snapshot (workload ×
 //	                              router: ns/op, allocs/op, g_add)
@@ -82,8 +82,8 @@ func main() {
 		asyncMode   = flag.Bool("async", false, "drive the async job queue (submit/poll/webhook/cancel) over the workload suite")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "batch engine worker count")
 		rounds      = flag.Int("rounds", 2, "batch rounds (first cold, rest warm-cache)")
-		routeName   = flag.String("route", "", "routing backend for -batch jobs: sabre|greedy|astar|anneal|tokenswap")
-		routersFlag = flag.String("routers", "", "comma-separated routing backends to compare side by side (e.g. sabre,greedy,astar,anneal,tokenswap)")
+		routeName   = flag.String("route", "", "routing backend for -batch jobs: sabre|greedy|astar|anneal")
+		routersFlag = flag.String("routers", "", "comma-separated routing backends to compare side by side (e.g. sabre,greedy,astar,anneal)")
 		jsonFile    = flag.String("json", "", "measure workload × router perf (ns/op, allocs/op, added gates) and write the JSON trajectory snapshot to this file")
 		compareFile = flag.String("compare", "", "re-measure the rows of this BENCH_*.json baseline and fail (exit 1) on regression — the CI perf gate")
 		tolerance   = flag.Float64("tolerance", 25, "-compare: max ns/op regression in percent before failing")

@@ -11,7 +11,7 @@
 //	POST /compile?device=tokyo[&seed=7&trials=5&bridge=1&heuristic=decay&route=anneal&passes=peephole,basis]
 //	    Body: OpenQASM 2.0 source (or, with Content-Type
 //	    application/json, {"qasm": "...", "device": "...",
-//	    "options": {...}, "trials": 8, "route": "tokenswap",
+//	    "options": {...}, "trials": 8, "route": "anneal",
 //	    "passes": ["peephole"]}).
 //	    Returns routed QASM plus metrics, including per-pass
 //	    timing/gate/depth snapshots. Cancelled requests (client
@@ -378,7 +378,7 @@ type compileRequest struct {
 	// also works; this wins when both are set).
 	Trials int `json:"trials,omitempty"`
 	// Route names the routing backend from the router registry:
-	// sabre (default), greedy, astar, anneal, tokenswap.
+	// sabre (default), greedy, astar, anneal.
 	Route string `json:"route,omitempty"`
 	// Passes names post-routing pipeline passes to run in order:
 	// basis, peephole, schedule, verify.

@@ -42,6 +42,7 @@ func TestCompileRejectsInvalidParams(t *testing.T) {
 		"non-post-routing pass":    `{"qasm": "` + escaped(tinyQASM) + `", "device": "line:3", "passes": ["layout"]}`,
 		"unknown pass":             `{"qasm": "` + escaped(tinyQASM) + `", "device": "line:3", "passes": ["polish"]}`,
 		"unknown route":            `{"qasm": "` + escaped(tinyQASM) + `", "device": "line:3", "route": "warp-drive"}`,
+		"deleted route":            `{"qasm": "` + escaped(tinyQASM) + `", "device": "line:3", "route": "tokenswap"}`,
 	}
 	for name, body := range jsonCases {
 		for _, path := range []string{"/compile", "/jobs"} {
@@ -64,6 +65,13 @@ func TestCompileRejectsInvalidParams(t *testing.T) {
 		resp, _ := postQASM(t, ts.URL+"/compile"+query, tinyQASM)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("query %s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	// tokenswap left the router registry, so naming it is a client
+	// error on both endpoints.
+	for _, path := range []string{"/compile", "/jobs"} {
+		if resp, _ := postQASM(t, ts.URL+path+"?device=line:3&route=tokenswap", tinyQASM); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("query %s route=tokenswap: status %d, want 400", path, resp.StatusCode)
 		}
 	}
 
@@ -128,7 +136,7 @@ func TestCompileAcceptsRegistryRouters(t *testing.T) {
 	ts, _ := newTestServer(t)
 	src := qasm.Format(workloads.GHZ(5))
 
-	for _, name := range []string{"sabre", "greedy", "astar", "anneal", "tokenswap", "bka"} {
+	for _, name := range []string{"sabre", "greedy", "astar", "anneal", "bka"} {
 		resp, out := postQASM(t, ts.URL+"/compile?device=tokyo&route="+name, src)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query route=%s: status %d", name, resp.StatusCode)
@@ -138,9 +146,9 @@ func TestCompileAcceptsRegistryRouters(t *testing.T) {
 		}
 	}
 
-	body := `{"qasm": "` + escaped(qasm.Format(workloads.GHZ(4))) + `", "device": "line:5", "route": "tokenswap"}`
+	body := `{"qasm": "` + escaped(qasm.Format(workloads.GHZ(4))) + `", "device": "line:5", "route": "anneal"}`
 	if resp := postJSON(t, ts.URL+"/compile", body); resp.StatusCode != http.StatusOK {
-		t.Fatalf("JSON route=tokenswap: status %d", resp.StatusCode)
+		t.Fatalf("JSON route=anneal: status %d", resp.StatusCode)
 	}
 }
 

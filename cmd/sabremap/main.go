@@ -6,7 +6,7 @@
 //	sabremap -in circuit.qasm -device q20 -out routed.qasm
 //	sabremap -in circuit.qasm -device grid:4x5 -decompose -stats
 //	sabremap -in circuit.qasm -trials 8 -passes peephole,basis -stats
-//	sabremap -in circuit.qasm -route tokenswap -verify
+//	sabremap -in circuit.qasm -route anneal -verify
 //
 // Devices: q20 (IBM Q20 Tokyo), qx5, line:N, ring:N, grid:RxC, full:N.
 package main
@@ -31,7 +31,7 @@ func main() {
 		travs     = flag.Int("traversals", 3, "forward/backward traversals per trial (odd)")
 		delta     = flag.Float64("delta", 0.001, "decay increment δ (depth/gate trade-off)")
 		heur      = flag.String("heuristic", "decay", "cost function: basic|lookahead|decay")
-		routeName = flag.String("route", "", "routing backend: sabre|greedy|astar|anneal|tokenswap (default sabre)")
+		routeName = flag.String("route", "", "routing backend: sabre|greedy|astar|anneal (default sabre)")
 		bridge    = flag.Bool("bridge", false, "enable 4-CNOT bridges for non-recurring distance-2 CNOTs")
 		seed      = flag.Int64("seed", 1, "PRNG seed")
 		decompose = flag.Bool("decompose", false, "expand SWAPs into 3 CNOTs in the output")

@@ -49,7 +49,7 @@ type Job struct {
 	Trials int
 
 	// Route names the routing backend from the router registry
-	// (sabre, greedy, astar, anneal, tokenswap, ...); empty selects
+	// (sabre, greedy, astar, anneal, ...); empty selects
 	// the default sabre trial runner. The canonical name joins the
 	// cache key, so jobs differing only in backend never share a
 	// cached result. Unknown names fail the job.

@@ -234,6 +234,31 @@ func TestReplayLegacyScoringRecords(t *testing.T) {
 	}
 }
 
+// TestReplayDeletedRouter: a record that names a router no longer in
+// the registry (tokenswap) replays to a failed job carrying the
+// unknown-router error, and the queue keeps serving.
+func TestReplayDeletedRouter(t *testing.T) {
+	req := durableReq("deleted-router")
+	req.Job.Route = "tokenswap"
+	dir := t.TempDir()
+	synthCrashLog(t, dir, []joblog.Record{
+		{Kind: joblog.KindAccepted, Seq: 1, Time: 100, ID: "job-tokenswap", Payload: mustPayload(t, req)},
+	})
+	q, _ := newDurableQueue(t, Config{Workers: 1, Durable: durableCfg(dir)})
+	if st := q.Stats(); st.Recovery.Replayed != 1 || st.Recovery.Dropped != 0 {
+		t.Fatalf("recovery = %+v", st.Recovery)
+	}
+	snap := waitState(t, q, "job-tokenswap", StateFailed)
+	if !strings.Contains(snap.Err, `unknown router "tokenswap"`) {
+		t.Fatalf("replayed job failed with %q, want the unknown-router error", snap.Err)
+	}
+	next, err := q.Submit(durableReq("after"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, q, next.ID, StateDone)
+}
+
 func TestCleanRestartReplaysNothing(t *testing.T) {
 	dir := t.TempDir()
 	eng := batch.NewEngine(batch.Config{Workers: 2})

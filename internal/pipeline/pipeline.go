@@ -185,8 +185,8 @@ func (m *Manager) Compile(ctx context.Context, circ *circuit.Circuit, dev *arch.
 // Build composes a Manager from pass names — the form the -passes
 // flags and the daemon's JSON accept. Recognized names: parse,
 // calibrate, layout, route (optionally route:<name> for any backend in
-// the router registry — sabre, greedy, astar, anneal, tokenswap, plus
-// anything registered at runtime), basis, peephole, schedule, verify.
+// the router registry — sabre, greedy, astar, anneal, plus anything
+// registered at runtime), basis, peephole, schedule, verify.
 // Names are case-insensitive; empty names (from trailing commas) are
 // skipped.
 func Build(names ...string) (*Manager, error) {

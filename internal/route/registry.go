@@ -7,9 +7,8 @@
 // everywhere at once.
 //
 // Built-in backends: sabre (the paper's multi-trial reverse-traversal
-// search), greedy and astar (the comparison baselines), anneal
-// (simulated annealing over initial mappings, this package), and
-// tokenswap (token-swapping permutation routing, this package).
+// search), greedy and astar (the comparison baselines), and anneal
+// (simulated annealing over initial mappings, this package).
 package route
 
 import (
@@ -37,7 +36,6 @@ func init() {
 	Register("greedy", func() core.Router { return baseline.GreedyRouter{} })
 	Register("astar", func() core.Router { return baseline.AStarRouter{} })
 	Register("anneal", func() core.Router { return AnnealRouter{} })
-	Register("tokenswap", func() core.Router { return TokenSwapRouter{} })
 	RegisterAlias("trials", "sabre")
 	RegisterAlias("bka", "astar")
 }

@@ -9,7 +9,7 @@ import (
 
 func TestNamesListsBuiltins(t *testing.T) {
 	names := Names()
-	for _, want := range []string{"sabre", "greedy", "astar", "anneal", "tokenswap"} {
+	for _, want := range []string{"sabre", "greedy", "astar", "anneal"} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -68,7 +68,6 @@ func TestCanonicalAliasesAndDefault(t *testing.T) {
 		"bka":       "astar",
 		"astar":     "astar",
 		"anneal":    "anneal",
-		"tokenswap": "tokenswap",
 	}
 	for in, want := range cases {
 		got, err := Canonical(in)

@@ -11,12 +11,11 @@ import (
 	"repro/internal/workloads"
 )
 
-// newRouters returns the two heuristics this package contributes, with
-// small search budgets so tests stay fast.
+// newRouters returns the heuristic this package contributes, with a
+// small search budget so tests stay fast.
 func newRouters() map[string]core.Router {
 	return map[string]core.Router{
-		"anneal":    AnnealRouter{Iterations: 16, Chains: 2},
-		"tokenswap": TokenSwapRouter{},
+		"anneal": AnnealRouter{Iterations: 16, Chains: 2},
 	}
 }
 

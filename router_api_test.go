@@ -11,7 +11,7 @@ import (
 
 func TestRouterRegistryExposed(t *testing.T) {
 	names := RouterNames()
-	for _, want := range []string{"sabre", "greedy", "astar", "anneal", "tokenswap"} {
+	for _, want := range []string{"sabre", "greedy", "astar", "anneal"} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -41,14 +41,14 @@ func TestRouterRegistryExposed(t *testing.T) {
 		}
 	}
 
-	if _, err := NewRouter("bogus"); err == nil || !strings.Contains(err.Error(), "tokenswap") {
+	if _, err := NewRouter("bogus"); err == nil || !strings.Contains(err.Error(), "anneal") {
 		t.Fatalf("NewRouter(bogus) err = %v, want a listing of registered routers", err)
 	}
 }
 
 func TestBuildPipelineWithRegistryRouters(t *testing.T) {
 	dev := IBMQ20Tokyo()
-	for _, stage := range []string{"route:anneal", "route:tokenswap"} {
+	for _, stage := range []string{"route:anneal", "route:greedy"} {
 		pm, err := BuildPipeline(stage, "verify")
 		if err != nil {
 			t.Fatal(err)

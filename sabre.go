@@ -435,14 +435,14 @@ type (
 	// TrialRunner is the bounded-pool best-of-N routing backend.
 	TrialRunner = pipeline.TrialRunner
 	// Router abstracts a routing backend (SABRE, greedy, A*,
-	// annealing, token swapping, or anything registered at runtime).
+	// annealing, or anything registered at runtime).
 	Router = core.Router
 )
 
 // --- Router registry ---
 
 // NewRouter resolves a routing backend by registry name: sabre,
-// greedy, astar, anneal, tokenswap, or any name added with
+// greedy, astar, anneal, or any name added with
 // RegisterRouter. The empty name yields the default sabre backend;
 // unknown names return an error listing every registered router.
 func NewRouter(name string) (Router, error) { return route.New(name) }
@@ -471,7 +471,7 @@ func CompileAdaptive(ctx context.Context, circ *Circuit, dev *Device, opts Optio
 
 // BuildPipeline composes a PassManager from pass names: parse, layout,
 // route (or route:<name> for any registered backend — sabre, greedy,
-// astar, anneal, tokenswap, ...), basis, peephole, schedule, verify.
+// astar, anneal, ...), basis, peephole, schedule, verify.
 // Run it with its Compile method:
 //
 //	pm, _ := sabre.BuildPipeline("route", "peephole", "verify")
