@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
-	"repro/internal/pipeline"
 	"repro/internal/qasm"
 	"repro/internal/route"
 	"repro/internal/workloads"
@@ -133,7 +132,7 @@ func TestGoldenScoringEnginesFullSuite(t *testing.T) {
 			opts.Trials = 2 // keeps the full-suite sweep inside tier-1 budget
 			opts.Scoring = eng.scoring
 			for _, workers := range workerCounts {
-				tr := pipeline.TrialRunner{Trials: 2, Workers: workers}
+				tr := core.TrialRunner{Trials: 2, Workers: workers}
 				res, err := tr.Route(context.Background(), circ, dev, opts)
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: %v", b.Name, eng.name, workers, err)
@@ -227,7 +226,7 @@ func TestGoldenTrialRunnerWorkerInvariance(t *testing.T) {
 			opts.Trials = 6
 			opts.Scoring = eng.scoring
 			for _, workers := range workerCounts {
-				tr := pipeline.TrialRunner{Trials: 6, Workers: workers}
+				tr := core.TrialRunner{Trials: 6, Workers: workers}
 				res, err := tr.Route(context.Background(), circ, dev, opts)
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: %v", name, eng.name, workers, err)

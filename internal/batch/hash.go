@@ -34,9 +34,7 @@ const keyVersion = 4
 // KeyOf computes the cache key of a job. The encoding is canonical:
 // field order is fixed, floats are encoded by their IEEE-754 bits, and
 // map-backed structures (the noise model) are sorted before hashing.
-// Options.ParallelTrials is deliberately excluded — the sequential and
-// parallel trial paths return bit-identical results, so they must
-// share cache entries. A job whose KeyState was made for its own
+// A job whose KeyState was made for its own
 // Device and Circuit hashes only the options section; the digest is
 // the same either way.
 func KeyOf(job Job) Key {

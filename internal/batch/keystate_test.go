@@ -117,7 +117,7 @@ func (gateRouter) Route(ctx context.Context, c *circuit.Circuit, dev *arch.Devic
 		gateEntered <- struct{}{}
 		<-gateRelease
 	}
-	return core.SabreRouter{}.Route(ctx, c, dev, opts)
+	return core.TrialRunner{Workers: 1}.Route(ctx, c, dev, opts)
 }
 
 // TestResultReport: every result carries metrics.Compare of the job's

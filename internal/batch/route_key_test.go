@@ -62,10 +62,10 @@ func TestEngineRunsEveryRegisteredRouter(t *testing.T) {
 	circ := workloads.QFT(5)
 	var names []string
 	for _, name := range route.Names() {
-		// The scripted fault router (registered by other tests in this
-		// package, and by sabred -fault-routes) panics by design; its
-		// isolation has its own test.
-		if name == "panic" {
+		// The scripted fault routers (registered by other tests in this
+		// package, and by sabred -fault-routes) panic by design; their
+		// isolation has its own tests.
+		if name == "panic" || name == trialPanicRoute {
 			continue
 		}
 		names = append(names, name)

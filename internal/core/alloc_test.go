@@ -183,3 +183,29 @@ func TestPrepareBytesPerGate(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileAllocs is the allocation-count guard on a whole compile:
+// a warm 5-trial Compile (Prepare, the trial pool at one worker, every
+// trial and SelectBest's build of the winner) of qft_10, qft_20 and
+// rd84_142 on Tokyo. They count 163, 167 and 164 allocations (160,
+// 164 and 161 before the trial pool ran Compile). One bound of 170
+// holds all three: one more allocation per trial breaks it on qft_20,
+// and a per-gate or per-round allocation adds hundreds.
+func TestCompileAllocs(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	for _, name := range []string{"qft_10", "qft_20", "rd84_142"} {
+		b, _ := workloads.ByName(name)
+		circ := b.Build()
+		compile := func() {
+			if _, err := Compile(circ, dev, DefaultOptions()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		compile() // warm the device's distance matrices
+		allocs := testing.AllocsPerRun(10, compile)
+		t.Logf("%s: %.0f allocs per compile", name, allocs)
+		if allocs > 170 {
+			t.Errorf("%s: a warm Compile allocates %.0f times, want <= 170", name, allocs)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -374,19 +375,19 @@ func TestKnownOptimalZeroGap(t *testing.T) {
 
 // --- Parallel trials ---
 
+// TestParallelTrialsBitIdentical: Compile's trials, run in order on
+// one worker, and the same trials on a four-worker pool select the
+// same winner.
 func TestParallelTrialsBitIdentical(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	for _, name := range []string{"qft_10", "rd84_142"} {
 		b, _ := workloads.ByName(name)
 		c := b.Build()
-		serial := DefaultOptions()
-		parallel := DefaultOptions()
-		parallel.ParallelTrials = true
-		rs, err := Compile(c, dev, serial)
+		rs, err := Compile(c, dev, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp, err := Compile(c, dev, parallel)
+		rp, err := TrialRunner{Workers: 4}.Route(context.Background(), c, dev, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

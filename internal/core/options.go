@@ -142,15 +142,9 @@ type Options struct {
 	MaxEdgeError float64
 
 	// Scoring selects the round-scoring engine (default ScoringBitset).
-	// Both engines route identically — see the Scoring type — so, like
-	// ParallelTrials, this field is excluded from batch cache keys.
+	// Both engines route identically — see the Scoring type — so this
+	// field is excluded from batch cache keys.
 	Scoring Scoring
-
-	// ParallelTrials runs the random restarts on separate goroutines.
-	// Results are bit-identical to the sequential path (each trial owns
-	// its PRNG and the winner is selected in trial order); only
-	// wall-clock time changes.
-	ParallelTrials bool
 }
 
 // DefaultOptions returns the paper's evaluation configuration:

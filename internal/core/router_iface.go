@@ -9,10 +9,10 @@ import (
 
 // Router abstracts a qubit-mapping backend: anything that can take a
 // logical circuit and produce a hardware-compliant physical circuit
-// with layout accounting. SABRE (SabreRouter, or the bounded-pool
-// trial runner in internal/pipeline) is the production implementation;
-// the greedy and A* baselines in internal/baseline satisfy it too, so
-// comparison studies can swap routers into the same pass pipeline.
+// with layout accounting. SABRE (TrialRunner) is the production
+// implementation; the greedy and A* baselines in internal/baseline and
+// the annealing router in internal/route satisfy it too, so comparison
+// studies can swap routers into the same pass pipeline.
 //
 // Implementations must be safe for concurrent Route calls and must be
 // deterministic for a fixed Options.Seed.
@@ -23,17 +23,4 @@ type Router interface {
 	// whatever granularity it can (trial boundaries at minimum) and
 	// return ctx.Err() when cancelled before a result exists.
 	Route(ctx context.Context, circ *circuit.Circuit, dev *arch.Device, opts Options) (*Result, error)
-}
-
-// SabreRouter is the Router over CompileContext: the paper's full
-// multi-trial, reverse-traversal search. The zero value is ready to
-// use.
-type SabreRouter struct{}
-
-// Name implements Router.
-func (SabreRouter) Name() string { return "sabre" }
-
-// Route implements Router.
-func (SabreRouter) Route(ctx context.Context, circ *circuit.Circuit, dev *arch.Device, opts Options) (*Result, error) {
-	return CompileContext(ctx, circ, dev, opts)
 }

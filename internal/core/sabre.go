@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/arch"
@@ -18,13 +16,12 @@ import (
 // the normalized options, the effective (possibly noise-pruned)
 // device, and the circuit widened to the device (a view sharing the
 // caller's gates, see Circuit.Widen) with its qubit-pair table and
-// its dependency table in both directions. Preparing once and fanning
-// RunTrial out over many seeds is how the trial runner in
-// internal/pipeline shares the precomputed state — the tables and the
-// device's cached distance matrices — read-only across a worker pool.
-// Trial results reference it until SelectBest materializes the
-// winner, and the winner does not, so a retained Result never pins
-// the tables.
+// its dependency table in both directions. TrialRunner prepares once
+// and runs RunTrialCtx over many seeds, sharing this state — the
+// tables and the device's cached distance matrices — read-only across
+// its worker pool. Trial results reference it until SelectBest
+// materializes the winner, and the winner does not, so a retained
+// Result never pins the tables.
 type Prepared struct {
 	dev  *arch.Device
 	opts Options
@@ -69,33 +66,15 @@ func (p *Prepared) Options() Options { return p.opts }
 // device, or its noise-pruned subdevice).
 func (p *Prepared) Device() *arch.Device { return p.dev }
 
-// RunTrial executes one random restart: Traversals alternating
+// RunTrialCtx executes one random restart: Traversals alternating
 // forward/backward passes seeded by Seed+trial (the reverse-traversal
 // technique of §IV-C2), returning the final forward pass's result and
-// its decomposed depth (the deterministic tie-break key). The result's
-// circuit is built by SelectBest (see RunTrialCtx). Safe to call
-// concurrently for distinct trials. It allocates a private Scratch;
-// workers that run many trials should hold one Scratch each and use
-// RunTrialWith.
-func (p *Prepared) RunTrial(trial int) (*Result, int) {
-	return p.RunTrialWith(trial, nil)
-}
-
-// RunTrialWith is RunTrial routing through the caller's scratch
-// buffers. The scratch must not be shared between concurrent calls;
-// the per-worker ownership discipline (one Scratch per goroutine,
-// nothing mutable shared across the pool) is what keeps parallel
-// trials allocation- and contention-free.
-func (p *Prepared) RunTrialWith(trial int, s *Scratch) (*Result, int) {
-	res, depth, _ := p.RunTrialCtx(context.Background(), trial, s)
-	return res, depth
-}
-
-// RunTrialCtx is RunTrialWith with intra-trial cancellation: every
+// its decomposed depth (the deterministic tie-break key). Every
 // traversal's SWAP loop polls ctx at round granularity, so even one
 // enormous trial dies within a round of the signal instead of routing
 // its whole gate list first. A cancelled trial returns ctx.Err() and a
-// nil Result.
+// nil Result. Safe to call concurrently for distinct trials, each on
+// its own scratch (nil allocates a private one).
 //
 // A trial copies nothing per gate: its non-final traversals emit
 // nothing, and its final one records a 4-byte-per-op log (see replay)
@@ -107,7 +86,7 @@ func (p *Prepared) RunTrialCtx(ctx context.Context, trial int, s *Scratch) (*Res
 	if s == nil {
 		s = NewScratch() // shared by this trial's traversals at least
 	}
-	rng := s.seeded(p.opts.Seed + int64(trial))
+	rng := s.Seeded(p.opts.Seed + int64(trial))
 	layout := mapping.Random(p.dev.NumQubits(), rng)
 
 	var r *router
@@ -219,7 +198,7 @@ func SelectBest(results []*Result, depths []int) (*Result, error) {
 // §IV-C2), letting each traversal's final mapping seed the next as an
 // ever-better initial mapping; the last forward traversal produces the
 // output circuit. The best trial by added gates (ties: output depth)
-// wins.
+// wins. The trials run in order on one worker (TrialRunner).
 //
 // The returned circuit acts on the device's physical qubits and
 // contains symbolic SWAPs; Result documents the accounting.
@@ -234,82 +213,7 @@ func Compile(circ *circuit.Circuit, dev *arch.Device, opts Options) (*Result, er
 // single trial. Returns ctx.Err() when cancelled before a winner
 // exists.
 func CompileContext(ctx context.Context, circ *circuit.Circuit, dev *arch.Device, opts Options) (*Result, error) {
-	//sabre:nondeterm-ok wall-clock elapsed metric; never feeds routing decisions
-	start := time.Now()
-	p, err := Prepare(circ, dev, opts)
-	if err != nil {
-		return nil, err
-	}
-	return p.compile(ctx, start)
-}
-
-// compile is CompileContext after Prepare: run p's trials and select
-// the winner, timing from start.
-func (p *Prepared) compile(ctx context.Context, start time.Time) (*Result, error) {
-	opts := p.opts
-
-	results := make([]*Result, opts.Trials)
-	depths := make([]int, opts.Trials)
-	if opts.ParallelTrials && opts.Trials > 1 {
-		// Bounded worker pool: GOMAXPROCS goroutines, each owning one
-		// Scratch for its whole share of the trials. One goroutine per
-		// trial would both oversubscribe the scheduler on large trial
-		// counts and waste a scratch warm-up per trial.
-		workers := runtime.GOMAXPROCS(0)
-		if workers > opts.Trials {
-			workers = opts.Trials
-		}
-		trials := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				s := NewScratch()
-				for trial := range trials {
-					// Cancellation is honored both here (a trial not yet
-					// started when ctx dies is skipped) and inside the
-					// trial's SWAP loop at round granularity, so the run
-					// as a whole fails below within one round.
-					res, depth, err := p.RunTrialCtx(ctx, trial, s)
-					if err != nil {
-						continue
-					}
-					results[trial], depths[trial] = res, depth
-				}
-			}()
-		}
-	feed:
-		for trial := 0; trial < opts.Trials; trial++ {
-			select {
-			case trials <- trial:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(trials)
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	} else {
-		s := NewScratch()
-		for trial := 0; trial < opts.Trials; trial++ {
-			res, depth, err := p.RunTrialCtx(ctx, trial, s)
-			if err != nil {
-				return nil, err
-			}
-			results[trial], depths[trial] = res, depth
-		}
-	}
-
-	best, err := SelectBest(results, depths)
-	if err != nil {
-		return nil, err
-	}
-	best.TrialsRun = opts.Trials
-	best.Elapsed = time.Since(start)
-	return best, nil
+	return TrialRunner{Workers: 1}.Route(ctx, circ, dev, opts)
 }
 
 // CompileWithLayout routes circ starting from a caller-chosen initial
@@ -362,30 +266,32 @@ func effectiveDevice(dev *arch.Device, opts Options) *arch.Device {
 // InitialMapping runs the forward-backward prefix of SABRE and returns
 // the improved initial layout without producing a routed circuit. This
 // exposes the reverse-traversal technique as a standalone layout pass
-// (the role SabreLayout plays in production compilers).
+// (the role SabreLayout plays in production compilers). Each of
+// Options.Trials candidates is scored by one evaluation pass and
+// ranked as BetterTrial ranks trials: by added gates (a bridge costs
+// what a SWAP does), the lowest trial winning ties.
 func InitialMapping(circ *circuit.Circuit, dev *arch.Device, opts Options) (mapping.Layout, error) {
 	p, err := Prepare(circ, dev, opts)
 	if err != nil {
 		return mapping.Layout{}, err
 	}
-	s := NewScratch()
-	bestAdded := -1
-	var bestLayout mapping.Layout
-	for trial := 0; trial < p.opts.Trials; trial++ {
-		rng := s.seeded(p.opts.Seed + int64(trial))
-		layout := mapping.Random(p.dev.NumQubits(), rng)
-		// Forward then backward: the backward pass's final mapping is
-		// the improved initial mapping for the original circuit.
-		f := p.fwd.traverse(layout, rng, s, emitDiscard, nil)
-		b := p.rev.traverse(f.layout, rng, s, emitDiscard, nil)
-		// Score the candidate by one evaluation pass, by added gates as
-		// BetterTrial ranks trials (a bridge costs what a SWAP does);
-		// the lowest trial wins ties.
-		probe := p.fwd.traverse(b.layout, rng, s, emitDiscard, nil)
-		if added := 3 * (probe.swaps + probe.bridges); bestAdded < 0 || added < bestAdded {
-			bestAdded = added
-			bestLayout = b.layout
-		}
+	best, err := TrialRunner{Trials: p.opts.Trials, Workers: 1}.Run(context.Background(), p.layoutTrial)
+	if err != nil {
+		return mapping.Layout{}, err
 	}
-	return bestLayout, nil
+	return mapping.FromLogicalToPhysical(best.InitialLayout)
+}
+
+// layoutTrial is one InitialMapping candidate: forward then backward
+// from a random layout, the backward pass's final mapping being the
+// improved initial mapping for the original circuit, then one forward
+// evaluation pass from it. It reports depth 0, so candidates rank by
+// added gates, then trial.
+func (p *Prepared) layoutTrial(_ context.Context, trial int, s *Scratch) (*Result, int, error) {
+	rng := s.Seeded(p.opts.Seed + int64(trial))
+	layout := mapping.Random(p.dev.NumQubits(), rng)
+	f := p.fwd.traverse(layout, rng, s, emitDiscard, nil)
+	b := p.rev.traverse(f.layout, rng, s, emitDiscard, nil)
+	probe := p.fwd.traverse(b.layout, rng, s, emitDiscard, nil)
+	return &Result{InitialLayout: b.layout.LogicalToPhysical(), AddedGates: 3 * (probe.swaps + probe.bridges)}, 0, nil
 }

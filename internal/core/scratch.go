@@ -84,7 +84,7 @@ type Scratch struct {
 	// stream runs.
 	stream streamScratch
 
-	// rng is the trial generator, reseeded per trial (see seeded).
+	// rng is the trial generator, reseeded per trial (see Seeded).
 	rng *rand.Rand
 }
 
@@ -196,11 +196,12 @@ func (z *streamScratch) arenaBytes() int64 {
 // whatever passes it serves and are then reused; keep one per worker.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// seeded returns the scratch's generator seeded with seed. Seeding
+// Seeded returns the scratch's generator seeded with seed. Seeding
 // resets a math/rand source in full, so its stream is that of
 // rand.New(rand.NewSource(seed)), and a trial allocates no new 4.9 KB
-// source.
-func (s *Scratch) seeded(seed int64) *rand.Rand {
+// source. The generator is the scratch's, so it is valid until the
+// next Seeded call.
+func (s *Scratch) Seeded(seed int64) *rand.Rand {
 	if s.rng == nil {
 		s.rng = rand.New(rand.NewSource(seed))
 	} else {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 	"weak"
 
 	"repro/internal/arch"
@@ -212,31 +211,27 @@ func TestInitialMappingRanksByAddedGates(t *testing.T) {
 // nothing reachable from the winning Result references the Prepared —
 // and through it the DAG — so a result cache or a retained job holds
 // the routed circuit only. The test runs Compile's body after Prepare
-// (compile) so it can hold a weak pointer to the Prepared, in the
-// sequential and the pooled trial paths.
+// (the runner at one worker) so it can hold a weak pointer to the
+// Prepared.
 func TestCompileRetainsNoPrepared(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	b, _ := workloads.ByName("rd84_142")
-	for _, parallel := range []bool{false, true} {
-		opts := fastOpts()
-		opts.ParallelTrials = parallel
-		p, err := Prepare(b.Build(), dev, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := weak.Make(p)
-		best, err := p.compile(context.Background(), time.Now())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p = nil
-		runtime.GC()
-		if w.Value() != nil {
-			t.Errorf("parallel=%v: the Prepared outlived Compile while its winner is reachable", parallel)
-		}
-		if best.Circuit == nil || best.Circuit.NumGates() == 0 {
-			t.Fatalf("parallel=%v: winner has no circuit", parallel)
-		}
-		runtime.KeepAlive(best)
+	p, err := Prepare(b.Build(), dev, fastOpts())
+	if err != nil {
+		t.Fatal(err)
 	}
+	w := weak.Make(p)
+	best, err := TrialRunner{Trials: p.Options().Trials, Workers: 1}.Run(context.Background(), p.RunTrialCtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = nil
+	runtime.GC()
+	if w.Value() != nil {
+		t.Error("the Prepared outlived Compile while its winner is reachable")
+	}
+	if best.Circuit == nil || best.Circuit.NumGates() == 0 {
+		t.Fatal("winner has no circuit")
+	}
+	runtime.KeepAlive(best)
 }

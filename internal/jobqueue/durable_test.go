@@ -197,9 +197,10 @@ func TestReplayOnBoot(t *testing.T) {
 }
 
 // TestReplayLegacyScoringRecords: records written before the delta
-// engine and the ExhaustiveScoring flag were retired — "scoring": 1
-// and "exhaustive_scoring": true — still decode, and replay to the
-// bitset engine's result.
+// engine, the ExhaustiveScoring flag and the ParallelTrials option
+// were retired — "scoring": 1, "exhaustive_scoring": true and
+// "parallel_trials": true — still decode, and replay to the bitset
+// engine's result.
 func TestReplayLegacyScoringRecords(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Seed = 5
@@ -221,12 +222,13 @@ func TestReplayLegacyScoringRecords(t *testing.T) {
 	synthCrashLog(t, dir, []joblog.Record{
 		{Kind: joblog.KindAccepted, Seq: 1, Time: 100, ID: "job-delta", Payload: legacy(`"scoring":1`)},
 		{Kind: joblog.KindAccepted, Seq: 2, Time: 200, ID: "job-exhaustive", Payload: legacy(`"exhaustive_scoring":true`)},
+		{Kind: joblog.KindAccepted, Seq: 3, Time: 300, ID: "job-parallel", Payload: legacy(`"parallel_trials":true`)},
 	})
 	q, _ := newDurableQueue(t, Config{Workers: 1, Durable: durableCfg(dir)})
-	if st := q.Stats(); st.Recovery.Replayed != 2 || st.Recovery.Dropped != 0 {
+	if st := q.Stats(); st.Recovery.Replayed != 3 || st.Recovery.Dropped != 0 {
 		t.Fatalf("recovery = %+v", st.Recovery)
 	}
-	for _, id := range []string{"job-delta", "job-exhaustive"} {
+	for _, id := range []string{"job-delta", "job-exhaustive", "job-parallel"} {
 		snap := waitState(t, q, id, StateDone)
 		if got := snap.Result; qasm.Format(got.Final) != qasm.Format(want.Final) || got.AddedGates != want.AddedGates {
 			t.Fatalf("%s replayed to %d added gates, bitset compiles %d (or the circuits differ)", id, got.AddedGates, want.AddedGates)

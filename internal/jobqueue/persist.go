@@ -53,7 +53,8 @@ type persistedJob struct {
 // core.Options directly) pins the wire schema: adding a field to
 // core.Options cannot silently change what old logs decode to. Old
 // records may name "scoring": 1, the retired delta engine, which core
-// routes as the bitset default.
+// routes as the bitset default, or carry "parallel_trials", a retired
+// option that changed only wall-clock time, which decoding ignores.
 type persistedOptions struct {
 	Heuristic          uint8           `json:"heuristic,omitempty"`
 	ExtendedSetSize    int             `json:"extended_set_size,omitempty"`
@@ -68,7 +69,6 @@ type persistedOptions struct {
 	Noise              *persistedNoise `json:"noise,omitempty"`
 	MaxEdgeError       float64         `json:"max_edge_error,omitempty"`
 	Scoring            uint8           `json:"scoring,omitempty"`
-	ParallelTrials     bool            `json:"parallel_trials,omitempty"`
 
 	// ExhaustiveScoring is read from old records only: the retired
 	// legacy spelling of Scoring: ScoringExhaustive, decoded as such.
@@ -165,7 +165,6 @@ func encodeOptions(o core.Options) persistedOptions {
 		Noise:              encodeNoise(o.Noise),
 		MaxEdgeError:       o.MaxEdgeError,
 		Scoring:            uint8(o.Scoring),
-		ParallelTrials:     o.ParallelTrials,
 	}
 }
 
@@ -187,7 +186,6 @@ func decodeOptions(p persistedOptions) core.Options {
 		Noise:              decodeNoise(p.Noise),
 		MaxEdgeError:       p.MaxEdgeError,
 		Scoring:            core.Scoring(p.Scoring),
-		ParallelTrials:     p.ParallelTrials,
 	}
 }
 

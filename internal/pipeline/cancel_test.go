@@ -42,7 +42,7 @@ func TestTrialRunnerCancelMidRun(t *testing.T) {
 
 	for _, patience := range []int{0, 2} {
 		ctx, cancel := context.WithCancel(context.Background())
-		tr := TrialRunner{Trials: 8, Workers: 2, Patience: patience}
+		tr := core.TrialRunner{Trials: 8, Workers: 2, Patience: patience}
 		done := make(chan error, 1)
 		go func() {
 			_, err := tr.Route(ctx, circ, dev, opts)

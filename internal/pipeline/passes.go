@@ -77,18 +77,19 @@ func (LayoutPass) Run(pc *Ctx) error {
 
 // RoutePass maps the working circuit onto the device. With pc.Layout
 // set (a preceding LayoutPass), it routes a single forward traversal
-// from that layout; otherwise it delegates to Router — by default the
-// bounded-pool TrialRunner running the paper's best-of-N protocol.
+// from that layout; otherwise it delegates to Router — by default
+// core.TrialRunner running the paper's best-of-N protocol on a
+// bounded worker pool.
 type RoutePass struct {
-	// Router overrides the routing backend (nil = TrialRunner with
+	// Router overrides the routing backend (nil = core.TrialRunner with
 	// this pass's Trials/Workers/Patience). Any backend from the
 	// router registry (internal/route) drops in here.
 	Router core.Router
-	// Trials overrides Options.Trials for the default TrialRunner.
+	// Trials overrides Options.Trials for the default runner.
 	Trials int
-	// Workers bounds the default TrialRunner's pool.
+	// Workers bounds the default runner's pool.
 	Workers int
-	// Patience enables the default TrialRunner's adaptive early exit
+	// Patience enables the default runner's adaptive early exit
 	// (stop after this many consecutive non-improving trials; 0 =
 	// exhaustive).
 	Patience int
@@ -118,7 +119,7 @@ func (p RoutePass) Run(pc *Ctx) error {
 	case pc.Layout.Size() > 0:
 		res, err = core.CompileWithLayout(pc.Circuit, pc.Device, pc.Layout, pc.Options)
 	default:
-		tr := TrialRunner{Trials: p.Trials, Workers: p.Workers, Patience: p.Patience}
+		tr := core.TrialRunner{Trials: p.Trials, Workers: p.Workers, Patience: p.Patience}
 		res, err = tr.Route(pc.Context(), pc.Circuit, pc.Device, pc.Options)
 	}
 	if err != nil {

@@ -7,10 +7,10 @@
 //
 // A Pass transforms the shared Ctx; a Manager composes passes with
 // per-pass timing/metrics, deterministic seeding and cancellation.
-// TrialRunner fans the paper's best-of-N random-restart protocol out
-// over a bounded worker pool sharing the device's precomputed distance
-// matrices, and selects the winner deterministically, so results are
-// byte-identical at any worker count.
+// RoutePass routes with any registered backend; its default,
+// core.TrialRunner, runs the paper's best-of-N random-restart protocol
+// on a bounded worker pool and selects the winner deterministically,
+// so results are byte-identical at any worker count.
 package pipeline
 
 import (
@@ -33,7 +33,7 @@ import (
 // on. Passes read and write its fields; the Manager owns the metrics
 // and cancellation plumbing. A Ctx is used by one pipeline run at a
 // time and is not safe for concurrent mutation (parallelism lives
-// inside passes, e.g. TrialRunner's worker pool).
+// inside passes, e.g. core.TrialRunner's worker pool).
 type Ctx struct {
 	// Source is OpenQASM 2.0 input for ParsePass; ignored when the
 	// Circuit is constructed directly.
@@ -220,9 +220,9 @@ func ByName(name string) (Pass, error) {
 	case "route":
 		switch arg {
 		case "", "sabre", "trials":
-			// The default backend is the bounded-pool TrialRunner, not
-			// the registry's sequential SabreRouter; both compute the
-			// identical result, but the pool parallelises the trials.
+			// The default backend is core.TrialRunner with the pass's
+			// pool, where the registry's sabre entry runs one worker;
+			// both compute the identical result.
 			return RoutePass{}, nil
 		default:
 			r, err := route.New(arg)

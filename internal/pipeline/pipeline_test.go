@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"testing"
-	"time"
 	"weak"
 
 	"repro/internal/arch"
@@ -28,6 +27,26 @@ func cxCircuit(n, gates int, seed int64) *circuit.Circuit {
 	return out
 }
 
+// population runs tr over circ's SABRE trials and returns every trial
+// of the population it selected over, indexed by trial, with the
+// depths. Only the winner's circuit is built.
+func population(ctx context.Context, tr core.TrialRunner, circ *circuit.Circuit, dev *arch.Device, opts core.Options) ([]*core.Result, []int, error) {
+	p, err := core.Prepare(circ, dev, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	results, depths := make([]*core.Result, tr.Trials), make([]int, tr.Trials)
+	best, err := tr.Run(ctx, func(ctx context.Context, trial int, s *core.Scratch) (*core.Result, int, error) {
+		res, depth, err := p.RunTrialCtx(ctx, trial, s)
+		results[trial], depths[trial] = res, depth
+		return res, depth, err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return results[:best.TrialsRun], depths[:best.TrialsRun], nil
+}
+
 func TestTrialRunnerDeterministicAcrossWorkerCounts(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	circ := cxCircuit(16, 120, 11)
@@ -36,7 +55,7 @@ func TestTrialRunnerDeterministicAcrossWorkerCounts(t *testing.T) {
 
 	var ref string
 	for _, workers := range []int{1, 2, 3, 8} {
-		tr := TrialRunner{Trials: 8, Workers: workers}
+		tr := core.TrialRunner{Trials: 8, Workers: workers}
 		res, err := tr.Route(context.Background(), circ, dev, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -56,8 +75,8 @@ func TestEveryTrialOutputVerifies(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Seed = 7
 
-	tr := TrialRunner{Trials: 6, Workers: 3}
-	results, depths, err := tr.RunTrials(context.Background(), circ, dev, opts)
+	tr := core.TrialRunner{Trials: 6, Workers: 3}
+	results, depths, err := population(context.Background(), tr, circ, dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +84,9 @@ func TestEveryTrialOutputVerifies(t *testing.T) {
 		t.Fatalf("expected 6 trial results, got %d/%d", len(results), len(depths))
 	}
 	for trial, res := range results {
-		// Trials leave their circuits unbuilt; selecting one trial on its
-		// own builds it, so every trial's output is checked, not only the
-		// winner's.
+		// Trials other than the winner leave their circuits unbuilt;
+		// selecting one trial on its own builds it, so every trial's
+		// output is checked, not only the winner's.
 		if _, err := core.SelectBest(results[trial:trial+1], depths[trial:trial+1]); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -80,12 +99,11 @@ func TestEveryTrialOutputVerifies(t *testing.T) {
 	}
 }
 
-// TestRouteRetainsNoPrepared: once Route has selected its winner,
-// nothing reachable from the winning Result references the trials'
-// core.Prepared, and through it the DAG, so a result cache or a
-// retained job holds the routed circuit only. The test runs Route's
-// body after Prepare (route) so it can hold a weak pointer to the
-// Prepared.
+// TestRouteRetainsNoPrepared: once a pooled run has selected its
+// winner, nothing reachable from the winning Result references the
+// trials' core.Prepared, and through it the DAG, so a result cache or
+// a retained job holds the routed circuit only. The test runs Route's
+// body after Prepare so it can hold a weak pointer to the Prepared.
 func TestRouteRetainsNoPrepared(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	p, err := core.Prepare(workloads.QFT(12), dev, core.DefaultOptions())
@@ -93,7 +111,7 @@ func TestRouteRetainsNoPrepared(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := weak.Make(p)
-	best, err := TrialRunner{Trials: 4, Workers: 2}.route(context.Background(), p, time.Now())
+	best, err := core.TrialRunner{Trials: 4, Workers: 2}.Run(context.Background(), p.RunTrialCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +136,12 @@ func TestBestOfNNoWorseThanSingleTrial(t *testing.T) {
 		"queko_tokyo": queko,
 		"qft_16":      workloads.QFT(16),
 	} {
-		single := TrialRunner{Trials: 1}
+		single := core.TrialRunner{Trials: 1}
 		one, err := single.Route(context.Background(), circ, dev, opts)
 		if err != nil {
 			t.Fatalf("%s single: %v", name, err)
 		}
-		multi := TrialRunner{Trials: 8, Workers: 4}
+		multi := core.TrialRunner{Trials: 8, Workers: 4}
 		eight, err := multi.Route(context.Background(), circ, dev, opts)
 		if err != nil {
 			t.Fatalf("%s multi: %v", name, err)
@@ -145,7 +163,7 @@ func TestTrialRunnerMatchesCoreCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := TrialRunner{Workers: 4} // Trials taken from opts
+	tr := core.TrialRunner{Workers: 4} // Trials taken from opts
 	got, err := tr.Route(context.Background(), circ, dev, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +182,7 @@ func TestTrialRunnerCancellation(t *testing.T) {
 	circ := workloads.QFT(16)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	tr := TrialRunner{Trials: 4}
+	tr := core.TrialRunner{Trials: 4}
 	if _, err := tr.Route(ctx, circ, dev, core.DefaultOptions()); err == nil {
 		t.Fatal("expected cancellation error")
 	}

@@ -25,7 +25,7 @@ func TestAdaptiveDeterministicAtAnyWorkerCount(t *testing.T) {
 	circ := workloads.QFT(8)
 	opts := adaptiveOptions()
 
-	ref, err := TrialRunner{Trials: 16, Patience: 3, Workers: 1}.Route(context.Background(), circ, dev, opts)
+	ref, err := core.TrialRunner{Trials: 16, Patience: 3, Workers: 1}.Route(context.Background(), circ, dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestAdaptiveDeterministicAtAnyWorkerCount(t *testing.T) {
 		t.Logf("adaptive rule never fired (TrialsRun = %d); property still checked", ref.TrialsRun)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		got, err := TrialRunner{Trials: 16, Patience: 3, Workers: workers}.Route(context.Background(), circ, dev, opts)
+		got, err := core.TrialRunner{Trials: 16, Patience: 3, Workers: workers}.Route(context.Background(), circ, dev, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestAdaptiveMatchesExhaustivePrefix(t *testing.T) {
 	circ := workloads.QFT(7)
 	opts := adaptiveOptions()
 
-	aResults, aDepths, err := TrialRunner{Trials: 20, Patience: 2, Workers: 4}.RunTrials(context.Background(), circ, dev, opts)
+	aResults, aDepths, err := population(context.Background(), core.TrialRunner{Trials: 20, Patience: 2, Workers: 4}, circ, dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestAdaptiveMatchesExhaustivePrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eResults, eDepths, err := TrialRunner{Trials: 20, Workers: 4}.RunTrials(context.Background(), circ, dev, opts)
+	eResults, eDepths, err := population(context.Background(), core.TrialRunner{Trials: 20, Workers: 4}, circ, dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestAdaptiveReportsActualTrialCount(t *testing.T) {
 	circ := workloads.QFT(6)
 	opts := adaptiveOptions()
 
-	res, err := TrialRunner{Trials: 32, Patience: 1, Workers: 1}.Route(context.Background(), circ, dev, opts)
+	res, err := core.TrialRunner{Trials: 32, Patience: 1, Workers: 1}.Route(context.Background(), circ, dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +125,8 @@ func TestRunTrialsCancelMidFeed(t *testing.T) {
 	// 512 trials on 2 workers keeps the feed loop alive for hundreds
 	// of milliseconds, so the cancel always lands mid-feed even when a
 	// loaded machine delays the timer goroutine.
-	tr := TrialRunner{Trials: 512, Workers: 2}
-	results, depths, err := tr.RunTrials(ctx, circ, dev, opts)
+	tr := core.TrialRunner{Trials: 512, Workers: 2}
+	results, depths, err := population(ctx, tr, circ, dev, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

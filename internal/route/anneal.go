@@ -21,8 +21,9 @@ import (
 // layout; worse states are accepted with probability exp(-Δ/T) under a
 // geometric cooling schedule, so the chain can climb out of the local
 // minima a greedy restart is stuck with. Options.Trials independent
-// chains run from distinct seeds and the best routed circuit wins
-// (fewest added gates, ties by decomposed depth, then lowest seed).
+// chains run from distinct seeds as the trials of a core.TrialRunner
+// and the best routed circuit wins (fewest added gates, ties by
+// decomposed depth, then lowest seed).
 //
 // The router is deterministic for a fixed Options.Seed and honors ctx
 // cancellation at every annealing step.
@@ -42,7 +43,8 @@ const defaultAnnealIterations = 64
 // Name implements core.Router.
 func (AnnealRouter) Name() string { return "anneal" }
 
-// Route implements core.Router.
+// Route implements core.Router. The chains run on one worker: jobs,
+// not chains, are the batch engine's unit of parallelism.
 func (r AnnealRouter) Route(ctx context.Context, circ *circuit.Circuit, dev *arch.Device, opts core.Options) (*core.Result, error) {
 	//sabre:nondeterm-ok wall-clock elapsed metric; never feeds routing decisions
 	start := time.Now()
@@ -58,96 +60,76 @@ func (r AnnealRouter) Route(ctx context.Context, circ *circuit.Circuit, dev *arc
 	if chains <= 0 {
 		chains = opts.Trials
 	}
-	n := dev.NumQubits()
-
-	// One prepared runner + scratch for the whole search: every
-	// annealing step re-routes the same circuit, so the DAG is built
-	// once here instead of once per step, and all step traversals
-	// reuse the same warm buffers.
+	// Every annealing step re-routes the same circuit, so its tables
+	// are built once here and shared by all chains.
 	runner := core.NewPassRunner(wide, dev, opts)
-	scratch := core.NewScratch()
+	chain := func(ctx context.Context, chain int, s *core.Scratch) (*core.Result, int, error) {
+		return anneal(ctx, runner, dev.NumQubits(), iters, s.Seeded(opts.Seed+int64(chain)), s)
+	}
+	best, err := core.TrialRunner{Trials: chains, Workers: 1}.Run(ctx, chain)
+	if err != nil {
+		return nil, err
+	}
+	best.Elapsed = time.Since(start)
+	return best, nil
+}
 
-	var best trialBest
-	for chain := 0; chain < chains; chain++ {
+// anneal runs one chain of iters steps on an n-qubit device from a
+// random layout drawn from rng and returns its best state, by added
+// gates, then decomposed depth, the earliest step winning ties, with
+// that depth. Depth is computed only for states that tie or beat the
+// incumbent's cost, keeping most steps to one routing pass.
+func anneal(ctx context.Context, runner *core.PassRunner, n, iters int, rng *rand.Rand, s *core.Scratch) (*core.Result, int, error) {
+	cur := mapping.Random(n, rng)
+	curPass, err := runner.RunContext(ctx, cur, rng, s)
+	if err != nil {
+		return nil, 0, err
+	}
+	curCost := addedGates(curPass)
+	best, bestCost, bestDepth := curPass, curCost, depth(curPass)
+	if n < 2 {
+		// No transposition exists on a single-qubit device; the chain
+		// is just its starting traversal.
+		return passToResult(best), bestDepth, nil
+	}
+	// Temperature is scaled to the chain's starting cost so the early
+	// acceptance rate is workload-independent; it then cools
+	// geometrically to ~2% of the start.
+	t0 := math.Max(1, float64(curCost)/3)
+	cooling := math.Pow(0.02, 1/math.Max(1, float64(iters-1)))
+	temp := t0
+	for i := 0; i < iters; i++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		rng := rand.New(rand.NewSource(opts.Seed + int64(chain)))
-		cur := mapping.Random(n, rng)
-		curPass, err := runner.RunContext(ctx, cur, rng, scratch)
+		cand := cur.Clone()
+		a := rng.Intn(n)
+		b := rng.Intn(n - 1)
+		if b >= a {
+			b++
+		}
+		cand.SwapPhysical(a, b)
+		candPass, err := runner.RunContext(ctx, cand, rng, s)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		curCost := addedGates(curPass)
-		best.consider(curPass, curCost)
-
-		if n < 2 {
-			// No transposition exists on a single-qubit device; the
-			// chain is just its starting traversal.
-			continue
+		candCost := addedGates(candPass)
+		if candCost <= curCost || rng.Float64() < math.Exp(float64(curCost-candCost)/temp) {
+			cur, curPass, curCost = cand, candPass, candCost
+			if curCost <= bestCost {
+				if d := depth(curPass); curCost < bestCost || d < bestDepth {
+					best, bestCost, bestDepth = curPass, curCost, d
+				}
+			}
 		}
-		// Temperature is scaled to the chain's starting cost so the
-		// early acceptance rate is workload-independent; it then cools
-		// geometrically to ~2% of the start.
-		t0 := math.Max(1, float64(curCost)/3)
-		cooling := math.Pow(0.02, 1/math.Max(1, float64(iters-1)))
-		temp := t0
-		for i := 0; i < iters; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			cand := cur.Clone()
-			a := rng.Intn(n)
-			b := rng.Intn(n - 1)
-			if b >= a {
-				b++
-			}
-			cand.SwapPhysical(a, b)
-			candPass, err := runner.RunContext(ctx, cand, rng, scratch)
-			if err != nil {
-				return nil, err
-			}
-			candCost := addedGates(candPass)
-			if candCost <= curCost || rng.Float64() < math.Exp(float64(curCost-candCost)/temp) {
-				cur, curPass, curCost = cand, candPass, candCost
-				best.consider(curPass, curCost)
-			}
-			temp *= cooling
-		}
+		temp *= cooling
 	}
-	return best.result(chains, time.Since(start)), nil
+	return passToResult(best), bestDepth, nil
 }
 
-// trialBest tracks the incumbent routed traversal across chains with
-// the deterministic comparator (cost, then decomposed depth, then
-// chain order). Depth is only computed on cost ties, keeping the hot
-// path to one routing pass per step.
-type trialBest struct {
-	pass  core.PassResult
-	cost  int
-	depth int
-	set   bool
-}
-
-func (b *trialBest) consider(pass core.PassResult, cost int) {
-	if b.set && cost > b.cost {
-		return
-	}
-	depth := metrics.Measure(pass.Circuit).Depth // a SWAP as its 3 CX, no copy
-	// Cost tie: later finds only win on strictly smaller depth, so the
-	// earliest chain keeps remaining ties (lowest-seed rule).
-	if b.set && cost == b.cost && depth >= b.depth {
-		return
-	}
-	b.pass = pass
-	b.cost = cost
-	b.depth = depth
-	b.set = true
-}
-
-func (b *trialBest) result(trials int, elapsed time.Duration) *core.Result {
-	return passToResult(b.pass, trials, elapsed)
-}
+// depth is the decomposed depth of a traversal's circuit: a SWAP
+// counts as its 3 CX, without building the decomposed copy.
+func depth(p core.PassResult) int { return metrics.Measure(p.Circuit).Depth }
 
 // addedGates is the routing cost of one traversal: 3 gates per SWAP
 // and per bridge.
@@ -157,7 +139,7 @@ func addedGates(p core.PassResult) int {
 
 // passToResult lifts a single traversal's PassResult to the Router
 // result contract.
-func passToResult(p core.PassResult, trials int, elapsed time.Duration) *core.Result {
+func passToResult(p core.PassResult) *core.Result {
 	added := addedGates(p)
 	return &core.Result{
 		Circuit:             p.Circuit,
@@ -167,9 +149,7 @@ func passToResult(p core.PassResult, trials int, elapsed time.Duration) *core.Re
 		BridgeCount:         p.BridgeCount,
 		AddedGates:          added,
 		FirstTraversalAdded: added,
-		TrialsRun:           trials,
 		Stats:               p.Stats,
-		Elapsed:             elapsed,
 	}
 }
 

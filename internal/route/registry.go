@@ -7,8 +7,9 @@
 // everywhere at once.
 //
 // Built-in backends: sabre (the paper's multi-trial reverse-traversal
-// search), greedy and astar (the comparison baselines), and anneal
-// (simulated annealing over initial mappings, this package).
+// search, core.TrialRunner at one worker), greedy and astar (the
+// comparison baselines), and anneal (simulated annealing over initial
+// mappings, this package).
 package route
 
 import (
@@ -32,7 +33,7 @@ var (
 )
 
 func init() {
-	Register("sabre", func() core.Router { return core.SabreRouter{} })
+	Register("sabre", func() core.Router { return core.TrialRunner{Workers: 1} })
 	Register("greedy", func() core.Router { return baseline.GreedyRouter{} })
 	Register("astar", func() core.Router { return baseline.AStarRouter{} })
 	Register("anneal", func() core.Router { return AnnealRouter{} })

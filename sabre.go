@@ -335,14 +335,7 @@ func CompileContext(ctx context.Context, circ *Circuit, dev *Device, opts Option
 // count and never worse than a single-trial Compile with the same
 // seed.
 func CompileN(circ *Circuit, dev *Device, opts Options, n int) (*Result, error) {
-	return CompileNContext(context.Background(), circ, dev, opts, n)
-}
-
-// CompileNContext is CompileN with cancellation, honored at trial
-// boundaries.
-func CompileNContext(ctx context.Context, circ *Circuit, dev *Device, opts Options, n int) (*Result, error) {
-	tr := pipeline.TrialRunner{Trials: n}
-	return tr.Route(ctx, circ, dev, opts)
+	return TrialRunner{Trials: n}.Route(context.Background(), circ, dev, opts)
 }
 
 // FindInitialMapping runs SABRE's reverse-traversal technique and
@@ -433,7 +426,7 @@ type (
 	// PassMetric instruments one executed pass.
 	PassMetric = pipeline.PassMetric
 	// TrialRunner is the bounded-pool best-of-N routing backend.
-	TrialRunner = pipeline.TrialRunner
+	TrialRunner = core.TrialRunner
 	// Router abstracts a routing backend (SABRE, greedy, A*,
 	// annealing, or anything registered at runtime).
 	Router = core.Router
@@ -465,8 +458,7 @@ func RegisterRouter(name string, factory func() Router) {
 // worker count and equals exhaustive selection over that same prefix;
 // Result.TrialsRun reports the population actually searched.
 func CompileAdaptive(ctx context.Context, circ *Circuit, dev *Device, opts Options, maxTrials, patience int) (*Result, error) {
-	tr := pipeline.TrialRunner{Trials: maxTrials, Patience: patience}
-	return tr.Route(ctx, circ, dev, opts)
+	return TrialRunner{Trials: maxTrials, Patience: patience}.Route(ctx, circ, dev, opts)
 }
 
 // BuildPipeline composes a PassManager from pass names: parse, layout,
