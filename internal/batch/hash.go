@@ -34,9 +34,8 @@ const keyVersion = 4
 // KeyOf computes the cache key of a job. The encoding is canonical:
 // field order is fixed, floats are encoded by their IEEE-754 bits, and
 // map-backed structures (the noise model) are sorted before hashing.
-// A job whose KeyState was made for its own
-// Device and Circuit hashes only the options section; the digest is
-// the same either way.
+// A job whose KeyState was made for its own Device and Circuit hashes
+// only the options section; the digest is the same either way.
 func KeyOf(job Job) Key {
 	// Defensive for callers hashing unresolved jobs directly; inside
 	// the engine this is a no-op (process resolves before hashing).

@@ -87,27 +87,12 @@ func (tr TrialRunner) Route(ctx context.Context, circ *circuit.Circuit, dev *arc
 	return best, nil
 }
 
-// Run runs trials 0..Trials-1 of fn and returns the winner selected by
-// SelectBest, with TrialsRun set to the population it selected over. A
-// cancelled run returns ctx.Err(); otherwise a failed trial inside the
-// population fails the run with its error, the lowest trial's first.
+// Run runs trials 0..Trials-1 of fn on the pool and returns the winner
+// selected by SelectBest over the population — every trial, or the
+// adaptive prefix — with TrialsRun set to its size. A cancelled run
+// returns ctx.Err(); otherwise a failed trial inside the population
+// fails the run with its error, the lowest trial's first.
 func (tr TrialRunner) Run(ctx context.Context, fn TrialFunc) (*Result, error) {
-	results, depths, err := tr.population(ctx, fn)
-	if err != nil {
-		return nil, err
-	}
-	best, err := SelectBest(results, depths)
-	if err != nil {
-		return nil, err
-	}
-	best.TrialsRun = len(results)
-	return best, nil
-}
-
-// population runs fn's trials on the pool and returns the population,
-// every trial or the adaptive prefix, indexed by trial, with its
-// depths.
-func (tr TrialRunner) population(ctx context.Context, fn TrialFunc) ([]*Result, []int, error) {
 	n := max(tr.Trials, 0)
 	workers := tr.Workers
 	if workers <= 0 {
@@ -124,12 +109,17 @@ func (tr TrialRunner) population(ctx context.Context, fn TrialFunc) ([]*Result, 
 		panic(p.panicked)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if p.err != nil && p.failed < p.stop {
-		return nil, nil, p.err
+		return nil, p.err
 	}
-	return p.results[:p.stop], p.depths[:p.stop], nil
+	best, err := SelectBest(p.results[:p.stop], p.depths[:p.stop])
+	if err != nil {
+		return nil, err
+	}
+	best.TrialsRun = p.stop
+	return best, nil
 }
 
 // trialPool is the state the workers of one run share. Workers start
