@@ -91,7 +91,7 @@ func (tr TrialRunner) Route(ctx context.Context, circ *circuit.Circuit, dev *arc
 // selected by SelectBest over the population — every trial, or the
 // adaptive prefix — with TrialsRun set to its size. A cancelled run
 // returns ctx.Err(); otherwise a failed trial inside the population
-// fails the run with its error, the lowest trial's first.
+// fails the run with the error of the lowest such trial.
 func (tr TrialRunner) Run(ctx context.Context, fn TrialFunc) (*Result, error) {
 	n := max(tr.Trials, 0)
 	workers := tr.Workers
