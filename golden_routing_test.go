@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/mapping"
 	"repro/internal/qasm"
 	"repro/internal/route"
 	"repro/internal/workloads"
@@ -325,5 +326,67 @@ func TestGoldenAnnealPinned(t *testing.T) {
 			t.Fatalf("%s: %v", tc.label, err)
 		}
 		assertDigest(t, goldenAnnealDigests, tc.label, resultDigest(res))
+	}
+}
+
+// goldenLayoutDigests pins resultDigest of core.CompileWithLayout on
+// IBM Q20 Tokyo under default options, from the identity layout and
+// from one seeded random layout per benchmark, plus one noise-model
+// run with coupler pruning and one run with bridges
+// (TestGoldenCompileWithLayoutPinned).
+var goldenLayoutDigests = map[string]string{
+	"4mod5-v1_22/identity":   "d2a91d44bec449584da7c24cee8a4cc2c768efb992e908696d16c6344d4e20bb",
+	"4mod5-v1_22/random":     "3e7bbad6ba946e9f5da3a5e41d68f440f156be1c50e735864ba74dde7d70bfa9",
+	"qft_10/identity":        "81b5d1fbf048d4e6b4d428d9c4522ce3ea5b521a339506fd48c2b127d8fe16af",
+	"qft_10/random":          "048edc990c4d4422bfa0fb8b9de273bff04fe3e0efba656a326c95c53f7a7355",
+	"rd84_142/identity":      "e87875bc27f4958e301d905e39c1a63ff685ce0404856d890c0bdef182e361bf",
+	"rd84_142/random":        "d775070e9ce4a5e92637850609c464547cfb7a5e553bd9ed7ffe0aaa6d797aaa",
+	"qft_10/random+noise":    "1727008485715611cf3f26ca9fc459249953c939d8df5aedd013d5f34de4c1f0",
+	"rd84_142/random+bridge": "0f8ebb31500d28aa448039937418953895f8641ead2d58763f1c6ecad8a1ac44",
+}
+
+// TestGoldenCompileWithLayoutPinned pins the fixed-layout router's
+// output: one forward traversal from the caller's layout under the
+// generator of Options.Seed, counted as one trial whose first
+// traversal is its last.
+func TestGoldenCompileWithLayoutPinned(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	n := dev.NumQubits()
+	random := mapping.Random(n, rand.New(rand.NewSource(5)))
+	noisy := core.DefaultOptions()
+	noisy.Noise = arch.RandomNoise(dev, 1e-3, 1e-1, rand.New(rand.NewSource(7)))
+	noisy.MaxEdgeError = 0.05
+	bridged := core.DefaultOptions()
+	bridged.UseBridge = true
+	for _, tc := range []struct {
+		label, bench string
+		init         mapping.Layout
+		opts         core.Options
+	}{
+		{"4mod5-v1_22/identity", "4mod5-v1_22", mapping.Identity(n), core.DefaultOptions()},
+		{"4mod5-v1_22/random", "4mod5-v1_22", random, core.DefaultOptions()},
+		{"qft_10/identity", "qft_10", mapping.Identity(n), core.DefaultOptions()},
+		{"qft_10/random", "qft_10", random, core.DefaultOptions()},
+		{"rd84_142/identity", "rd84_142", mapping.Identity(n), core.DefaultOptions()},
+		{"rd84_142/random", "rd84_142", random, core.DefaultOptions()},
+		{"qft_10/random+noise", "qft_10", random, noisy},
+		{"rd84_142/random+bridge", "rd84_142", random, bridged},
+	} {
+		b, ok := workloads.ByName(tc.bench)
+		if !ok {
+			t.Fatalf("unknown benchmark %s", tc.bench)
+		}
+		res, err := core.CompileWithLayout(b.Build(), dev, tc.init, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.label, err)
+		}
+		if res.TrialsRun != 1 || res.FirstTraversalAdded != res.AddedGates {
+			t.Errorf("%s: TrialsRun %d, FirstTraversalAdded %d of %d added; want one trial whose first traversal is its last",
+				tc.label, res.TrialsRun, res.FirstTraversalAdded, res.AddedGates)
+		}
+		if init, err := mapping.FromLogicalToPhysical(res.InitialLayout); err != nil || !init.Equal(tc.init) {
+			t.Errorf("%s: routing started from %v, not the given layout", tc.label, res.InitialLayout)
+		}
+		assertDigest(t, goldenLayoutDigests, tc.label, resultDigest(res))
 	}
 }
