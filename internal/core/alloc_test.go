@@ -93,8 +93,8 @@ func TestRecordStepZeroAllocs(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	opts := DefaultOptions()
 	opts.UseBridge = true // the bridge's log entry is on the path too
-	fwd := NewPassRunner(bigRandomCX(20, 4000, 3), dev, opts)
-	for _, pr := range []*PassRunner{fwd, fwd.reversed()} {
+	fwd := newPassRunner(bigRandomCX(20, 4000, 3), dev, opts)
+	for _, pr := range []*passRunner{fwd, fwd.reversed()} {
 		init := mapping.Random(dev.NumQubits(), rand.New(rand.NewSource(1)))
 		s := NewScratch()
 		pr.traverse(init, rand.New(rand.NewSource(2)), s, emitRecord, nil)

@@ -29,7 +29,7 @@ func TestScoreBoundExactAndPrunes(t *testing.T) {
 		{"9symml_195", b.Build()},
 		{"trace_50k", workloads.RandomCircuit("trace", 18, 50_000, 0.55, 5)},
 	} {
-		pr := NewPassRunner(tc.circ.Widen(dev.NumQubits()), dev, DefaultOptions())
+		pr := newPassRunner(tc.circ.Widen(dev.NumQubits()), dev, DefaultOptions())
 		rng := rand.New(rand.NewSource(1))
 		r := pr.newRouter(mapping.Random(dev.NumQubits(), rng), rng, nil, nil)
 		cands, ruled := 0, 0

@@ -29,21 +29,23 @@ func bigRandomCX(n, gates int, seed int64) *circuit.Circuit {
 	return c
 }
 
-// TestRunContextCancelledBeforeStart: a pre-cancelled context kills the
-// traversal at its first round; no partial circuit escapes.
-func TestRunContextCancelledBeforeStart(t *testing.T) {
+// TestTraverseCancelledBeforeStart: a pre-cancelled context kills the
+// traversal at its first round; no partial traversal escapes.
+func TestTraverseCancelledBeforeStart(t *testing.T) {
 	dev := arch.Grid(4, 5)
-	circ := bigRandomCX(20, 10_000, 7)
+	p, err := Prepare(bigRandomCX(20, 10_000, 7), dev, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	pr := NewPassRunner(circ, dev, DefaultOptions())
-	res, err := pr.RunContext(ctx, mapping.Identity(20), rand.New(rand.NewSource(1)), nil)
+	tr, err := p.Traverse(ctx, mapping.Identity(20), rand.New(rand.NewSource(1)), nil)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if res.Circuit != nil {
-		t.Fatal("cancelled traversal leaked a partial circuit")
+	if tr.r != nil {
+		t.Fatal("cancelled traversal leaked a partial traversal")
 	}
 }
 

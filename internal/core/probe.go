@@ -38,7 +38,7 @@ func NewScoreRoundProbe(scoring Scoring) *ScoreRoundProbe {
 	}
 	opts := DefaultOptions()
 	opts.Scoring = scoring
-	pr := NewPassRunner(c, dev, opts)
+	pr := newPassRunner(c, dev, opts)
 	r := pr.newRouter(mapping.Identity(20), rand.New(rand.NewSource(1)), nil, nil)
 	r.drain()
 	if len(r.s.front) == 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -14,9 +15,11 @@ import (
 // engine: the branch-free bitset default and the exhaustive
 // reference, plus the bitset engine over the reverse traversal, which
 // a trial's middle pass runs on the dependency table read backwards.
-// All share the prepared tables and warm scratch, so the gaps are
-// purely the per-round scoring machinery; allocs/op ≈ a handful per
-// pass (output circuit + layout clones), none of them per-round.
+// The forward rows run Prepared.Traverse, the entry annealing steps
+// and CompileWithLayout route through, recording the op log; all
+// share the prepared tables and a warm scratch, so the gaps are purely
+// the per-round scoring machinery. allocs/op is a handful per pass
+// (the router and its layout), none of them per round.
 func BenchmarkRoutePass(b *testing.B) {
 	dev := arch.IBMQ20Tokyo()
 	for _, name := range []string{"qft_16", "qft_20", "rd84_253", "9symml_195"} {
@@ -24,7 +27,6 @@ func BenchmarkRoutePass(b *testing.B) {
 		if !ok {
 			b.Fatalf("unknown benchmark %s", name)
 		}
-		circ := bench.Build().Widen(dev.NumQubits())
 		for _, mode := range []struct {
 			name    string
 			scoring Scoring
@@ -32,23 +34,34 @@ func BenchmarkRoutePass(b *testing.B) {
 		}{{"bitset", ScoringBitset, false}, {"exhaustive", ScoringExhaustive, false}, {"bitset/reverse", ScoringBitset, true}} {
 			opts := DefaultOptions()
 			opts.Scoring = mode.scoring
-			pr := NewPassRunner(circ, dev, opts)
-			if mode.reverse {
-				pr = pr.reversed()
+			p, err := Prepare(bench.Build(), dev, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// pass routes one traversal and returns its added gates.
+			pass := func(init mapping.Layout, rng *rand.Rand, s *Scratch) int {
+				if mode.reverse {
+					r := p.rev.traverse(init, rng, s, emitRecord, nil)
+					return 3 * (r.swaps + r.bridges)
+				}
+				t, err := p.Traverse(context.Background(), init, rng, s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return t.Added
 			}
 			b.Run(name+"/"+mode.name, func(b *testing.B) {
 				scratch := NewScratch()
 				rng := rand.New(rand.NewSource(1))
 				init := mapping.Random(dev.NumQubits(), rng)
-				pr.Run(init, rng, scratch) // warm the scratch
+				pass(init, rng, scratch) // warm the scratch
 				b.ReportAllocs()
 				b.ResetTimer()
-				var swaps int
+				var added int
 				for i := 0; i < b.N; i++ {
-					res := pr.Run(init, rand.New(rand.NewSource(1)), scratch)
-					swaps = res.SwapCount
+					added = pass(init, rand.New(rand.NewSource(1)), scratch)
 				}
-				b.ReportMetric(float64(swaps), "swaps")
+				b.ReportMetric(float64(added), "added")
 			})
 		}
 	}

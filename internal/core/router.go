@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math/bits"
 	"math/rand"
 
@@ -9,17 +8,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/mapping"
 )
-
-// PassResult is the outcome of one traversal (RoutePass): the routed
-// physical circuit, the layouts bracketing it, and the SWAP count.
-type PassResult struct {
-	Circuit       *circuit.Circuit
-	InitialLayout mapping.Layout
-	FinalLayout   mapping.Layout
-	SwapCount     int
-	BridgeCount   int
-	Stats         PassStats
-}
 
 // PassStats instruments one traversal; it quantifies the §IV-C1
 // complexity claim (the SWAP candidate list is O(N), not O(exp(N))).
@@ -50,16 +38,16 @@ func (s PassStats) AvgCandidates() float64 {
 	return float64(s.TotalCandidates) / float64(s.SwapRounds)
 }
 
-// PassRunner binds one (circuit, device, options) triple to the
+// passRunner binds one (circuit, device, options) triple to the
 // trial-invariant state a traversal needs: the circuit's dependency
 // table in both directions and the (possibly noise-weighted) flat
-// distance matrix. Construct once, then Run many times with different
-// layouts and seeds — restart trials, annealing chains and reverse
-// traversals all re-route the same circuit, and rebuilding the
-// dependencies per traversal was pure waste. A PassRunner is immutable
-// after construction and safe for concurrent Run calls (each Run's
+// distance matrix. Prepare builds one, and every traversal of the
+// Prepared — restart trials, annealing steps, reverse traversals —
+// re-routes the same circuit from it (RouteStreamMaterialized and the
+// score-round probe build their own). A passRunner is immutable after
+// construction and safe for concurrent traversals (each traversal's
 // mutable state lives in its Scratch).
-type PassRunner struct {
+type passRunner struct {
 	circ  *circuit.Circuit
 	dev   *arch.Device
 	opts  Options
@@ -87,13 +75,13 @@ type PassRunner struct {
 	fwd, rev []int32
 }
 
-// NewPassRunner prepares circ (already widened to the device size) for
+// newPassRunner prepares circ (already widened to the device size) for
 // repeated traversals on dev under opts. One pass over the gates fills
 // the pair table and both directions of the dependency table.
-func NewPassRunner(circ *circuit.Circuit, dev *arch.Device, opts Options) *PassRunner {
+func newPassRunner(circ *circuit.Circuit, dev *arch.Device, opts Options) *passRunner {
 	opts = opts.normalized()
 	g := circ.NumGates()
-	pr := &PassRunner{
+	pr := &passRunner{
 		circ: circ,
 		dev:  dev,
 		opts: opts,
@@ -128,7 +116,7 @@ func NewPassRunner(circ *circuit.Circuit, dev *arch.Device, opts Options) *PassR
 
 // link records gate i on wire q: the wire's latest gate, if any, gains
 // i as its next successor. It returns that predecessor, or -1.
-func (pr *PassRunner) link(last []int32, q, i int) int32 {
+func (pr *passRunner) link(last []int32, q, i int) int32 {
 	p := last[q]
 	last[q] = int32(i)
 	if p >= 0 {
@@ -144,51 +132,17 @@ func (pr *PassRunner) link(last []int32, q, i int) int32 {
 // reversed returns the runner of the reverse traversal (§IV-C2): pr's
 // circuit, pair table and dependency table, read backwards, so neither
 // the reversed circuit nor its dependencies are ever built. It routes
-// exactly as NewPassRunner(circ.Reverse(), …) does, gate for gate.
-func (pr *PassRunner) reversed() *PassRunner {
+// exactly as newPassRunner(circ.Reverse(), …) does, gate for gate.
+func (pr *passRunner) reversed() *passRunner {
 	rev := *pr
 	rev.reverse = true
 	return &rev
 }
 
-// Run performs one traversal of SABRE's SWAP-based heuristic search
-// (Algorithm 1) starting from init, using s for every mutable buffer
-// (nil allocates a private scratch). The input layout is not mutated.
-func (pr *PassRunner) Run(init mapping.Layout, rng *rand.Rand, s *Scratch) PassResult {
-	res, _ := pr.RunContext(context.Background(), init, rng, s)
-	return res
-}
-
-// RunContext is Run with intra-traversal cancellation: the SWAP loop
-// checks ctx between rounds, so even a single huge trial dies within
-// one round of cancellation instead of routing its whole gate list.
-// A cancelled traversal returns ctx.Err() and a zero PassResult — its
-// partial output is never observable. The check is a select-default on
-// ctx.Done() (no allocation, no lock), so the steady-state SWAP round
-// stays zero-alloc.
-func (pr *PassRunner) RunContext(ctx context.Context, init mapping.Layout, rng *rand.Rand, s *Scratch) (PassResult, error) {
-	r := pr.traverse(init, rng, s, emitGates, ctx.Done())
-	if r == nil {
-		return PassResult{}, ctx.Err()
-	}
-	out := circuit.NewNamed(pr.circ.Name(), r.n)
-	// Trusted: every emitted gate is a remap of a validated gate
-	// through the layout bijection, or a SWAP/CX on device edges.
-	out.AppendTrusted(r.s.out...)
-	return PassResult{
-		Circuit:       out,
-		InitialLayout: init.Clone(),
-		FinalLayout:   r.layout,
-		SwapCount:     r.swaps,
-		BridgeCount:   r.bridges,
-		Stats:         r.stats,
-	}, nil
-}
-
 // traverse runs one traversal from init under the output policy emit
 // and returns the finished router (final layout, counts, stats, and
 // whatever emit left in s), or nil when cancelled.
-func (pr *PassRunner) traverse(init mapping.Layout, rng *rand.Rand, s *Scratch, emit emitMode, cancelled <-chan struct{}) *router {
+func (pr *passRunner) traverse(init mapping.Layout, rng *rand.Rand, s *Scratch, emit emitMode, cancelled <-chan struct{}) *router {
 	r := pr.newRouter(init, rng, s, cancelled)
 	r.emit = emit
 	if !r.run() {
@@ -201,7 +155,7 @@ func (pr *PassRunner) traverse(init mapping.Layout, rng *rand.Rand, s *Scratch, 
 // gate admitted up front: the ready list is seeded with the sources in
 // program order (the reversed circuit's order for a reversed runner).
 // A nil s allocates a private scratch.
-func (pr *PassRunner) newRouter(init mapping.Layout, rng *rand.Rand, s *Scratch, cancelled <-chan struct{}) *router {
+func (pr *passRunner) newRouter(init mapping.Layout, rng *rand.Rand, s *Scratch, cancelled <-chan struct{}) *router {
 	if s == nil {
 		s = NewScratch()
 	}
@@ -229,7 +183,7 @@ func (pr *PassRunner) newRouter(init mapping.Layout, rng *rand.Rand, s *Scratch,
 // (the count of its predecessors in that direction), with nothing
 // admitted yet (the streaming driver of RouteStreamMaterialized admits
 // in program order from here).
-func (pr *PassRunner) attach(r *router) {
+func (pr *passRunner) attach(r *router) {
 	r.gates, r.q2 = pr.circ.Gates(), pr.q2
 	succ, pred := pr.fwd, pr.rev
 	if pr.reverse {
@@ -287,15 +241,6 @@ func newRouter(dev *arch.Device, opts Options, wdist []float64, layout mapping.L
 	}
 }
 
-// RoutePass runs one traversal of SABRE's SWAP-based heuristic search
-// (Algorithm 1) over circ starting from the given layout. circ must
-// already be widened to the device's qubit count. The input layout is
-// not mutated. Callers that route the same circuit repeatedly should
-// construct a PassRunner once and reuse it (plus a Scratch) instead.
-func RoutePass(circ *circuit.Circuit, dev *arch.Device, init mapping.Layout, opts Options, rng *rand.Rand) PassResult {
-	return NewPassRunner(circ, dev, opts).Run(init, rng, nil)
-}
-
 // dagDeps admits a materialized circuit's gates one by one in program
 // order, for RouteStreamMaterialized under the streaming refill policy.
 // A gate's working indegree then counts only its predecessors not yet
@@ -305,7 +250,7 @@ func RoutePass(circ *circuit.Circuit, dev *arch.Device, init mapping.Layout, opt
 // while the bookkeeping shares nothing with it.
 type dagDeps struct {
 	r    *router
-	pred []int32 // PassRunner.rev: each gate's predecessors
+	pred []int32 // passRunner.rev: each gate's predecessors
 }
 
 // admit enters the next gate in program order.
@@ -334,7 +279,7 @@ type emitMode uint8
 
 const (
 	// emitGates appends every routed gate, remapped to physical qubits,
-	// to Scratch.out: RunContext's circuit and the streaming chunks.
+	// to Scratch.out: the streaming chunks.
 	emitGates emitMode = iota
 	// emitRecord appends the op log (see replay) to Scratch.log: a
 	// trial's final traversal, whose circuit is built only if the trial
@@ -361,7 +306,7 @@ const (
 // layout through its SWAPs, and hands visit every gate the traversal
 // emitted, in order: gate h on physical qubits (a, b), b = -1 for a
 // one-qubit gate, or opSwap or opCX on (a, b).
-func (pr *PassRunner) replay(log []int32, init mapping.Layout, visit func(h int32, a, b int)) {
+func (pr *passRunner) replay(log []int32, init mapping.Layout, visit func(h int32, a, b int)) {
 	l := init.Clone()
 	gates := pr.circ.Gates()
 	for i := 0; i < len(log); i++ {
@@ -394,7 +339,7 @@ func (pr *PassRunner) replay(log []int32, init mapping.Layout, visit func(h int3
 // logDepth is the depth of the circuit an op log records with each SWAP
 // as its 3 CX, i.e. DecomposeSwaps().Depth() of the materialized
 // circuit, from one replay over a device-sized level array.
-func (pr *PassRunner) logDepth(log []int32, init mapping.Layout) int {
+func (pr *passRunner) logDepth(log []int32, init mapping.Layout) int {
 	level := make([]int, pr.dev.NumQubits())
 	depth := 0
 	pr.replay(log, init, func(h int32, a, b int) {
@@ -414,8 +359,8 @@ func (pr *PassRunner) logDepth(log []int32, init mapping.Layout) int {
 }
 
 // materialize builds the circuit an op log records: gate for gate what
-// RunContext returns for the same traversal. size is its gate count.
-func (pr *PassRunner) materialize(log []int32, init mapping.Layout, size int) *circuit.Circuit {
+// the same traversal emits under emitGates. size is its gate count.
+func (pr *passRunner) materialize(log []int32, init mapping.Layout, size int) *circuit.Circuit {
 	gates := pr.circ.Gates()
 	out := make([]circuit.Gate, 0, size)
 	pr.replay(log, init, func(h int32, a, b int) {

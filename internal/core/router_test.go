@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -10,11 +12,11 @@ import (
 )
 
 // newWhiteboxRouter builds a router mid-flight for white-box tests,
-// through the same PassRunner setup real traversals use (the ready
+// through the same passRunner setup real traversals use (the ready
 // list comes seeded with the DAG sources).
 func newWhiteboxRouter(t *testing.T, dev *arch.Device, c *circuit.Circuit, layout mapping.Layout) *router {
 	t.Helper()
-	pr := NewPassRunner(c, dev, DefaultOptions())
+	pr := newPassRunner(c, dev, DefaultOptions())
 	return pr.newRouter(layout, rand.New(rand.NewSource(1)), nil, nil)
 }
 
@@ -224,15 +226,25 @@ func TestExecuteResetsDecayOnCNOT(t *testing.T) {
 	}
 }
 
-func TestRoutePassDoesNotMutateInputLayout(t *testing.T) {
+func TestTraverseDoesNotMutateInputLayout(t *testing.T) {
 	dev := arch.Line(4)
 	c := circuit.New(4)
 	c.Append(circuit.CX(0, 3))
+	p, err := Prepare(c, dev, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	init := mapping.Identity(4)
 	before := init.Clone()
-	RoutePass(c, dev, init, DefaultOptions(), rand.New(rand.NewSource(1)))
+	tr, err := p.Traverse(context.Background(), init, rand.New(rand.NewSource(1)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Added == 0 {
+		t.Fatal("CX(0,3) on a 4-qubit line routed without a SWAP")
+	}
 	if !init.Equal(before) {
-		t.Fatal("RoutePass mutated the caller's layout")
+		t.Fatal("Traverse mutated the caller's layout")
 	}
 }
 
@@ -271,10 +283,10 @@ func TestScratchReuseAcrossPasses(t *testing.T) {
 			}
 			c.Append(circuit.CX(a, b))
 		}
-		pr := NewPassRunner(c, dev, DefaultOptions())
-		got := pr.Run(mapping.Identity(20), rng1, shared)
-		want := pr.Run(mapping.Identity(20), rng2, nil)
-		if !got.Circuit.Equal(want.Circuit) || got.SwapCount != want.SwapCount {
+		pr := newPassRunner(c, dev, DefaultOptions())
+		got := slices.Clone(pr.traverse(mapping.Identity(20), rng1, shared, emitRecord, nil).s.log)
+		want := pr.traverse(mapping.Identity(20), rng2, nil, emitRecord, nil).s.log
+		if !slices.Equal(got, want) {
 			t.Fatalf("gates=%d: shared-scratch pass diverged from fresh-scratch pass", gates)
 		}
 	}

@@ -29,8 +29,8 @@ type Prepared struct {
 	// fwd routes the widened circuit forwards; rev is the same runner
 	// reading the dependency table backwards, the reverse traversal of
 	// §IV-C2 without a reversed copy of the circuit.
-	fwd *PassRunner
-	rev *PassRunner
+	fwd *passRunner
+	rev *passRunner
 }
 
 // Prepare validates circ against dev and precomputes the shared
@@ -38,7 +38,7 @@ type Prepared struct {
 // dependency table (forwards and backwards), and the device's
 // (possibly noise-weighted) distance matrices. Nothing the size of
 // the circuit is copied. The returned value is safe for concurrent
-// RunTrial calls.
+// RunTrialCtx and Traverse calls, each on its own scratch.
 func Prepare(circ *circuit.Circuit, dev *arch.Device, opts Options) (*Prepared, error) {
 	opts = opts.normalized()
 	dev = effectiveDevice(dev, opts)
@@ -55,7 +55,7 @@ func Prepare(circ *circuit.Circuit, dev *arch.Device, opts Options) (*Prepared, 
 		// concurrent traversals only ever read the memo.
 		dev.WeightedDistancesFor(opts.Noise)
 	}
-	fwd := NewPassRunner(wide, dev, opts)
+	fwd := newPassRunner(wide, dev, opts)
 	return &Prepared{dev: dev, opts: opts, fwd: fwd, rev: fwd.reversed()}, nil
 }
 
@@ -77,62 +77,120 @@ func (p *Prepared) Device() *arch.Device { return p.dev }
 // its own scratch (nil allocates a private one).
 //
 // A trial copies nothing per gate: its non-final traversals emit
-// nothing, and its final one records a 4-byte-per-op log (see replay)
-// that the Result keeps instead of a circuit. The returned depth, the
-// tie-break key, is DecomposeSwaps().Depth() of the recorded circuit,
-// replayed from the log. Result.Circuit stays nil until SelectBest
-// picks the trial and builds it; until then the Result references p.
+// nothing, and its final one is a Traverse whose Keep result holds a
+// 4-byte-per-op log instead of a circuit. Result.Circuit stays nil
+// until SelectBest picks the trial and builds it; until then the
+// Result references p.
 func (p *Prepared) RunTrialCtx(ctx context.Context, trial int, s *Scratch) (*Result, int, error) {
 	if s == nil {
 		s = NewScratch() // shared by this trial's traversals at least
 	}
 	rng := s.Seeded(p.opts.Seed + int64(trial))
 	layout := mapping.Random(p.dev.NumQubits(), rng)
-
-	var r *router
+	last := p.opts.Traversals - 1 // even: the last traversal runs forwards
 	firstAdded := 0
-	last := p.opts.Traversals - 1
-	for t := 0; t <= last; t++ {
-		runner, emit := p.fwd, emitDiscard
+	for t := 0; t < last; t++ {
+		runner := p.fwd
 		if t%2 == 1 {
 			runner = p.rev
 		}
-		if t == last {
-			emit = emitRecord
-		}
-		if t > 0 {
-			layout = r.layout
-		}
-		if r = runner.traverse(layout, rng, s, emit, ctx.Done()); r == nil {
+		r := runner.traverse(layout, rng, s, emitDiscard, ctx.Done())
+		if r == nil {
 			return nil, 0, ctx.Err()
 		}
 		if t == 0 {
 			firstAdded = 3 * (r.swaps + r.bridges)
 		}
+		layout = r.layout
 	}
-	ops := make([]int32, len(s.log))
-	copy(ops, s.log)
-	res := &Result{
-		InitialLayout:       layout.LogicalToPhysical(),
+	final, err := p.Traverse(ctx, layout, rng, s)
+	if err != nil {
+		return nil, 0, err
+	}
+	res := final.Keep()
+	if last > 0 {
+		res.FirstTraversalAdded = firstAdded
+	}
+	res.TrialsRun = trial + 1
+	return res, final.Depth(), nil
+}
+
+// Traversal is one recorded forward traversal (Prepared.Traverse): its
+// cost, and its op log, which stays in the scratch it ran on. Depth and
+// Keep read that log, so they are valid only until the scratch's next
+// traversal.
+type Traversal struct {
+	// Added is the traversal's routing cost: 3 gates per inserted SWAP
+	// and per bridge.
+	Added int
+
+	p    *Prepared
+	init mapping.Layout
+	r    *router
+}
+
+// Traverse runs one forward traversal of p's circuit from init on s
+// (nil allocates a private scratch), drawing its tie-breaks from rng,
+// and records its op log (see replay) in s instead of building a
+// circuit. init is not mutated; Keep's result references it. The SWAP
+// loop polls ctx once per round, and a cancelled traversal returns
+// ctx.Err().
+func (p *Prepared) Traverse(ctx context.Context, init mapping.Layout, rng *rand.Rand, s *Scratch) (Traversal, error) {
+	if s == nil {
+		s = NewScratch()
+	}
+	r := p.fwd.traverse(init, rng, s, emitRecord, ctx.Done())
+	if r == nil {
+		return Traversal{}, ctx.Err()
+	}
+	return Traversal{Added: 3 * (r.swaps + r.bridges), p: p, init: init, r: r}, nil
+}
+
+// Depth is the depth of the traversal's circuit with each SWAP as its
+// 3 CX — DecomposeSwaps().Depth() of the circuit Keep's result builds —
+// from one replay of the log: BetterTrial's second key.
+func (t Traversal) Depth() int { return t.p.fwd.logDepth(t.r.s.log, t.init) }
+
+// Keep copies the op log out of the scratch into a Result whose
+// Circuit SelectBest builds if it wins; until then the Result
+// references the Prepared. FirstTraversalAdded is the traversal's own
+// cost.
+func (t Traversal) Keep() *Result {
+	r := t.r
+	ops := make([]int32, len(r.s.log))
+	copy(ops, r.s.log)
+	return &Result{
+		InitialLayout:       t.init.LogicalToPhysical(),
 		FinalLayout:         r.layout.LogicalToPhysical(),
 		SwapCount:           r.swaps,
 		BridgeCount:         r.bridges,
-		AddedGates:          3 * (r.swaps + r.bridges),
-		FirstTraversalAdded: firstAdded,
-		TrialsRun:           trial + 1,
+		AddedGates:          t.Added,
+		FirstTraversalAdded: t.Added,
 		Stats:               r.stats,
-		pending:             &trialLog{prep: p, init: layout, ops: ops},
+		pending:             &trialLog{prep: t.p, init: t.init, ops: ops},
 	}
-	return res, p.fwd.logDepth(ops, layout), nil
 }
 
-// trialLog is the unbuilt circuit of a RunTrialCtx result: the op log
-// of the trial's final traversal, the layout that traversal started
-// from, and the Prepared whose gates the log indexes.
+// trialLog is the unbuilt circuit of a kept traversal: its op log, the
+// layout it started from, and the Prepared whose gates the log indexes.
 type trialLog struct {
 	prep *Prepared
 	init mapping.Layout
 	ops  []int32
+}
+
+// build materializes a kept traversal's circuit from its op log, then
+// drops the log and with it the reference to the Prepared.
+func (res *Result) build() {
+	t := res.pending
+	if t == nil {
+		return
+	}
+	// The log holds one entry per executed gate and two per SWAP or
+	// bridge; a bridge emits 4 gates.
+	size := len(t.ops) - res.SwapCount + 2*res.BridgeCount
+	res.Circuit = t.prep.fwd.materialize(t.ops, t.init, size)
+	res.pending = nil
 }
 
 // ErrNoTrials is returned by SelectBest when the trial population is
@@ -163,11 +221,11 @@ func BetterTrial(a *Result, aDepth, aTrial int, b *Result, bDepth, bTrial int) b
 // of panicking, so dynamic trial counts degrade to an error the caller
 // can handle.
 //
-// The winner is the only trial whose circuit is built: a RunTrialCtx
-// result gets its Circuit from its op log here, and then drops the log
-// and its reference to the Prepared, so neither a result cache nor a
-// retained job pins the Prepared. The other results are left as they
-// are.
+// The winner is the only trial whose circuit is built: a kept
+// traversal (Traversal.Keep, and so every RunTrialCtx result) gets its
+// Circuit from its op log here, and then drops the log and its
+// reference to the Prepared, so neither a result cache nor a retained
+// job pins the Prepared. The other results are left as they are.
 func SelectBest(results []*Result, depths []int) (*Result, error) {
 	best := -1
 	for trial, res := range results {
@@ -182,13 +240,7 @@ func SelectBest(results []*Result, depths []int) (*Result, error) {
 		return nil, ErrNoTrials
 	}
 	win := results[best]
-	if t := win.pending; t != nil {
-		// The log holds one entry per executed gate and two per SWAP or
-		// bridge; a bridge emits 4 gates.
-		size := len(t.ops) - win.SwapCount + 2*win.BridgeCount
-		win.Circuit = t.prep.fwd.materialize(t.ops, t.init, size)
-		win.pending = nil
-	}
+	win.build()
 	return win, nil
 }
 
@@ -217,39 +269,30 @@ func CompileContext(ctx context.Context, circ *circuit.Circuit, dev *arch.Device
 }
 
 // CompileWithLayout routes circ starting from a caller-chosen initial
-// layout, skipping the random restarts and reverse traversals. Useful
-// when a good initial mapping is already known (e.g. produced by a
-// previous Compile on a related circuit).
+// layout, skipping the random restarts and reverse traversals: one
+// forward traversal under the generator of Options.Seed. Useful when a
+// good initial mapping is already known (e.g. produced by a previous
+// Compile on a related circuit).
 func CompileWithLayout(circ *circuit.Circuit, dev *arch.Device, init mapping.Layout, opts Options) (*Result, error) {
 	//sabre:nondeterm-ok wall-clock elapsed metric; never feeds routing decisions
 	start := time.Now()
-	opts = opts.normalized()
-	dev = effectiveDevice(dev, opts)
-	if circ.NumQubits() > dev.NumQubits() {
-		return nil, fmt.Errorf("core: circuit needs %d qubits but device %s has %d",
-			circ.NumQubits(), dev.Name(), dev.NumQubits())
+	p, err := Prepare(circ, dev, opts)
+	if err != nil {
+		return nil, err
 	}
-	if init.Size() != dev.NumQubits() {
-		return nil, fmt.Errorf("core: layout size %d does not match device size %d", init.Size(), dev.NumQubits())
+	if init.Size() != p.dev.NumQubits() {
+		return nil, fmt.Errorf("core: layout size %d does not match device size %d", init.Size(), p.dev.NumQubits())
 	}
-	wide := circ
-	if circ.NumQubits() < dev.NumQubits() {
-		wide = circ.Widen(dev.NumQubits())
+	s := NewScratch()
+	t, err := p.Traverse(context.Background(), init, s.Seeded(p.opts.Seed), s)
+	if err != nil {
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	pass := RoutePass(wide, dev, init, opts, rng)
-	return &Result{
-		Circuit:             pass.Circuit,
-		InitialLayout:       pass.InitialLayout.LogicalToPhysical(),
-		FinalLayout:         pass.FinalLayout.LogicalToPhysical(),
-		SwapCount:           pass.SwapCount,
-		BridgeCount:         pass.BridgeCount,
-		AddedGates:          3 * (pass.SwapCount + pass.BridgeCount),
-		FirstTraversalAdded: 3 * (pass.SwapCount + pass.BridgeCount),
-		TrialsRun:           1,
-		Stats:               pass.Stats,
-		Elapsed:             time.Since(start),
-	}, nil
+	res := t.Keep()
+	res.build()
+	res.TrialsRun = 1
+	res.Elapsed = time.Since(start)
+	return res, nil
 }
 
 // effectiveDevice applies noise-driven edge pruning when configured:

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -52,26 +54,29 @@ func TestGateEpochOverflowReset(t *testing.T) {
 // fresh scratch: the wrap must be invisible to the search.
 func TestEpochWrapMidRouting(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
-	circ := workloads.QFT(10).Widen(dev.NumQubits())
-	opts := DefaultOptions()
-	pr := NewPassRunner(circ, dev, opts)
-
-	fresh := pr.Run(mapping.Identity(dev.NumQubits()), rand.New(rand.NewSource(7)), nil)
+	circ := workloads.QFT(10)
+	p, err := Prepare(circ, dev, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := mapping.Identity(dev.NumQubits())
+	fresh, err := p.Traverse(context.Background(), init, rand.New(rand.NewSource(7)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.Keep()
 
 	s := NewScratch()
 	s.reset(dev.NumQubits(), circ.NumGates(), len(dev.Edges()))
 	s.gateEpoch = math.MaxInt32 - 1
-	wrapped := pr.Run(mapping.Identity(dev.NumQubits()), rand.New(rand.NewSource(7)), s)
-
-	if fresh.SwapCount != wrapped.SwapCount ||
-		fresh.Circuit.NumGates() != wrapped.Circuit.NumGates() {
-		t.Fatalf("epoch wrap changed the route: fresh %d swaps/%d gates, wrapped %d swaps/%d gates",
-			fresh.SwapCount, fresh.Circuit.NumGates(), wrapped.SwapCount, wrapped.Circuit.NumGates())
+	wrapped, err := p.Traverse(context.Background(), init, rand.New(rand.NewSource(7)), s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, g := range fresh.Circuit.Gates() {
-		if g.String() != wrapped.Circuit.Gates()[i].String() {
-			t.Fatalf("epoch wrap changed gate %d: %v vs %v", i, g, wrapped.Circuit.Gates()[i])
-		}
+	got := wrapped.Keep()
+	if got.SwapCount != want.SwapCount || !slices.Equal(got.pending.ops, want.pending.ops) {
+		t.Fatalf("epoch wrap changed the route: fresh %d swaps/%d ops, wrapped %d swaps/%d ops",
+			want.SwapCount, len(want.pending.ops), got.SwapCount, len(got.pending.ops))
 	}
 }
 
@@ -87,8 +92,7 @@ func TestCandWordsAllZeroAcrossDevices(t *testing.T) {
 		t.Fatalf("Grid(8,8) spans %d candidate words, need ≥2 for this test", got)
 	}
 	circ := workloads.QFT(12).Widen(big.NumQubits())
-	pr := NewPassRunner(circ, big, DefaultOptions())
-	pr.Run(mapping.Identity(big.NumQubits()), rand.New(rand.NewSource(3)), s)
+	newPassRunner(circ, big, DefaultOptions()).traverse(mapping.Identity(big.NumQubits()), rand.New(rand.NewSource(3)), s, emitDiscard, nil)
 	for i, w := range s.candWords[:cap(s.candWords)] {
 		if w != 0 {
 			t.Fatalf("candWords[%d] = %#x after traversal, want 0 (consume-to-zero invariant)", i, w)
@@ -97,10 +101,10 @@ func TestCandWordsAllZeroAcrossDevices(t *testing.T) {
 
 	small := arch.IBMQ20Tokyo()
 	circ2 := workloads.QFT(8).Widen(small.NumQubits())
-	pr2 := NewPassRunner(circ2, small, DefaultOptions())
-	res := pr2.Run(mapping.Identity(small.NumQubits()), rand.New(rand.NewSource(3)), s)
-	ref := pr2.Run(mapping.Identity(small.NumQubits()), rand.New(rand.NewSource(3)), nil)
-	if res.SwapCount != ref.SwapCount {
-		t.Fatalf("reused scratch altered routing on the smaller device: %d swaps vs %d", res.SwapCount, ref.SwapCount)
+	pr2 := newPassRunner(circ2, small, DefaultOptions())
+	res := pr2.traverse(mapping.Identity(small.NumQubits()), rand.New(rand.NewSource(3)), s, emitDiscard, nil)
+	ref := pr2.traverse(mapping.Identity(small.NumQubits()), rand.New(rand.NewSource(3)), nil, emitDiscard, nil)
+	if res.swaps != ref.swaps {
+		t.Fatalf("reused scratch altered routing on the smaller device: %d swaps vs %d", res.swaps, ref.swaps)
 	}
 }

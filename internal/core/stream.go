@@ -283,7 +283,7 @@ type streamRouter struct {
 // newStreamRouter wires one streaming traversal from a seeded random
 // layout. A nil pr routes through the windowed slot arena; otherwise
 // the stream is pr's circuit, admitted gate by gate (dagDeps).
-func newStreamRouter(dev *arch.Device, opts Options, sopts StreamOptions, src GateSource, sink StreamSink, s *Scratch, pr *PassRunner, cancelled <-chan struct{}) *streamRouter {
+func newStreamRouter(dev *arch.Device, opts Options, sopts StreamOptions, src GateSource, sink StreamSink, s *Scratch, pr *passRunner, cancelled <-chan struct{}) *streamRouter {
 	n := dev.NumQubits()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	layout := mapping.Random(n, rng)
@@ -533,7 +533,7 @@ func RouteStreamMaterialized(ctx context.Context, circ *circuit.Circuit, dev *ar
 		return nil, fmt.Errorf("core: circuit needs %d qubits but device %s has %d",
 			circ.NumQubits(), dev.Name(), dev.NumQubits())
 	}
-	pr := NewPassRunner(circ, dev, opts)
+	pr := newPassRunner(circ, dev, opts)
 	return newStreamRouter(dev, opts, sopts, NewCircuitSource(circ), sink, NewScratch(), pr, ctx.Done()).route(ctx)
 }
 

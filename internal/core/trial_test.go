@@ -55,9 +55,39 @@ func oracleCases() []oracleCase {
 	return cases
 }
 
+// passResult is one traversal routed with every gate emitted
+// (emitGates) and its circuit built from them: the reference the op-log
+// path (Traverse, Keep and SelectBest's materialize) is checked
+// against.
+type passResult struct {
+	Circuit       *circuit.Circuit
+	InitialLayout mapping.Layout
+	FinalLayout   mapping.Layout
+	SwapCount     int
+	BridgeCount   int
+	Stats         PassStats
+}
+
+// run is the reference traversal: one pass of Algorithm 1 from init
+// that builds its routed circuit gate by gate (nil s allocates a
+// private scratch). The input layout is not mutated.
+func (pr *passRunner) run(init mapping.Layout, rng *rand.Rand, s *Scratch) passResult {
+	r := pr.traverse(init, rng, s, emitGates, nil)
+	out := circuit.NewNamed(pr.circ.Name(), r.n)
+	out.AppendTrusted(r.s.out...)
+	return passResult{
+		Circuit:       out,
+		InitialLayout: init.Clone(),
+		FinalLayout:   r.layout,
+		SwapCount:     r.swaps,
+		BridgeCount:   r.bridges,
+		Stats:         r.stats,
+	}
+}
+
 // samePass fails unless got and want are the same traversal: equal
 // gates, layouts, counts and stats.
-func samePass(t *testing.T, label string, got, want PassResult) {
+func samePass(t *testing.T, label string, got, want passResult) {
 	t.Helper()
 	if !got.Circuit.Equal(want.Circuit) {
 		t.Fatalf("%s: routed gates differ (%d vs %d)", label, got.Circuit.NumGates(), want.Circuit.NumGates())
@@ -72,11 +102,11 @@ func samePass(t *testing.T, label string, got, want PassResult) {
 }
 
 // TestTrialLogMatchesRunContext is the oracle for a trial's op log: the
-// winner SelectBest materializes from it is exactly the circuit
-// RunContext builds for the same trial — same layouts and RNG state,
-// every traversal emitting gates, the reverse ones over the reversed
-// circuit's own DAG — and the depth replayed from the log equals
-// DecomposeSwaps().Depth() of that circuit.
+// winner SelectBest materializes from it is exactly the circuit the
+// reference traversal (run) builds for the same trial — same layouts
+// and RNG state, every traversal emitting gates, the reverse ones over
+// the reversed circuit's own DAG — and the depth replayed from the log
+// equals DecomposeSwaps().Depth() of that circuit.
 func TestTrialLogMatchesRunContext(t *testing.T) {
 	const trial = 1
 	dev := arch.IBMQ20Tokyo()
@@ -95,16 +125,16 @@ func TestTrialLogMatchesRunContext(t *testing.T) {
 
 		opts, pdev := p.Options(), p.Device()
 		wide := tc.circ.Widen(pdev.NumQubits())
-		fwd, rev := NewPassRunner(wide, pdev, opts), NewPassRunner(wide.Reverse(), pdev, opts)
+		fwd, rev := newPassRunner(wide, pdev, opts), newPassRunner(wide.Reverse(), pdev, opts)
 		rng := rand.New(rand.NewSource(opts.Seed + trial))
 		layout := mapping.Random(pdev.NumQubits(), rng)
-		var want PassResult
+		var want passResult
 		for trav := 0; trav < opts.Traversals; trav++ {
 			runner := fwd
 			if trav%2 == 1 {
 				runner = rev
 			}
-			want = runner.Run(layout, rng, nil)
+			want = runner.run(layout, rng, nil)
 			layout = want.FinalLayout
 		}
 		if wantDepth := want.Circuit.DecomposeSwaps().Depth(); depth != wantDepth {
@@ -126,7 +156,7 @@ func TestTrialLogMatchesRunContext(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := PassResult{
+		got := passResult{
 			Circuit:       best.Circuit,
 			InitialLayout: init,
 			FinalLayout:   final,
@@ -153,10 +183,10 @@ func TestReverseRunnerMatchesReversedCircuit(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts, pdev := p.Options(), p.Device()
-		oracle := NewPassRunner(tc.circ.Widen(pdev.NumQubits()).Reverse(), pdev, opts)
+		oracle := newPassRunner(tc.circ.Widen(pdev.NumQubits()).Reverse(), pdev, opts)
 		init := mapping.Random(pdev.NumQubits(), rand.New(rand.NewSource(3)))
-		got := p.rev.Run(init, rand.New(rand.NewSource(4)), nil)
-		want := oracle.Run(init, rand.New(rand.NewSource(4)), nil)
+		got := p.rev.run(init, rand.New(rand.NewSource(4)), nil)
+		want := oracle.run(init, rand.New(rand.NewSource(4)), nil)
 		samePass(t, tc.name, got, want)
 	}
 }
@@ -165,7 +195,8 @@ func TestReverseRunnerMatchesReversedCircuit(t *testing.T) {
 // candidate layouts by the probe pass's added gates, 3·(SWAPs +
 // bridges), as BetterTrial ranks trials, with the lowest trial on
 // ties. The reference runs each trial's forward, backward and probe
-// passes through RunContext over the reversed circuit's own DAG. With
+// passes through run, the backward one over the reversed circuit's own
+// DAG. With
 // bridges on, ranking by SWAPs alone picks a worse layout on both rows
 // (rd84_142: 144 added gates instead of 126; sym6_145: 1,734 instead
 // of 1,719), which the test checks too, so it tells the rankings apart.
@@ -183,14 +214,14 @@ func TestInitialMappingRanksByAddedGates(t *testing.T) {
 
 		norm := opts.normalized()
 		wide := circ.Widen(dev.NumQubits())
-		fwd, rev := NewPassRunner(wide, dev, norm), NewPassRunner(wide.Reverse(), dev, norm)
+		fwd, rev := newPassRunner(wide, dev, norm), newPassRunner(wide.Reverse(), dev, norm)
 		bestAdded, bestSwaps := -1, -1
 		var want, bySwaps mapping.Layout
 		for trial := 0; trial < norm.Trials; trial++ {
 			rng := rand.New(rand.NewSource(norm.Seed + int64(trial)))
-			f := fwd.Run(mapping.Random(dev.NumQubits(), rng), rng, nil)
-			back := rev.Run(f.FinalLayout, rng, nil)
-			probe := fwd.Run(back.FinalLayout, rng, nil)
+			f := fwd.run(mapping.Random(dev.NumQubits(), rng), rng, nil)
+			back := rev.run(f.FinalLayout, rng, nil)
+			probe := fwd.run(back.FinalLayout, rng, nil)
 			if added := 3 * (probe.SwapCount + probe.BridgeCount); bestAdded < 0 || added < bestAdded {
 				bestAdded, want = added, back.FinalLayout
 			}
