@@ -6,7 +6,8 @@
 // monolithic Compile call.
 //
 // A Pass transforms the shared Ctx; a Manager composes passes with
-// per-pass timing/metrics, deterministic seeding and cancellation.
+// per-pass timing/metrics and cancellation. Passes that route seed
+// from Ctx.Options.Seed.
 // RoutePass routes with any registered backend; its default,
 // core.TrialRunner, runs the paper's best-of-N random-restart protocol
 // on a bounded worker pool and selects the winner deterministically,
@@ -16,7 +17,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -74,11 +74,6 @@ type Ctx struct {
 	// Opt is set by PeepholePass.
 	Opt *opt.Result
 
-	// RNG is the pipeline's deterministic random source, seeded by the
-	// Manager from Options.Seed for passes that need randomness beyond
-	// the router's own seeding.
-	RNG *rand.Rand
-
 	// Metrics accumulates one entry per executed pass, in order.
 	Metrics []PassMetric
 
@@ -114,7 +109,7 @@ type Pass interface {
 }
 
 // Manager composes passes and executes them in order with per-pass
-// timing, deterministic seeding, and cancellation between passes. A
+// timing and cancellation between passes. A
 // Manager is immutable once built and safe to share across goroutines;
 // each Run gets its own Ctx.
 type Manager struct {
@@ -150,9 +145,6 @@ func (m *Manager) RunContext(ctx context.Context, pc *Ctx) error {
 	}
 	pc.ctx = ctx
 	defer func() { pc.ctx = nil }()
-	if pc.RNG == nil {
-		pc.RNG = rand.New(rand.NewSource(pc.Options.Seed))
-	}
 	for _, p := range m.passes {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("pipeline: cancelled before pass %s: %w", p.Name(), err)
