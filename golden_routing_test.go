@@ -376,7 +376,7 @@ func TestGoldenCompileWithLayoutPinned(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown benchmark %s", tc.bench)
 		}
-		res, err := core.CompileWithLayout(b.Build(), dev, tc.init, tc.opts)
+		res, err := core.CompileWithLayout(context.Background(), b.Build(), dev, tc.init, tc.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
 		}

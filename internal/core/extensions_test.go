@@ -42,7 +42,7 @@ func TestBridgeUsedForNonRecurringDistance2CNOT(t *testing.T) {
 	c.Append(circuit.CX(0, 1), circuit.CX(1, 2), circuit.CX(0, 2))
 	opts := DefaultOptions()
 	opts.UseBridge = true
-	res, err := CompileWithLayout(c, dev, mapping.Identity(3), opts)
+	res, err := CompileWithLayout(context.Background(), c, dev, mapping.Identity(3), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestBridgeAvoidedForRecurringPair(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.UseBridge = true
-	res, err := CompileWithLayout(c, dev, mapping.Identity(3), opts)
+	res, err := CompileWithLayout(context.Background(), c, dev, mapping.Identity(3), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestKnownOptimalZeroGap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wres, err := CompileWithLayout(c, dev, wl, opts)
+		wres, err := CompileWithLayout(context.Background(), c, dev, wl, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

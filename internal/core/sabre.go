@@ -272,8 +272,9 @@ func CompileContext(ctx context.Context, circ *circuit.Circuit, dev *arch.Device
 // layout, skipping the random restarts and reverse traversals: one
 // forward traversal under the generator of Options.Seed. Useful when a
 // good initial mapping is already known (e.g. produced by a previous
-// Compile on a related circuit).
-func CompileWithLayout(circ *circuit.Circuit, dev *arch.Device, init mapping.Layout, opts Options) (*Result, error) {
+// Compile on a related circuit). The SWAP loop polls ctx once per
+// round; a cancelled call returns ctx.Err().
+func CompileWithLayout(ctx context.Context, circ *circuit.Circuit, dev *arch.Device, init mapping.Layout, opts Options) (*Result, error) {
 	//sabre:nondeterm-ok wall-clock elapsed metric; never feeds routing decisions
 	start := time.Now()
 	p, err := Prepare(circ, dev, opts)
@@ -284,7 +285,7 @@ func CompileWithLayout(circ *circuit.Circuit, dev *arch.Device, init mapping.Lay
 		return nil, fmt.Errorf("core: layout size %d does not match device size %d", init.Size(), p.dev.NumQubits())
 	}
 	s := NewScratch()
-	t, err := p.Traverse(context.Background(), init, s.Seeded(p.opts.Seed), s)
+	t, err := p.Traverse(ctx, init, s.Seeded(p.opts.Seed), s)
 	if err != nil {
 		return nil, err
 	}
@@ -312,13 +313,15 @@ func effectiveDevice(dev *arch.Device, opts Options) *arch.Device {
 // (the role SabreLayout plays in production compilers). Each of
 // Options.Trials candidates is scored by one evaluation pass and
 // ranked as BetterTrial ranks trials: by added gates (a bridge costs
-// what a SWAP does), the lowest trial winning ties.
-func InitialMapping(circ *circuit.Circuit, dev *arch.Device, opts Options) (mapping.Layout, error) {
+// what a SWAP does), the lowest trial winning ties. Cancellation is
+// honored between candidates and inside each traversal at round
+// granularity; a cancelled call returns ctx.Err().
+func InitialMapping(ctx context.Context, circ *circuit.Circuit, dev *arch.Device, opts Options) (mapping.Layout, error) {
 	p, err := Prepare(circ, dev, opts)
 	if err != nil {
 		return mapping.Layout{}, err
 	}
-	best, err := TrialRunner{Trials: p.opts.Trials, Workers: 1}.Run(context.Background(), p.layoutTrial)
+	best, err := TrialRunner{Trials: p.opts.Trials, Workers: 1}.Run(ctx, p.layoutTrial)
 	if err != nil {
 		return mapping.Layout{}, err
 	}
@@ -330,11 +333,18 @@ func InitialMapping(circ *circuit.Circuit, dev *arch.Device, opts Options) (mapp
 // improved initial mapping for the original circuit, then one forward
 // evaluation pass from it. It reports depth 0, so candidates rank by
 // added gates, then trial.
-func (p *Prepared) layoutTrial(_ context.Context, trial int, s *Scratch) (*Result, int, error) {
+func (p *Prepared) layoutTrial(ctx context.Context, trial int, s *Scratch) (*Result, int, error) {
 	rng := s.Seeded(p.opts.Seed + int64(trial))
 	layout := mapping.Random(p.dev.NumQubits(), rng)
-	f := p.fwd.traverse(layout, rng, s, emitDiscard, nil)
-	b := p.rev.traverse(f.layout, rng, s, emitDiscard, nil)
-	probe := p.fwd.traverse(b.layout, rng, s, emitDiscard, nil)
+	var b, probe *router
+	if f := p.fwd.traverse(layout, rng, s, emitDiscard, ctx.Done()); f != nil {
+		b = p.rev.traverse(f.layout, rng, s, emitDiscard, ctx.Done())
+	}
+	if b != nil {
+		probe = p.fwd.traverse(b.layout, rng, s, emitDiscard, ctx.Done())
+	}
+	if probe == nil {
+		return nil, 0, ctx.Err()
+	}
 	return &Result{InitialLayout: b.layout.LogicalToPhysical(), AddedGates: 3 * (probe.swaps + probe.bridges)}, 0, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -118,7 +119,7 @@ func TestCompileWithIdentityLayoutFig3(t *testing.T) {
 		circuit.CX(0, 1), circuit.CX(2, 3), circuit.CX(1, 3),
 		circuit.CX(1, 2), circuit.CX(2, 3), circuit.CX(0, 3),
 	)
-	res, err := CompileWithLayout(c, dev, mapping.Identity(4), fastOpts())
+	res, err := CompileWithLayout(context.Background(), c, dev, mapping.Identity(4), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestSingleQubitGatesPreservedAndRemapped(t *testing.T) {
 func TestInitialMappingStandalone(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	c := workloads.Ising(10, 3)
-	l, err := InitialMapping(c, dev, DefaultOptions())
+	l, err := InitialMapping(context.Background(), c, dev, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +338,7 @@ func TestInitialMappingStandalone(t *testing.T) {
 		t.Fatal("invalid layout")
 	}
 	// The improved layout should route ising with zero swaps.
-	res, err := CompileWithLayout(c, dev, l, fastOpts())
+	res, err := CompileWithLayout(context.Background(), c, dev, l, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,16 +348,16 @@ func TestInitialMappingStandalone(t *testing.T) {
 }
 
 func TestInitialMappingTooWide(t *testing.T) {
-	if _, err := InitialMapping(circuit.New(10), arch.Line(4), fastOpts()); err == nil {
+	if _, err := InitialMapping(context.Background(), circuit.New(10), arch.Line(4), fastOpts()); err == nil {
 		t.Fatal("oversized circuit accepted")
 	}
 }
 
 func TestCompileWithLayoutValidation(t *testing.T) {
-	if _, err := CompileWithLayout(circuit.New(10), arch.Line(4), mapping.Identity(4), fastOpts()); err == nil {
+	if _, err := CompileWithLayout(context.Background(), circuit.New(10), arch.Line(4), mapping.Identity(4), fastOpts()); err == nil {
 		t.Fatal("oversized circuit accepted")
 	}
-	if _, err := CompileWithLayout(circuit.New(3), arch.Line(4), mapping.Identity(3), fastOpts()); err == nil {
+	if _, err := CompileWithLayout(context.Background(), circuit.New(3), arch.Line(4), mapping.Identity(3), fastOpts()); err == nil {
 		t.Fatal("undersized layout accepted")
 	}
 }

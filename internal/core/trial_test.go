@@ -207,7 +207,7 @@ func TestInitialMappingRanksByAddedGates(t *testing.T) {
 		circ := b.Build()
 		opts := DefaultOptions()
 		opts.UseBridge = true
-		got, err := InitialMapping(circ, dev, opts)
+		got, err := InitialMapping(context.Background(), circ, dev, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

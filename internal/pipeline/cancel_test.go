@@ -9,6 +9,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/mapping"
 )
 
 // cxStorm builds a CX-heavy random circuit big enough that trials are
@@ -58,5 +59,30 @@ func TestTrialRunnerCancelMidRun(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatalf("patience=%d: cancelled run never returned", patience)
 		}
+	}
+}
+
+// TestLayoutThenRouteHonorsCancellation: the layout pass and the route
+// pass's fixed-layout branch (core.InitialMapping and
+// core.CompileWithLayout) run on the pipeline's context, so a
+// cancelled run stops inside them instead of routing to the end. Both
+// completed with a nil error here while they ran on
+// context.Background.
+func TestLayoutThenRouteHonorsCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pc := &Ctx{Circuit: cxStorm(20, 6000, 3), Device: arch.IBMQ20Tokyo(), Options: core.DefaultOptions(), ctx: ctx}
+	if err := (LayoutPass{}).Run(pc); err != context.Canceled {
+		t.Fatalf("layout: err = %v, want context.Canceled", err)
+	}
+	if pc.Layout.Size() != 0 {
+		t.Fatal("a cancelled layout pass set a layout")
+	}
+	pc.Layout = mapping.Identity(20)
+	if err := (RoutePass{}).Run(pc); err != context.Canceled {
+		t.Fatalf("route from a layout: err = %v, want context.Canceled", err)
+	}
+	if pc.Result != nil {
+		t.Fatal("a cancelled route pass set a result")
 	}
 }

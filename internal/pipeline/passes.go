@@ -67,7 +67,7 @@ func (LayoutPass) Run(pc *Ctx) error {
 	if pc.Circuit == nil {
 		return errors.New("no circuit in context")
 	}
-	l, err := core.InitialMapping(pc.Circuit, pc.Device, pc.Options)
+	l, err := core.InitialMapping(pc.Context(), pc.Circuit, pc.Device, pc.Options)
 	if err != nil {
 		return err
 	}
@@ -117,7 +117,7 @@ func (p RoutePass) Run(pc *Ctx) error {
 	case p.Router != nil:
 		res, err = p.Router.Route(pc.Context(), pc.Circuit, pc.Device, pc.Options)
 	case pc.Layout.Size() > 0:
-		res, err = core.CompileWithLayout(pc.Circuit, pc.Device, pc.Layout, pc.Options)
+		res, err = core.CompileWithLayout(pc.Context(), pc.Circuit, pc.Device, pc.Layout, pc.Options)
 	default:
 		tr := core.TrialRunner{Trials: p.Trials, Workers: p.Workers, Patience: p.Patience}
 		res, err = tr.Route(pc.Context(), pc.Circuit, pc.Device, pc.Options)

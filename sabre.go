@@ -318,7 +318,7 @@ func Compile(circ *Circuit, dev *Device, opts Options) (*Result, error) {
 // CompileWithLayout routes from a fixed initial layout (single forward
 // traversal, no restarts).
 func CompileWithLayout(circ *Circuit, dev *Device, init Layout, opts Options) (*Result, error) {
-	return core.CompileWithLayout(circ, dev, init, opts)
+	return core.CompileWithLayout(context.Background(), circ, dev, init, opts)
 }
 
 // CompileContext is Compile with cancellation, honored at trial
@@ -341,7 +341,7 @@ func CompileN(circ *Circuit, dev *Device, opts Options, n int) (*Result, error) 
 // FindInitialMapping runs SABRE's reverse-traversal technique and
 // returns only the improved initial layout.
 func FindInitialMapping(circ *Circuit, dev *Device, opts Options) (Layout, error) {
-	return core.InitialMapping(circ, dev, opts)
+	return core.InitialMapping(context.Background(), circ, dev, opts)
 }
 
 // IdentityLayout returns the layout mapping logical i to physical i.
