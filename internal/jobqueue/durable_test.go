@@ -3,6 +3,8 @@ package jobqueue
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -393,6 +395,86 @@ func TestCompactionEndToEnd(t *testing.T) {
 	q2, _ := newDurableQueue(t, Config{Workers: 1, Durable: durableCfg(dir)})
 	if st := q2.Stats(); st.Recovery.Replayed != 0 {
 		t.Fatalf("compacted log replayed %+v", st.Recovery)
+	}
+}
+
+// TestFinishedJobDropsPayload: a finished durable job keeps no copy of
+// its accepted record's payload (the whole circuit as QASM inside
+// JSON), and the log still restores the live jobs: compaction rewrites
+// their payloads, and a crash image of the compacted log replays them.
+func TestFinishedJobDropsPayload(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableCfg(dir)
+	cfg.CompactMinRecords = 6
+	cfg.CompactFactor = 2
+	q, _ := newDurableQueue(t, Config{Workers: 1, Durable: cfg})
+
+	done, err := q.Submit(durableReq("done"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, q, done.ID, StateDone)
+	hog, err := q.Submit(Request{Job: slowJob("hog"), DeviceSpec: "tokyo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, q, hog.ID, StateRunning)
+	live := []string{hog.ID}
+	for _, tag := range []string{"live-1", "live-2"} {
+		snap, err := q.Submit(durableReq(tag))
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, snap.ID)
+	}
+	finished := []string{done.ID}
+	for i := 0; i < 4; i++ {
+		snap, err := q.Submit(durableReq("cancelled"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.Cancel(snap.ID); err != nil {
+			t.Fatal(err)
+		}
+		finished = append(finished, snap.ID)
+	}
+	if st := q.Stats(); st.Log.Compactions < 1 {
+		t.Fatalf("no compaction after %d appends (min 6, factor 2): %+v", st.Log.Appends, st.Log)
+	}
+	q.mu.Lock()
+	for _, id := range finished {
+		if j := q.jobs[id]; !j.state.Terminal() || j.payload != nil {
+			t.Errorf("%s: %s job holds a %d-byte payload", id, j.state, len(j.payload))
+		}
+	}
+	for _, id := range live {
+		if j := q.jobs[id]; j.state.Terminal() || j.payload == nil {
+			t.Errorf("%s: %s job lost its payload", id, j.state)
+		}
+	}
+	q.mu.Unlock()
+
+	// A crash image of the compacted log replays exactly the live jobs.
+	image, err := os.ReadFile(filepath.Join(dir, "job.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash := t.TempDir()
+	if err := os.WriteFile(filepath.Join(crash, "job.log"), image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Cancel(hog.ID); err != nil {
+		t.Fatal(err)
+	}
+	q2, _ := newDurableQueue(t, Config{Workers: 1, Durable: durableCfg(crash)})
+	if rs := q2.Stats().Recovery; rs.Replayed != 3 || rs.Running != 1 || rs.Queued != 2 || rs.Dropped != 0 {
+		t.Fatalf("recovery = %+v, want the running hog and two queued jobs", rs)
+	}
+	if _, err := q2.Cancel(hog.ID); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range live[1:] {
+		waitState(t, q2, id, StateDone)
 	}
 }
 

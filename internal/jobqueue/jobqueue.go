@@ -258,8 +258,8 @@ type job struct {
 	streamResult *core.StreamResult
 
 	// payload is the encoded request as persisted in the job log's
-	// accepted record (nil on non-durable queues); compaction rewrites
-	// it verbatim.
+	// accepted record (nil on non-durable queues and once the job is
+	// terminal); compaction rewrites it verbatim for live jobs.
 	payload []byte
 
 	// cancel aborts the running compilation (nil unless running);
@@ -702,6 +702,9 @@ func (q *Queue) finishLocked(j *job, s State, errMsg string, res *batch.Result) 
 	j.err = errMsg
 	j.result = res
 	j.finished = q.now()
+	// Only a live job's accepted record is ever written again
+	// (compaction), and the payload is the whole circuit as QASM.
+	j.payload = nil
 	switch s {
 	case StateDone:
 		q.doneN++
