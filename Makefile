@@ -45,15 +45,17 @@ bench:
 # guards in the same package fail the suite if a heap allocation
 # creeps back into the steady-state SWAP round or the op-log path, the
 # TestTrialBytesPerGate and TestPrepareBytesPerGate byte guards fail
-# it if a trial or Prepare starts copying the circuit again, and
+# it if a trial or Prepare starts copying the circuit again,
 # TestCompileAllocs fails it if a whole 5-trial Compile allocates more
-# often.
+# often, and TestAnnealBytesPerGatePerStep fails it if an annealing
+# step starts building its routed circuit again.
 bench-smoke:
 	$(GO) run ./cmd/benchtab -batch -names 4mod5-v1_22,qft_10 -trials 4 -passes verify -rounds 1 -workers 2
 	$(GO) run ./cmd/benchtab -batch -names 4mod5-v1_22 -route anneal -trials 2 -passes verify -rounds 1 -workers 2
 	$(GO) run ./cmd/benchtab -async -names 4mod5-v1_22,qft_10 -passes verify -workers 2
 	$(GO) test ./internal/core -run 'TestScoreRoundZeroAllocs|TestRecordStepZeroAllocs|TestTrialBytesPerGate|TestPrepareBytesPerGate|TestCompileAllocs' -count=1 -v \
 		-bench 'BenchmarkScoreRound|BenchmarkRoutePass/qft_20' -benchtime=1x -benchmem
+	$(GO) test ./internal/route -run 'TestAnnealBytesPerGatePerStep' -count=1 -v
 
 # Perf-trajectory snapshot: workload × router ns/op, allocs/op and
 # added gates, plus the score_round microbenchmark rows (one per
