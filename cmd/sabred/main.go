@@ -294,8 +294,10 @@ func main() {
 const maxBodyBytes = 16 << 20
 
 // maxTrials bounds the client-requested best-of-N fan-out: the trial
-// runner allocates O(trials) slices and channel capacity up front, so
-// an unchecked huge value is a memory/CPU DoS. 10k is far above any
+// runner allocates a result and a depth slot per trial up front, keeps
+// every completed trial's result and op log until it selects the
+// winner, and spends a full routing trial of CPU on each, so an
+// unchecked huge value is a memory/CPU DoS. 10k is far above any
 // useful restart schedule (the paper uses 5).
 const maxTrials = 10_000
 
