@@ -281,8 +281,8 @@ const (
 	// emitGates appends every routed gate, remapped to physical qubits,
 	// to Scratch.out: the streaming chunks.
 	emitGates emitMode = iota
-	// emitRecord appends the op log (see replay) to Scratch.log: a
-	// trial's final traversal, whose circuit is built only if the trial
+	// emitRecord appends the op log (see replay) to Scratch.log:
+	// Prepared.Traverse, whose circuit is built only if it is kept and
 	// wins.
 	emitRecord
 	// emitDiscard emits nothing: a trial's non-final traversals and
