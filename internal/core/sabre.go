@@ -132,9 +132,10 @@ type Traversal struct {
 // Traverse runs one forward traversal of p's circuit from init on s
 // (nil allocates a private scratch), drawing its tie-breaks from rng,
 // and records its op log (see replay) in s instead of building a
-// circuit. init is not mutated; Keep's result references it. The SWAP
-// loop polls ctx once per round, and a cancelled traversal returns
-// ctx.Err().
+// circuit. init is not mutated, and a kept result references it until
+// its circuit is built, so the caller must not change it meanwhile.
+// The SWAP loop polls ctx once per round, and a cancelled traversal
+// returns ctx.Err().
 func (p *Prepared) Traverse(ctx context.Context, init mapping.Layout, rng *rand.Rand, s *Scratch) (Traversal, error) {
 	if s == nil {
 		s = NewScratch()
