@@ -65,9 +65,7 @@ func TestTrialRunnerCancelMidRun(t *testing.T) {
 // TestLayoutThenRouteHonorsCancellation: the layout pass and the route
 // pass's fixed-layout branch (core.InitialMapping and
 // core.CompileWithLayout) run on the pipeline's context, so a
-// cancelled run stops inside them instead of routing to the end. Both
-// completed with a nil error here while they ran on
-// context.Background.
+// cancelled run stops inside them instead of routing to the end.
 func TestLayoutThenRouteHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
