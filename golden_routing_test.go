@@ -24,6 +24,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/mapping"
+	"repro/internal/pipeline"
 	"repro/internal/qasm"
 	"repro/internal/route"
 	"repro/internal/workloads"
@@ -388,5 +389,58 @@ func TestGoldenCompileWithLayoutPinned(t *testing.T) {
 			t.Errorf("%s: routing started from %v, not the given layout", tc.label, res.InitialLayout)
 		}
 		assertDigest(t, goldenLayoutDigests, tc.label, resultDigest(res))
+	}
+}
+
+// goldenLayoutRouteDigests pins resultDigest of the layout-then-route
+// pipeline (pipeline.Build("layout", "route")) on IBM Q20 Tokyo under
+// default options, per benchmark, plus one noise-model run with
+// coupler pruning and one run with bridges
+// (TestGoldenLayoutThenRoutePinned).
+var goldenLayoutRouteDigests = map[string]string{
+	"4mod5-v1_22":     "00d843793298b8cc6cfd429aefdd5031c4d1f72d0a33b3815c632ff777e3120d",
+	"qft_10":          "a6c6864901c236155d90597670b0b0dbdc6eec8bd570425a50e2114993be29c2",
+	"rd84_142":        "d89bb291b1018dcd773706967d179b40f92e58773962521257c6e0513e9944a6",
+	"qft_10+noise":    "f0271053c2de6532bed4a70d6653b68cf3e1a34b16d3a00f2825df25f3d28296",
+	"rd84_142+bridge": "5e37144d945f9bc9980affdc52c81478b6da5cfe7d566cb8f414441dce3987cc",
+}
+
+// TestGoldenLayoutThenRoutePinned pins the layout pass's search
+// (InitialMapping's forward, backward and probe traversals per
+// candidate) and the single forward traversal the route pass then
+// runs from the layout it chose.
+func TestGoldenLayoutThenRoutePinned(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	pm, err := pipeline.Build("layout", "route")
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisy := core.DefaultOptions()
+	noisy.Noise = arch.RandomNoise(dev, 1e-3, 1e-1, rand.New(rand.NewSource(7)))
+	noisy.MaxEdgeError = 0.05
+	bridged := core.DefaultOptions()
+	bridged.UseBridge = true
+	for _, tc := range []struct {
+		label, bench string
+		opts         core.Options
+	}{
+		{"4mod5-v1_22", "4mod5-v1_22", core.DefaultOptions()},
+		{"qft_10", "qft_10", core.DefaultOptions()},
+		{"rd84_142", "rd84_142", core.DefaultOptions()},
+		{"qft_10+noise", "qft_10", noisy},
+		{"rd84_142+bridge", "rd84_142", bridged},
+	} {
+		b, ok := workloads.ByName(tc.bench)
+		if !ok {
+			t.Fatalf("unknown benchmark %s", tc.bench)
+		}
+		pc, err := pm.Compile(context.Background(), b.Build(), dev, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.label, err)
+		}
+		if init, err := mapping.FromLogicalToPhysical(pc.Result.InitialLayout); err != nil || !init.Equal(pc.Layout) {
+			t.Errorf("%s: routing started from %v, not the layout pass's %v", tc.label, pc.Result.InitialLayout, pc.Layout)
+		}
+		assertDigest(t, goldenLayoutRouteDigests, tc.label, resultDigest(pc.Result))
 	}
 }
