@@ -93,12 +93,12 @@ func TestRecordStepZeroAllocs(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	opts := DefaultOptions()
 	opts.UseBridge = true // the bridge's log entry is on the path too
-	fwd := newPassRunner(bigRandomCX(20, 4000, 3), dev, opts)
-	for _, pr := range []*passRunner{fwd, fwd.reversed()} {
+	p := newPrepared(bigRandomCX(20, 4000, 3), dev, opts)
+	for _, reverse := range []bool{false, true} {
 		init := mapping.Random(dev.NumQubits(), rand.New(rand.NewSource(1)))
 		s := NewScratch()
-		pr.traverse(init, rand.New(rand.NewSource(2)), s, emitRecord, nil)
-		r := pr.newRouter(init, rand.New(rand.NewSource(2)), s, nil)
+		p.traverse(init, rand.New(rand.NewSource(2)), s, reverse, emitRecord, nil)
+		r := p.newRouter(init, rand.New(rand.NewSource(2)), s, reverse, nil)
 		r.emit = emitRecord
 		allocs := testing.AllocsPerRun(200, func() {
 			if !r.step() {
@@ -106,7 +106,7 @@ func TestRecordStepZeroAllocs(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("reverse=%v: record-mode step performs %v allocs, want 0", pr.reverse, allocs)
+			t.Fatalf("reverse=%v: record-mode step performs %v allocs, want 0", reverse, allocs)
 		}
 	}
 }

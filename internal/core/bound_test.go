@@ -29,9 +29,9 @@ func TestScoreBoundExactAndPrunes(t *testing.T) {
 		{"9symml_195", b.Build()},
 		{"trace_50k", workloads.RandomCircuit("trace", 18, 50_000, 0.55, 5)},
 	} {
-		pr := newPassRunner(tc.circ.Widen(dev.NumQubits()), dev, DefaultOptions())
+		p := newPrepared(tc.circ, dev, DefaultOptions())
 		rng := rand.New(rand.NewSource(1))
-		r := pr.newRouter(mapping.Random(dev.NumQubits(), rng), rng, nil, nil)
+		r := p.newRouter(mapping.Random(dev.NumQubits(), rng), rng, nil, false, nil)
 		cands, ruled := 0, 0
 		for {
 			r.drain()

@@ -38,8 +38,7 @@ func NewScoreRoundProbe(scoring Scoring) *ScoreRoundProbe {
 	}
 	opts := DefaultOptions()
 	opts.Scoring = scoring
-	pr := newPassRunner(c, dev, opts)
-	r := pr.newRouter(mapping.Identity(20), rand.New(rand.NewSource(1)), nil, nil)
+	r := newPrepared(c, dev, opts).newRouter(mapping.Identity(20), rand.New(rand.NewSource(1)), nil, false, nil)
 	r.drain()
 	if len(r.s.front) == 0 {
 		// Unreachable for this fixed workload (the dense random circuit

@@ -41,7 +41,7 @@ func BenchmarkRoutePass(b *testing.B) {
 			// pass routes one traversal and returns its added gates.
 			pass := func(init mapping.Layout, rng *rand.Rand, s *Scratch) int {
 				if mode.reverse {
-					r := p.rev.traverse(init, rng, s, emitRecord, nil)
+					r := p.traverse(init, rng, s, true, emitRecord, nil)
 					return 3 * (r.swaps + r.bridges)
 				}
 				t, err := p.Traverse(context.Background(), init, rng, s)

@@ -38,112 +38,12 @@ func (s PassStats) AvgCandidates() float64 {
 	return float64(s.TotalCandidates) / float64(s.SwapRounds)
 }
 
-// passRunner binds one (circuit, device, options) triple to the
-// trial-invariant state a traversal needs: the circuit's dependency
-// table in both directions and the (possibly noise-weighted) flat
-// distance matrix. Prepare builds one, and every traversal of the
-// Prepared — restart trials, annealing steps, reverse traversals —
-// re-routes the same circuit from it (RouteStreamMaterialized and the
-// score-round probe build their own). A passRunner is immutable after
-// construction and safe for concurrent traversals (each traversal's
-// mutable state lives in its Scratch).
-type passRunner struct {
-	circ  *circuit.Circuit
-	dev   *arch.Device
-	opts  Options
-	wdist []float64 // flat noise-weighted matrix, nil for hop counts
-
-	// reverse routes the reversed circuit (paper Fig. 5) by reading the
-	// dependency table backwards (rev as successors); see reversed.
-	reverse bool
-
-	// q2 is the flat per-gate qubit-pair table: entries 2*gi and
-	// 2*gi+1 are gate gi's logical qubits (-1, -1 for single-qubit
-	// gates, which never reach the round loops — drain executes them
-	// unconditionally). The round hot paths read pairs from here with
-	// two int32 loads instead of copying a circuit.Gate (whose Params
-	// slice header alone is wider than both entries).
-	q2 []int32
-
-	// fwd and rev are the dependency table in both directions, two
-	// entries per gate, -1-padded; gate i depends on gate j when j is
-	// the most recent earlier gate sharing a qubit with i (paper
-	// Fig. 4). fwd[2i], fwd[2i+1] are i's successors, ascending; one
-	// sharing both of i's qubits appears twice. rev[2i], rev[2i+1] are
-	// i's predecessors, descending: its successors in the reversed
-	// circuit's program order.
-	fwd, rev []int32
-}
-
-// newPassRunner prepares circ (already widened to the device size) for
-// repeated traversals on dev under opts. One pass over the gates fills
-// the pair table and both directions of the dependency table.
-func newPassRunner(circ *circuit.Circuit, dev *arch.Device, opts Options) *passRunner {
-	opts = opts.normalized()
-	g := circ.NumGates()
-	pr := &passRunner{
-		circ: circ,
-		dev:  dev,
-		opts: opts,
-		q2:   make([]int32, 2*g),
-		fwd:  make([]int32, 2*g),
-		rev:  make([]int32, 2*g),
-	}
-	for i := range pr.fwd {
-		pr.fwd[i] = -1
-	}
-	last := make([]int32, circ.NumQubits()) // latest gate on each wire, -1 none
-	for i := range last {
-		last[i] = -1
-	}
-	for i, gate := range circ.Gates() {
-		p0, p1 := pr.link(last, gate.Q0, i), int32(-1)
-		if gate.TwoQubit() {
-			pr.q2[2*i], pr.q2[2*i+1] = int32(gate.Q0), int32(gate.Q1)
-			p1 = pr.link(last, gate.Q1, i)
-		} else {
-			pr.q2[2*i], pr.q2[2*i+1] = -1, -1
-		}
-		pr.rev[2*i], pr.rev[2*i+1] = max(p0, p1), min(p0, p1)
-	}
-	if opts.Noise != nil {
-		// Memoized on the device: every traversal of every trial shares
-		// one read-only matrix instead of rerunning Floyd–Warshall.
-		pr.wdist = dev.WeightedDistancesFor(opts.Noise)
-	}
-	return pr
-}
-
-// link records gate i on wire q: the wire's latest gate, if any, gains
-// i as its next successor. It returns that predecessor, or -1.
-func (pr *passRunner) link(last []int32, q, i int) int32 {
-	p := last[q]
-	last[q] = int32(i)
-	if p >= 0 {
-		if pr.fwd[2*p] < 0 {
-			pr.fwd[2*p] = int32(i)
-		} else {
-			pr.fwd[2*p+1] = int32(i)
-		}
-	}
-	return p
-}
-
-// reversed returns the runner of the reverse traversal (§IV-C2): pr's
-// circuit, pair table and dependency table, read backwards, so neither
-// the reversed circuit nor its dependencies are ever built. It routes
-// exactly as newPassRunner(circ.Reverse(), …) does, gate for gate.
-func (pr *passRunner) reversed() *passRunner {
-	rev := *pr
-	rev.reverse = true
-	return &rev
-}
-
-// traverse runs one traversal from init under the output policy emit
-// and returns the finished router (final layout, counts, stats, and
-// whatever emit left in s), or nil when cancelled.
-func (pr *passRunner) traverse(init mapping.Layout, rng *rand.Rand, s *Scratch, emit emitMode, cancelled <-chan struct{}) *router {
-	r := pr.newRouter(init, rng, s, cancelled)
+// traverse runs one traversal of p's circuit from init — backwards, the
+// reverse traversal of §IV-C2, when reverse is set — under the output
+// policy emit, and returns the finished router (final layout, counts,
+// stats, and whatever emit left in s), or nil when cancelled.
+func (p *Prepared) traverse(init mapping.Layout, rng *rand.Rand, s *Scratch, reverse bool, emit emitMode, cancelled <-chan struct{}) *router {
+	r := p.newRouter(init, rng, s, reverse, cancelled)
 	r.emit = emit
 	if !r.run() {
 		return nil
@@ -151,18 +51,18 @@ func (pr *passRunner) traverse(init mapping.Layout, rng *rand.Rand, s *Scratch, 
 	return r
 }
 
-// newRouter starts one traversal of pr's circuit from init with every
+// newRouter starts one traversal of p's circuit from init with every
 // gate admitted up front: the ready list is seeded with the sources in
-// program order (the reversed circuit's order for a reversed runner).
-// A nil s allocates a private scratch.
-func (pr *passRunner) newRouter(init mapping.Layout, rng *rand.Rand, s *Scratch, cancelled <-chan struct{}) *router {
+// program order (the reversed circuit's order for a reverse
+// traversal). A nil s allocates a private scratch.
+func (p *Prepared) newRouter(init mapping.Layout, rng *rand.Rand, s *Scratch, reverse bool, cancelled <-chan struct{}) *router {
 	if s == nil {
 		s = NewScratch()
 	}
-	r := newRouter(pr.dev, pr.opts, pr.wdist, init.Clone(), rng, s, pr.circ.NumGates(), cancelled)
-	pr.attach(r)
+	r := newRouter(p.dev, p.opts, p.wdist, init.Clone(), rng, s, p.circ.NumGates(), cancelled)
+	p.attach(r, reverse)
 	r.bound = int32(len(r.inDeg))
-	if pr.reverse {
+	if reverse {
 		for h := len(r.inDeg) - 1; h >= 0; h-- {
 			if r.inDeg[h] == 0 {
 				s.ready = append(s.ready, h)
@@ -178,18 +78,18 @@ func (pr *passRunner) newRouter(init mapping.Layout, rng *rand.Rand, s *Scratch,
 	return r
 }
 
-// attach points r at pr's circuit: its gate and qubit-pair tables, the
-// dependency table of pr's direction and a working indegree per gate
-// (the count of its predecessors in that direction), with nothing
-// admitted yet (the streaming driver of RouteStreamMaterialized admits
-// in program order from here).
-func (pr *passRunner) attach(r *router) {
-	r.gates, r.q2 = pr.circ.Gates(), pr.q2
-	succ, pred := pr.fwd, pr.rev
-	if pr.reverse {
-		succ, pred = pr.rev, pr.fwd
+// attach points r at p's circuit: its gate and qubit-pair tables, the
+// dependency table read forwards, or backwards when reverse is set, and
+// a working indegree per gate (the count of its predecessors in that
+// direction), with nothing admitted yet (the streaming driver of
+// RouteStreamMaterialized admits in program order from here).
+func (p *Prepared) attach(r *router, reverse bool) {
+	r.gates, r.q2 = p.circ.Gates(), p.q2
+	succ, pred := p.fwd, p.rev
+	if reverse {
+		succ, pred = p.rev, p.fwd
 	}
-	g := len(pr.q2) / 2
+	g := len(p.q2) / 2
 	if cap(r.s.inDeg) < g {
 		r.s.inDeg = make([]int32, g)
 	}
@@ -205,7 +105,7 @@ func (pr *passRunner) attach(r *router) {
 		inDeg[h] = deg
 	}
 	r.s.inDeg = inDeg
-	r.succ, r.inDeg, r.reverse = succ, inDeg, pr.reverse
+	r.succ, r.inDeg, r.reverse = succ, inDeg, reverse
 }
 
 // newRouter resets s for a traversal on dev whose dependency store
@@ -250,7 +150,7 @@ func newRouter(dev *arch.Device, opts Options, wdist []float64, layout mapping.L
 // while the bookkeeping shares nothing with it.
 type dagDeps struct {
 	r    *router
-	pred []int32 // passRunner.rev: each gate's predecessors
+	pred []int32 // Prepared.rev: each gate's predecessors
 }
 
 // admit enters the next gate in program order.
@@ -306,9 +206,9 @@ const (
 // layout through its SWAPs, and hands visit every gate the traversal
 // emitted, in order: gate h on physical qubits (a, b), b = -1 for a
 // one-qubit gate, or opSwap or opCX on (a, b).
-func (pr *passRunner) replay(log []int32, init mapping.Layout, visit func(h int32, a, b int)) {
+func (p *Prepared) replay(log []int32, init mapping.Layout, visit func(h int32, a, b int)) {
 	l := init.Clone()
-	gates := pr.circ.Gates()
+	gates := p.circ.Gates()
 	for i := 0; i < len(log); i++ {
 		h := log[i]
 		if h >= 0 {
@@ -339,10 +239,10 @@ func (pr *passRunner) replay(log []int32, init mapping.Layout, visit func(h int3
 // logDepth is the depth of the circuit an op log records with each SWAP
 // as its 3 CX, i.e. DecomposeSwaps().Depth() of the materialized
 // circuit, from one replay over a device-sized level array.
-func (pr *passRunner) logDepth(log []int32, init mapping.Layout) int {
-	level := make([]int, pr.dev.NumQubits())
+func (p *Prepared) logDepth(log []int32, init mapping.Layout) int {
+	level := make([]int, p.dev.NumQubits())
 	depth := 0
-	pr.replay(log, init, func(h int32, a, b int) {
+	p.replay(log, init, func(h int32, a, b int) {
 		cost := 1
 		if h == opSwap {
 			cost = 3
@@ -360,10 +260,10 @@ func (pr *passRunner) logDepth(log []int32, init mapping.Layout) int {
 
 // materialize builds the circuit an op log records: gate for gate what
 // the same traversal emits under emitGates. size is its gate count.
-func (pr *passRunner) materialize(log []int32, init mapping.Layout, size int) *circuit.Circuit {
-	gates := pr.circ.Gates()
+func (p *Prepared) materialize(log []int32, init mapping.Layout, size int) *circuit.Circuit {
+	gates := p.circ.Gates()
 	out := make([]circuit.Gate, 0, size)
-	pr.replay(log, init, func(h int32, a, b int) {
+	p.replay(log, init, func(h int32, a, b int) {
 		switch h {
 		case opSwap:
 			out = append(out, circuit.Swap(a, b))
@@ -378,8 +278,8 @@ func (pr *passRunner) materialize(log []int32, init mapping.Layout, size int) *c
 			out = append(out, g)
 		}
 	})
-	c := circuit.FromTrusted(pr.dev.NumQubits(), out)
-	c.SetName(pr.circ.Name())
+	c := circuit.FromTrusted(p.dev.NumQubits(), out)
+	c.SetName(p.circ.Name())
 	return c
 }
 

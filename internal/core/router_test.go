@@ -12,12 +12,11 @@ import (
 )
 
 // newWhiteboxRouter builds a router mid-flight for white-box tests,
-// through the same passRunner setup real traversals use (the ready
-// list comes seeded with the DAG sources).
+// through the same Prepared setup real traversals use (the ready list
+// comes seeded with the DAG sources).
 func newWhiteboxRouter(t *testing.T, dev *arch.Device, c *circuit.Circuit, layout mapping.Layout) *router {
 	t.Helper()
-	pr := newPassRunner(c, dev, DefaultOptions())
-	return pr.newRouter(layout, rand.New(rand.NewSource(1)), nil, nil)
+	return newPrepared(c, dev, DefaultOptions()).newRouter(layout, rand.New(rand.NewSource(1)), nil, false, nil)
 }
 
 // refreshExtended forces an extended-set recomputation regardless of
@@ -283,9 +282,9 @@ func TestScratchReuseAcrossPasses(t *testing.T) {
 			}
 			c.Append(circuit.CX(a, b))
 		}
-		pr := newPassRunner(c, dev, DefaultOptions())
-		got := slices.Clone(pr.traverse(mapping.Identity(20), rng1, shared, emitRecord, nil).s.log)
-		want := pr.traverse(mapping.Identity(20), rng2, nil, emitRecord, nil).s.log
+		p := newPrepared(c, dev, DefaultOptions())
+		got := slices.Clone(p.traverse(mapping.Identity(20), rng1, shared, false, emitRecord, nil).s.log)
+		want := p.traverse(mapping.Identity(20), rng2, nil, false, emitRecord, nil).s.log
 		if !slices.Equal(got, want) {
 			t.Fatalf("gates=%d: shared-scratch pass diverged from fresh-scratch pass", gates)
 		}

@@ -12,25 +12,44 @@ import (
 	"repro/internal/mapping"
 )
 
-// Prepared holds the trial-invariant inputs of a multi-trial compile:
-// the normalized options, the effective (possibly noise-pruned)
-// device, and the circuit widened to the device (a view sharing the
-// caller's gates, see Circuit.Widen) with its qubit-pair table and
-// its dependency table in both directions. TrialRunner prepares once
-// and runs RunTrialCtx over many seeds, sharing this state — the
-// tables and the device's cached distance matrices — read-only across
-// its worker pool. Trial results reference it until SelectBest
-// materializes the winner, and the winner does not, so a retained
-// Result never pins the tables.
+// Prepared is a circuit prepared for routing on a device: the
+// normalized options, the effective (possibly noise-pruned) device and
+// its (possibly noise-weighted) distance matrix, and the circuit
+// widened to the device (a view sharing the caller's gates, see
+// Circuit.Widen) with its qubit-pair table and its dependency table in
+// both directions. Every traversal starts from one — trial restarts,
+// InitialMapping's candidates, annealing steps, CompileWithLayout,
+// RouteStreamMaterialized — and reads it only: a Prepared is immutable
+// after construction, and each traversal's mutable state lives in its
+// Scratch. TrialRunner prepares once and runs RunTrialCtx over many
+// seeds, sharing this state across its worker pool. Trial results
+// reference it until SelectBest materializes the winner, and the
+// winner does not, so a retained Result never pins the tables.
 type Prepared struct {
-	dev  *arch.Device
-	opts Options
+	circ  *circuit.Circuit // widened to the device
+	dev   *arch.Device
+	opts  Options
+	wdist []float64 // flat noise-weighted matrix, nil for hop counts
 
-	// fwd routes the widened circuit forwards; rev is the same runner
-	// reading the dependency table backwards, the reverse traversal of
-	// §IV-C2 without a reversed copy of the circuit.
-	fwd *passRunner
-	rev *passRunner
+	// q2 is the flat per-gate qubit-pair table: entries 2*gi and
+	// 2*gi+1 are gate gi's logical qubits (-1, -1 for single-qubit
+	// gates, which never reach the round loops — drain executes them
+	// unconditionally). The round hot paths read pairs from here with
+	// two int32 loads instead of copying a circuit.Gate (whose Params
+	// slice header alone is wider than both entries).
+	q2 []int32
+
+	// fwd and rev are the dependency table in both directions, two
+	// entries per gate, -1-padded; gate i depends on gate j when j is
+	// the most recent earlier gate sharing a qubit with i (paper
+	// Fig. 4). fwd[2i], fwd[2i+1] are i's successors, ascending; one
+	// sharing both of i's qubits appears twice. rev[2i], rev[2i+1] are
+	// i's predecessors, descending: its successors in the reversed
+	// circuit's program order. A reverse traversal (paper Fig. 5) reads
+	// rev as successors, so neither the reversed circuit nor its
+	// dependencies are ever built; it routes exactly as a forward
+	// traversal of Circuit.Reverse does, gate for gate.
+	fwd, rev []int32
 }
 
 // Prepare validates circ against dev and precomputes the shared
@@ -40,23 +59,69 @@ type Prepared struct {
 // the circuit is copied. The returned value is safe for concurrent
 // RunTrialCtx and Traverse calls, each on its own scratch.
 func Prepare(circ *circuit.Circuit, dev *arch.Device, opts Options) (*Prepared, error) {
-	opts = opts.normalized()
 	dev = effectiveDevice(dev, opts)
 	if circ.NumQubits() > dev.NumQubits() {
 		return nil, fmt.Errorf("core: circuit needs %d qubits but device %s has %d",
 			circ.NumQubits(), dev.Name(), dev.NumQubits())
 	}
-	wide := circ
+	return newPrepared(circ, dev, opts), nil
+}
+
+// newPrepared builds the Prepared of circ, at most dev's width, on dev
+// under opts. One pass over the gates fills the pair table and both
+// directions of the dependency table.
+func newPrepared(circ *circuit.Circuit, dev *arch.Device, opts Options) *Prepared {
 	if circ.NumQubits() < dev.NumQubits() {
-		wide = circ.Widen(dev.NumQubits())
+		circ = circ.Widen(dev.NumQubits())
 	}
-	if opts.Noise != nil {
-		// Publish the weighted distance matrix before trials fan out so
-		// concurrent traversals only ever read the memo.
-		dev.WeightedDistancesFor(opts.Noise)
+	g := circ.NumGates()
+	p := &Prepared{
+		circ: circ,
+		dev:  dev,
+		opts: opts.normalized(),
+		q2:   make([]int32, 2*g),
+		fwd:  make([]int32, 2*g),
+		rev:  make([]int32, 2*g),
 	}
-	fwd := newPassRunner(wide, dev, opts)
-	return &Prepared{dev: dev, opts: opts, fwd: fwd, rev: fwd.reversed()}, nil
+	for i := range p.fwd {
+		p.fwd[i] = -1
+	}
+	last := make([]int32, circ.NumQubits()) // latest gate on each wire, -1 none
+	for i := range last {
+		last[i] = -1
+	}
+	for i, gate := range circ.Gates() {
+		p0, p1 := p.link(last, gate.Q0, i), int32(-1)
+		if gate.TwoQubit() {
+			p.q2[2*i], p.q2[2*i+1] = int32(gate.Q0), int32(gate.Q1)
+			p1 = p.link(last, gate.Q1, i)
+		} else {
+			p.q2[2*i], p.q2[2*i+1] = -1, -1
+		}
+		p.rev[2*i], p.rev[2*i+1] = max(p0, p1), min(p0, p1)
+	}
+	if p.opts.Noise != nil {
+		// Memoized on the device, and published before trials fan out:
+		// concurrent traversals only ever read one shared matrix instead
+		// of rerunning Floyd–Warshall.
+		p.wdist = dev.WeightedDistancesFor(p.opts.Noise)
+	}
+	return p
+}
+
+// link records gate i on wire q: the wire's latest gate, if any, gains
+// i as its next successor. It returns that predecessor, or -1.
+func (p *Prepared) link(last []int32, q, i int) int32 {
+	j := last[q]
+	last[q] = int32(i)
+	if j >= 0 {
+		if p.fwd[2*j] < 0 {
+			p.fwd[2*j] = int32(i)
+		} else {
+			p.fwd[2*j+1] = int32(i)
+		}
+	}
+	return j
 }
 
 // Options returns the normalized options the trials run under.
@@ -90,11 +155,7 @@ func (p *Prepared) RunTrialCtx(ctx context.Context, trial int, s *Scratch) (*Res
 	last := p.opts.Traversals - 1 // even: the last traversal runs forwards
 	firstAdded := 0
 	for t := 0; t < last; t++ {
-		runner := p.fwd
-		if t%2 == 1 {
-			runner = p.rev
-		}
-		r := runner.traverse(layout, rng, s, emitDiscard, ctx.Done())
+		r := p.traverse(layout, rng, s, t%2 == 1, emitDiscard, ctx.Done())
 		if r == nil {
 			return nil, 0, ctx.Err()
 		}
@@ -140,7 +201,7 @@ func (p *Prepared) Traverse(ctx context.Context, init mapping.Layout, rng *rand.
 	if s == nil {
 		s = NewScratch()
 	}
-	r := p.fwd.traverse(init, rng, s, emitRecord, ctx.Done())
+	r := p.traverse(init, rng, s, false, emitRecord, ctx.Done())
 	if r == nil {
 		return Traversal{}, ctx.Err()
 	}
@@ -150,7 +211,7 @@ func (p *Prepared) Traverse(ctx context.Context, init mapping.Layout, rng *rand.
 // Depth is the depth of the traversal's circuit with each SWAP as its
 // 3 CX — DecomposeSwaps().Depth() of the circuit Keep's result builds —
 // from one replay of the log: BetterTrial's second key.
-func (t Traversal) Depth() int { return t.p.fwd.logDepth(t.r.s.log, t.init) }
+func (t Traversal) Depth() int { return t.p.logDepth(t.r.s.log, t.init) }
 
 // Keep copies the op log out of the scratch into a Result whose
 // Circuit SelectBest builds if it wins; until then the Result
@@ -190,7 +251,7 @@ func (res *Result) build() {
 	// The log holds one entry per executed gate and two per SWAP or
 	// bridge; a bridge emits 4 gates.
 	size := len(t.ops) - res.SwapCount + 2*res.BridgeCount
-	res.Circuit = t.prep.fwd.materialize(t.ops, t.init, size)
+	res.Circuit = t.prep.materialize(t.ops, t.init, size)
 	res.pending = nil
 }
 
@@ -338,11 +399,11 @@ func (p *Prepared) layoutTrial(ctx context.Context, trial int, s *Scratch) (*Res
 	rng := s.Seeded(p.opts.Seed + int64(trial))
 	layout := mapping.Random(p.dev.NumQubits(), rng)
 	var b, probe *router
-	if f := p.fwd.traverse(layout, rng, s, emitDiscard, ctx.Done()); f != nil {
-		b = p.rev.traverse(f.layout, rng, s, emitDiscard, ctx.Done())
+	if f := p.traverse(layout, rng, s, false, emitDiscard, ctx.Done()); f != nil {
+		b = p.traverse(f.layout, rng, s, true, emitDiscard, ctx.Done())
 	}
 	if b != nil {
-		probe = p.fwd.traverse(b.layout, rng, s, emitDiscard, ctx.Done())
+		probe = p.traverse(b.layout, rng, s, false, emitDiscard, ctx.Done())
 	}
 	if probe == nil {
 		return nil, 0, ctx.Err()

@@ -91,8 +91,7 @@ func TestCandWordsAllZeroAcrossDevices(t *testing.T) {
 	if got := (len(big.Edges()) + 63) / 64; got < 2 {
 		t.Fatalf("Grid(8,8) spans %d candidate words, need ≥2 for this test", got)
 	}
-	circ := workloads.QFT(12).Widen(big.NumQubits())
-	newPassRunner(circ, big, DefaultOptions()).traverse(mapping.Identity(big.NumQubits()), rand.New(rand.NewSource(3)), s, emitDiscard, nil)
+	newPrepared(workloads.QFT(12), big, DefaultOptions()).traverse(mapping.Identity(big.NumQubits()), rand.New(rand.NewSource(3)), s, false, emitDiscard, nil)
 	for i, w := range s.candWords[:cap(s.candWords)] {
 		if w != 0 {
 			t.Fatalf("candWords[%d] = %#x after traversal, want 0 (consume-to-zero invariant)", i, w)
@@ -100,10 +99,9 @@ func TestCandWordsAllZeroAcrossDevices(t *testing.T) {
 	}
 
 	small := arch.IBMQ20Tokyo()
-	circ2 := workloads.QFT(8).Widen(small.NumQubits())
-	pr2 := newPassRunner(circ2, small, DefaultOptions())
-	res := pr2.traverse(mapping.Identity(small.NumQubits()), rand.New(rand.NewSource(3)), s, emitDiscard, nil)
-	ref := pr2.traverse(mapping.Identity(small.NumQubits()), rand.New(rand.NewSource(3)), nil, emitDiscard, nil)
+	p := newPrepared(workloads.QFT(8), small, DefaultOptions())
+	res := p.traverse(mapping.Identity(small.NumQubits()), rand.New(rand.NewSource(3)), s, false, emitDiscard, nil)
+	ref := p.traverse(mapping.Identity(small.NumQubits()), rand.New(rand.NewSource(3)), nil, false, emitDiscard, nil)
 	if res.swaps != ref.swaps {
 		t.Fatalf("reused scratch altered routing on the smaller device: %d swaps vs %d", res.swaps, ref.swaps)
 	}

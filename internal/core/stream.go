@@ -281,17 +281,17 @@ type streamRouter struct {
 }
 
 // newStreamRouter wires one streaming traversal from a seeded random
-// layout. A nil pr routes through the windowed slot arena; otherwise
-// the stream is pr's circuit, admitted gate by gate (dagDeps).
-func newStreamRouter(dev *arch.Device, opts Options, sopts StreamOptions, src GateSource, sink StreamSink, s *Scratch, pr *passRunner, cancelled <-chan struct{}) *streamRouter {
+// layout. A nil p routes through the windowed slot arena; otherwise
+// the stream is p's circuit, admitted gate by gate (dagDeps).
+func newStreamRouter(dev *arch.Device, opts Options, sopts StreamOptions, src GateSource, sink StreamSink, s *Scratch, p *Prepared, cancelled <-chan struct{}) *streamRouter {
 	n := dev.NumQubits()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	layout := mapping.Random(n, rng)
 	sr := &streamRouter{src: src, sink: sink, sopts: sopts.normalized()}
-	if pr != nil {
-		sr.rt = newRouter(dev, opts, pr.wdist, layout, rng, s, pr.circ.NumGates(), cancelled)
-		pr.attach(sr.rt)
-		sr.deps = &dagDeps{r: sr.rt, pred: pr.rev}
+	if p != nil {
+		sr.rt = newRouter(dev, opts, p.wdist, layout, rng, s, p.circ.NumGates(), cancelled)
+		p.attach(sr.rt, false)
+		sr.deps = &dagDeps{r: sr.rt, pred: p.rev}
 	} else {
 		var wdist []float64
 		if opts.Noise != nil {
@@ -527,14 +527,11 @@ func RouteStreamMaterialized(ctx context.Context, circ *circuit.Circuit, dev *ar
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opts = opts.normalized()
-	dev = effectiveDevice(dev, opts)
-	if circ.NumQubits() > dev.NumQubits() {
-		return nil, fmt.Errorf("core: circuit needs %d qubits but device %s has %d",
-			circ.NumQubits(), dev.Name(), dev.NumQubits())
+	p, err := Prepare(circ, dev, opts)
+	if err != nil {
+		return nil, err
 	}
-	pr := newPassRunner(circ, dev, opts)
-	return newStreamRouter(dev, opts, sopts, NewCircuitSource(circ), sink, NewScratch(), pr, ctx.Done()).route(ctx)
+	return newStreamRouter(p.dev, p.opts, sopts, NewCircuitSource(circ), sink, NewScratch(), p, ctx.Done()).route(ctx)
 }
 
 // StreamProbe pins a warm streaming router mid-flight over an endless

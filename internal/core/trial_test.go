@@ -68,17 +68,18 @@ type passResult struct {
 	Stats         PassStats
 }
 
-// run is the reference traversal: one pass of Algorithm 1 from init
-// that builds its routed circuit gate by gate (nil s allocates a
-// private scratch). The input layout is not mutated.
-func (pr *passRunner) run(init mapping.Layout, rng *rand.Rand, s *Scratch) passResult {
-	r := pr.traverse(init, rng, s, emitGates, nil)
-	out := circuit.NewNamed(pr.circ.Name(), r.n)
+// run is the reference traversal: one pass of Algorithm 1 from init,
+// backwards when reverse is set, that builds its routed circuit gate by
+// gate (nil s allocates a private scratch). The input layout is not
+// mutated.
+func (p *Prepared) run(init mapping.Layout, rng *rand.Rand, s *Scratch, reverse bool) passResult {
+	r := p.traverse(init, rng, s, reverse, emitGates, nil)
+	out := circuit.NewNamed(p.circ.Name(), r.n)
 	out.AppendTrusted(r.s.out...)
 	return passResult{
 		Circuit:       out,
 		InitialLayout: init.Clone(),
-		FinalLayout:   r.layout,
+		FinalLayout:   r.layout.Clone(),
 		SwapCount:     r.swaps,
 		BridgeCount:   r.bridges,
 		Stats:         r.stats,
@@ -125,7 +126,7 @@ func TestTrialLogMatchesRunContext(t *testing.T) {
 
 		opts, pdev := p.Options(), p.Device()
 		wide := tc.circ.Widen(pdev.NumQubits())
-		fwd, rev := newPassRunner(wide, pdev, opts), newPassRunner(wide.Reverse(), pdev, opts)
+		fwd, rev := newPrepared(wide, pdev, opts), newPrepared(wide.Reverse(), pdev, opts)
 		rng := rand.New(rand.NewSource(opts.Seed + trial))
 		layout := mapping.Random(pdev.NumQubits(), rng)
 		var want passResult
@@ -134,7 +135,7 @@ func TestTrialLogMatchesRunContext(t *testing.T) {
 			if trav%2 == 1 {
 				runner = rev
 			}
-			want = runner.run(layout, rng, nil)
+			want = runner.run(layout, rng, nil, false)
 			layout = want.FinalLayout
 		}
 		if wantDepth := want.Circuit.DecomposeSwaps().Depth(); depth != wantDepth {
@@ -183,10 +184,10 @@ func TestReverseRunnerMatchesReversedCircuit(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts, pdev := p.Options(), p.Device()
-		oracle := newPassRunner(tc.circ.Widen(pdev.NumQubits()).Reverse(), pdev, opts)
+		oracle := newPrepared(tc.circ.Widen(pdev.NumQubits()).Reverse(), pdev, opts)
 		init := mapping.Random(pdev.NumQubits(), rand.New(rand.NewSource(3)))
-		got := p.rev.run(init, rand.New(rand.NewSource(4)), nil)
-		want := oracle.run(init, rand.New(rand.NewSource(4)), nil)
+		got := p.run(init, rand.New(rand.NewSource(4)), nil, true)
+		want := oracle.run(init, rand.New(rand.NewSource(4)), nil, false)
 		samePass(t, tc.name, got, want)
 	}
 }
@@ -214,14 +215,14 @@ func TestInitialMappingRanksByAddedGates(t *testing.T) {
 
 		norm := opts.normalized()
 		wide := circ.Widen(dev.NumQubits())
-		fwd, rev := newPassRunner(wide, dev, norm), newPassRunner(wide.Reverse(), dev, norm)
+		fwd, rev := newPrepared(wide, dev, norm), newPrepared(wide.Reverse(), dev, norm)
 		bestAdded, bestSwaps := -1, -1
 		var want, bySwaps mapping.Layout
 		for trial := 0; trial < norm.Trials; trial++ {
 			rng := rand.New(rand.NewSource(norm.Seed + int64(trial)))
-			f := fwd.run(mapping.Random(dev.NumQubits(), rng), rng, nil)
-			back := rev.run(f.FinalLayout, rng, nil)
-			probe := fwd.run(back.FinalLayout, rng, nil)
+			f := fwd.run(mapping.Random(dev.NumQubits(), rng), rng, nil, false)
+			back := rev.run(f.FinalLayout, rng, nil, false)
+			probe := fwd.run(back.FinalLayout, rng, nil, false)
 			if added := 3 * (probe.SwapCount + probe.BridgeCount); bestAdded < 0 || added < bestAdded {
 				bestAdded, want = added, back.FinalLayout
 			}
