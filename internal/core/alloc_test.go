@@ -111,6 +111,46 @@ func TestRecordStepZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestTraverseZeroAllocs guards the start of a traversal: the router
+// and its working copy of the start layout live in the scratch, so once
+// the scratch is warm a whole forward Traverse, and a whole reverse
+// record-mode traversal, allocate nothing. A router or a layout clone
+// per traversal costs 3 allocations.
+func TestTraverseZeroAllocs(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	for _, name := range []string{"rd84_142", "qft_20", "9symml_195"} {
+		b, _ := workloads.ByName(name)
+		p, err := Prepare(b.Build(), dev, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		init := mapping.Random(dev.NumQubits(), rand.New(rand.NewSource(1)))
+		rng := rand.New(rand.NewSource(2))
+		s := NewScratch()
+		forward := func() {
+			rng.Seed(2)
+			if _, err := p.Traverse(context.Background(), init, rng, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reverse := func() {
+			rng.Seed(2)
+			if p.traverse(init, rng, s, true, emitRecord, nil) == nil {
+				t.Fatal("uncancellable traversal cancelled")
+			}
+		}
+		for _, tc := range []struct {
+			label string
+			f     func()
+		}{{"forward Traverse", forward}, {"reverse record-mode traversal", reverse}} {
+			tc.f() // warm the scratch
+			if allocs := testing.AllocsPerRun(10, tc.f); allocs != 0 {
+				t.Errorf("%s: a warm %s allocates %v times, want 0", name, tc.label, allocs)
+			}
+		}
+	}
+}
+
 // allocatedBytes returns the fewest heap bytes f allocated over three
 // runs (runtime.MemStats.TotalAlloc deltas): the least of a few runs
 // shrugs off a stray allocation from another goroutine.
@@ -187,10 +227,11 @@ func TestPrepareBytesPerGate(t *testing.T) {
 // TestCompileAllocs is the allocation-count guard on a whole compile:
 // a warm 5-trial Compile (Prepare, the trial pool at one worker, every
 // trial and SelectBest's build of the winner) of qft_10, qft_20 and
-// rd84_142 on Tokyo. They count 163, 167 and 164 allocations (160,
-// 164 and 161 before the trial pool ran Compile). One bound of 170
-// holds all three: one more allocation per trial breaks it on qft_20,
-// and a per-gate or per-round allocation adds hundreds.
+// rd84_142 on Tokyo. They count 118, 122 and 119 allocations (163, 167
+// and 164 while every traversal allocated its router and a copy of its
+// start layout). One bound of 125 holds all three: one more allocation
+// per trial breaks it on qft_20, and a per-gate or per-round
+// allocation adds hundreds.
 func TestCompileAllocs(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	for _, name := range []string{"qft_10", "qft_20", "rd84_142"} {
@@ -204,8 +245,8 @@ func TestCompileAllocs(t *testing.T) {
 		compile() // warm the device's distance matrices
 		allocs := testing.AllocsPerRun(10, compile)
 		t.Logf("%s: %.0f allocs per compile", name, allocs)
-		if allocs > 170 {
-			t.Errorf("%s: a warm Compile allocates %.0f times, want <= 170", name, allocs)
+		if allocs > 125 {
+			t.Errorf("%s: a warm Compile allocates %.0f times, want <= 125", name, allocs)
 		}
 	}
 }

@@ -40,8 +40,9 @@ func (s PassStats) AvgCandidates() float64 {
 
 // traverse runs one traversal of p's circuit from init — backwards, the
 // reverse traversal of §IV-C2, when reverse is set — under the output
-// policy emit, and returns the finished router (final layout, counts,
-// stats, and whatever emit left in s), or nil when cancelled.
+// policy emit, and returns the finished router: s's, holding the final
+// layout, counts and stats until s's next traversal, with whatever
+// emit left in s. It returns nil when cancelled.
 func (p *Prepared) traverse(init mapping.Layout, rng *rand.Rand, s *Scratch, reverse bool, emit emitMode, cancelled <-chan struct{}) *router {
 	r := p.newRouter(init, rng, s, reverse, cancelled)
 	r.emit = emit
@@ -59,7 +60,7 @@ func (p *Prepared) newRouter(init mapping.Layout, rng *rand.Rand, s *Scratch, re
 	if s == nil {
 		s = NewScratch()
 	}
-	r := newRouter(p.dev, p.opts, p.wdist, init.Clone(), rng, s, p.circ.NumGates(), cancelled)
+	r := newRouter(p.dev, p.opts, p.wdist, init, rng, s, p.circ.NumGates(), cancelled)
 	p.attach(r, reverse)
 	r.bound = int32(len(r.inDeg))
 	if reverse {
@@ -108,20 +109,23 @@ func (p *Prepared) attach(r *router, reverse bool) {
 	r.succ, r.inDeg, r.reverse = succ, inDeg, reverse
 }
 
-// newRouter resets s for a traversal on dev whose dependency store
-// starts with handles handles, and wires up the device-side state
-// every traversal shares: the layout, the flat read-only tables the
-// round hot loops gather from (distance matrices, dense edge
-// endpoints, incident-edge bitsets) and the stall bound. The caller
-// attaches the store's gate, pair and dependency tables.
-func newRouter(dev *arch.Device, opts Options, wdist []float64, layout mapping.Layout, rng *rand.Rand, s *Scratch, handles int, cancelled <-chan struct{}) *router {
+// newRouter resets s and its router, in place, for a traversal on dev
+// from a copy of init whose dependency store starts with handles
+// handles, and wires up the device-side state every traversal shares:
+// the flat read-only tables the round hot loops gather from (distance
+// matrices, dense edge endpoints, incident-edge bitsets) and the stall
+// bound. It returns s's router; the caller attaches the store's gate,
+// pair and dependency tables.
+func newRouter(dev *arch.Device, opts Options, wdist []float64, init mapping.Layout, rng *rand.Rand, s *Scratch, handles int, cancelled <-chan struct{}) *router {
 	n := dev.NumQubits()
 	s.reset(n, handles, len(dev.Edges()))
 	maxStall := opts.MaxStall
 	if maxStall <= 0 {
 		maxStall = 4*dev.Diameter() + 16
 	}
-	return &router{
+	layout := s.rt.layout
+	init.CopyInto(&layout)
+	s.rt = router{
 		dev:      dev,
 		n:        n,
 		opts:     opts,
@@ -139,6 +143,7 @@ func newRouter(dev *arch.Device, opts Options, wdist []float64, layout mapping.L
 
 		cancelled: cancelled,
 	}
+	return &s.rt
 }
 
 // dagDeps admits a materialized circuit's gates one by one in program
@@ -285,8 +290,9 @@ func (p *Prepared) materialize(log []int32, init mapping.Layout, size int) *circ
 
 // router holds the mutable state of one traversal of Algorithm 1, over
 // either dependency store: a materialized circuit's gate indices or
-// the streaming window's slots. Every slice it appends to lives in the
-// Scratch so steady-state SWAP rounds never touch the allocator.
+// the streaming window's slots. It lives in the Scratch, as does every
+// slice it appends to, so neither starting a traversal nor a
+// steady-state SWAP round touches the allocator.
 type router struct {
 	dev  *arch.Device
 	n    int // device qubit count = row stride of the flat matrices

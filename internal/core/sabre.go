@@ -151,7 +151,8 @@ func (p *Prepared) RunTrialCtx(ctx context.Context, trial int, s *Scratch) (*Res
 		s = NewScratch() // shared by this trial's traversals at least
 	}
 	rng := s.Seeded(p.opts.Seed + int64(trial))
-	layout := mapping.Random(p.dev.NumQubits(), rng)
+	init := mapping.Random(p.dev.NumQubits(), rng)
+	layout := init
 	last := p.opts.Traversals - 1 // even: the last traversal runs forwards
 	firstAdded := 0
 	for t := 0; t < last; t++ {
@@ -164,7 +165,11 @@ func (p *Prepared) RunTrialCtx(ctx context.Context, trial int, s *Scratch) (*Res
 		}
 		layout = r.layout
 	}
-	final, err := p.Traverse(ctx, layout, rng, s)
+	// layout is now the scratch router's, which the final traversal
+	// overwrites; the kept result references its start layout, so the
+	// start layout moves into the trial's own storage first.
+	layout.CopyInto(&init)
+	final, err := p.Traverse(ctx, init, rng, s)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -177,9 +182,9 @@ func (p *Prepared) RunTrialCtx(ctx context.Context, trial int, s *Scratch) (*Res
 }
 
 // Traversal is one recorded forward traversal (Prepared.Traverse): its
-// cost, and its op log, which stays in the scratch it ran on. Depth and
-// Keep read that log, so they are valid only until the scratch's next
-// traversal.
+// cost, and its op log and final state, which stay in the scratch it
+// ran on. Depth and Keep read them, so they are valid only until the
+// scratch's next traversal.
 type Traversal struct {
 	// Added is the traversal's routing cost: 3 gates per inserted SWAP
 	// and per bridge.
@@ -398,15 +403,17 @@ func InitialMapping(ctx context.Context, circ *circuit.Circuit, dev *arch.Device
 func (p *Prepared) layoutTrial(ctx context.Context, trial int, s *Scratch) (*Result, int, error) {
 	rng := s.Seeded(p.opts.Seed + int64(trial))
 	layout := mapping.Random(p.dev.NumQubits(), rng)
-	var b, probe *router
+	var improved []int
+	var probe *router
 	if f := p.traverse(layout, rng, s, false, emitDiscard, ctx.Done()); f != nil {
-		b = p.traverse(f.layout, rng, s, true, emitDiscard, ctx.Done())
-	}
-	if b != nil {
-		probe = p.traverse(b.layout, rng, s, false, emitDiscard, ctx.Done())
+		if b := p.traverse(f.layout, rng, s, true, emitDiscard, ctx.Done()); b != nil {
+			// Read before the probe traversal reuses the scratch's router.
+			improved = b.layout.LogicalToPhysical()
+			probe = p.traverse(b.layout, rng, s, false, emitDiscard, ctx.Done())
+		}
 	}
 	if probe == nil {
 		return nil, 0, ctx.Err()
 	}
-	return &Result{InitialLayout: b.layout.LogicalToPhysical(), AddedGates: 3 * (probe.swaps + probe.bridges)}, 0, nil
+	return &Result{InitialLayout: improved, AddedGates: 3 * (probe.swaps + probe.bridges)}, 0, nil
 }

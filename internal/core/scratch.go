@@ -7,15 +7,17 @@ import (
 	"repro/internal/circuit"
 )
 
-// Scratch owns every reusable buffer a routing traversal mutates, so a
-// worker that routes many passes (a trial worker, an annealing chain)
-// performs zero steady-state heap allocations inside the SWAP loop:
-// all per-round state lives here and is re-sliced, never reallocated,
-// once warm. A Scratch is single-goroutine state — per-worker, shared
-// with nobody — which is exactly the share-nothing discipline that
-// keeps parallel trials off each other's cache lines. The zero value
-// is not usable; construct with NewScratch. Passing nil where a
-// *Scratch is accepted makes the callee allocate a private one.
+// Scratch owns everything a routing traversal mutates — the router
+// itself, its working layout and every reusable buffer — so a worker
+// that routes many passes (a trial worker, an annealing chain)
+// performs zero steady-state heap allocations per traversal: all
+// per-traversal and per-round state lives here and is reset in place,
+// never reallocated, once warm. A Scratch is single-goroutine state —
+// per-worker, shared with nobody — which is exactly the share-nothing
+// discipline that keeps parallel trials off each other's cache lines.
+// The zero value is an empty scratch, ready to use (NewScratch returns
+// one). Passing nil where a *Scratch is accepted makes the callee
+// allocate a private one.
 //
 // Buffer-clearing convention: gate-indexed mark buffers are
 // epoch-stamped ([]int32 marks compared against a monotonically
@@ -26,6 +28,11 @@ import (
 // reads, so the buffer is all-zero (across its full capacity) between
 // rounds and needs no epoch at all.
 type Scratch struct {
+	// rt is the current traversal's router, reset in place by newRouter.
+	// Its layout keeps its storage across resets: it holds the
+	// traversal's working copy of the start layout.
+	rt router
+
 	// Traversal state, sized per pass. front, ready and extended hold
 	// dependency-store handles: gate indices, or window slots when
 	// streaming.
@@ -198,9 +205,9 @@ func NewScratch() *Scratch { return &Scratch{} }
 
 // Seeded returns the scratch's generator seeded with seed. Seeding
 // resets a math/rand source in full, so its stream is that of
-// rand.New(rand.NewSource(seed)), and a trial allocates no new 4.9 KB
-// source. The generator is the scratch's, so it is valid until the
-// next Seeded call.
+// rand.New(rand.NewSource(seed)), and a trial or a stream on a warm
+// scratch allocates no new 4.9 KB source. The generator is the
+// scratch's, so it is valid until the next Seeded call.
 func (s *Scratch) Seeded(seed int64) *rand.Rand {
 	if s.rng == nil {
 		s.rng = rand.New(rand.NewSource(seed))

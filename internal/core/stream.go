@@ -280,12 +280,13 @@ type streamRouter struct {
 	maxWindow  int
 }
 
-// newStreamRouter wires one streaming traversal from a seeded random
-// layout. A nil p routes through the windowed slot arena; otherwise
-// the stream is p's circuit, admitted gate by gate (dagDeps).
+// newStreamRouter wires one streaming traversal from a random layout
+// drawn from s's generator seeded with opts.Seed. A nil p routes
+// through the windowed slot arena; otherwise the stream is p's circuit,
+// admitted gate by gate (dagDeps).
 func newStreamRouter(dev *arch.Device, opts Options, sopts StreamOptions, src GateSource, sink StreamSink, s *Scratch, p *Prepared, cancelled <-chan struct{}) *streamRouter {
 	n := dev.NumQubits()
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := s.Seeded(opts.Seed)
 	layout := mapping.Random(n, rng)
 	sr := &streamRouter{src: src, sink: sink, sopts: sopts.normalized()}
 	if p != nil {
@@ -433,7 +434,11 @@ func (sr *streamRouter) route(ctx context.Context) (*StreamResult, error) {
 	//sabre:nondeterm-ok wall-clock elapsed metric; never feeds routing decisions
 	start := time.Now()
 	rt := sr.rt
-	init := rt.layout.Clone()
+	// The scratch, and with it its router, outlives the stream (a pool
+	// may keep it), so the router must not keep the source and the sink
+	// reachable once the stream is done.
+	defer func() { rt.stream = nil }()
+	init := rt.layout.LogicalToPhysical()
 	completed := rt.run()
 	if sr.err != nil {
 		return nil, sr.err
@@ -467,7 +472,7 @@ func (sr *streamRouter) route(ctx context.Context) (*StreamResult, error) {
 		stats.GatesPerSec = float64(stats.GatesOut) / sec
 	}
 	return &StreamResult{
-		InitialLayout: init.LogicalToPhysical(),
+		InitialLayout: init,
 		FinalLayout:   rt.layout.LogicalToPhysical(),
 		NumQubits:     rt.n,
 		Stats:         stats,

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
@@ -200,6 +202,27 @@ func TestStreamScratchReuse(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStreamScratchRetainsNoSink: a scratch outlives its streams (the
+// batch engine pools them), so once RouteStream returns, the scratch —
+// its router included — must not keep the stream's source or sink
+// reachable.
+func TestStreamScratchRetainsNoSink(t *testing.T) {
+	dev := arch.IBMQ20Tokyo()
+	s := NewScratch()
+	src := &circuitSource{c: randomStreamCircuit(t, dev.NumQubits(), 1500, 1)}
+	sink := &collectSink{}
+	wsrc, wsink := weak.Make(src), weak.Make(sink)
+	if _, err := RouteStream(context.Background(), src, dev, Options{Seed: 1}, StreamOptions{}, sink, s); err != nil {
+		t.Fatal(err)
+	}
+	src, sink = nil, nil
+	runtime.GC()
+	if wsrc.Value() != nil || wsink.Value() != nil {
+		t.Error("the scratch keeps a finished stream's source or sink reachable")
+	}
+	runtime.KeepAlive(s)
 }
 
 // TestStreamArenaWraparound drives a small arena through thousands of

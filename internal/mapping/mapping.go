@@ -100,6 +100,19 @@ func (l Layout) Clone() Layout {
 	return c
 }
 
+// CopyInto makes *dst a deep copy of l, reusing dst's storage when it
+// has room, so a warm copy allocates nothing. dst may share l's
+// storage, which leaves both unchanged.
+func (l Layout) CopyInto(dst *Layout) {
+	n := len(l.l2p)
+	if cap(dst.l2p) < n || cap(dst.p2l) < n {
+		dst.l2p, dst.p2l = make([]int, n), make([]int, n)
+	}
+	dst.l2p, dst.p2l = dst.l2p[:n], dst.p2l[:n]
+	copy(dst.l2p, l.l2p)
+	copy(dst.p2l, l.p2l)
+}
+
 // LogicalToPhysical returns a copy of the underlying l2p permutation.
 func (l Layout) LogicalToPhysical() []int {
 	out := make([]int, len(l.l2p))

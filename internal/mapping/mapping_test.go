@@ -150,6 +150,38 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestCopyIntoReusesStorage: CopyInto makes a deep copy, reuses the
+// destination's storage once it has room, grows it when it has not,
+// and leaves a layout copied onto itself unchanged.
+func TestCopyIntoReusesStorage(t *testing.T) {
+	src := Random(5, rand.New(rand.NewSource(1)))
+	var dst Layout
+	src.CopyInto(&dst) // grows the zero value
+	if !dst.Equal(src) || !dst.Valid() {
+		t.Fatalf("copy %v of %v", dst, src)
+	}
+	dst.SwapPhysical(0, 1)
+	if dst.Equal(src) {
+		t.Fatal("CopyInto shares storage with its source")
+	}
+	big := Identity(8)
+	big.CopyInto(&dst)
+	if !dst.Equal(big) {
+		t.Fatalf("copy %v of the wider %v", dst, big)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { src.CopyInto(&dst) }); allocs != 0 {
+		t.Errorf("a copy into room allocates %v times, want 0", allocs)
+	}
+	if !dst.Equal(src) || !dst.Valid() {
+		t.Fatalf("copy %v of the narrower %v", dst, src)
+	}
+	want := src.Clone()
+	src.CopyInto(&src)
+	if !src.Equal(want) || !src.Valid() {
+		t.Fatalf("a layout copied onto itself became %v, want %v", src, want)
+	}
+}
+
 func TestAccessorCopies(t *testing.T) {
 	l := Identity(3)
 	lp := l.LogicalToPhysical()
