@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -66,9 +67,33 @@ func TestCompileSingleQubitOnly(t *testing.T) {
 	}
 }
 
-func TestCompileTooWide(t *testing.T) {
-	if _, err := Compile(circuit.New(6), arch.Line(4), fastOpts()); err == nil {
-		t.Fatal("oversized circuit accepted")
+// TestTooWide: every entry point that prepares a circuit rejects one
+// wider than the device with Prepare's error, which names the width.
+func TestTooWide(t *testing.T) {
+	ctx := context.Background()
+	circ, dev := circuit.New(6), arch.Line(4)
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Prepare", func() error { _, err := Prepare(circ, dev, fastOpts()); return err }},
+		{"Compile", func() error { _, err := Compile(circ, dev, fastOpts()); return err }},
+		{"TrialRunner.Route", func() error { _, err := (TrialRunner{Workers: 2}).Route(ctx, circ, dev, fastOpts()); return err }},
+		{"InitialMapping", func() error { _, err := InitialMapping(ctx, circ, dev, fastOpts()); return err }},
+		{"CompileWithLayout", func() error {
+			_, err := CompileWithLayout(ctx, circ, dev, mapping.Identity(4), fastOpts())
+			return err
+		}},
+		{"RouteStreamMaterialized", func() error {
+			_, err := RouteStreamMaterialized(ctx, circ, dev, fastOpts(), StreamOptions{}, discardSink{})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(); err == nil || !strings.Contains(err.Error(), "circuit needs 6 qubits") {
+				t.Fatalf("a 6-qubit circuit on a 4-qubit device: got %v, want the width error", err)
+			}
+		})
 	}
 }
 
@@ -347,16 +372,7 @@ func TestInitialMappingStandalone(t *testing.T) {
 	}
 }
 
-func TestInitialMappingTooWide(t *testing.T) {
-	if _, err := InitialMapping(context.Background(), circuit.New(10), arch.Line(4), fastOpts()); err == nil {
-		t.Fatal("oversized circuit accepted")
-	}
-}
-
 func TestCompileWithLayoutValidation(t *testing.T) {
-	if _, err := CompileWithLayout(context.Background(), circuit.New(10), arch.Line(4), mapping.Identity(4), fastOpts()); err == nil {
-		t.Fatal("oversized circuit accepted")
-	}
 	if _, err := CompileWithLayout(context.Background(), circuit.New(3), arch.Line(4), mapping.Identity(3), fastOpts()); err == nil {
 		t.Fatal("undersized layout accepted")
 	}
