@@ -180,12 +180,6 @@ func G1(k Kind, q int, params ...float64) Gate { return circuit.G1(k, q, params.
 // CX constructs a CNOT gate.
 func CX(control, target int) Gate { return circuit.CX(control, target) }
 
-// CZ constructs a controlled-Z gate.
-func CZ(a, b int) Gate { return circuit.CZ(a, b) }
-
-// SwapGate constructs a SWAP gate.
-func SwapGate(a, b int) Gate { return circuit.Swap(a, b) }
-
 // Toffoli returns the paper Fig. 1 15-gate CCX decomposition.
 func Toffoli(c1, c2, target int) []Gate { return circuit.ToffoliDecomposition(c1, c2, target) }
 
@@ -209,12 +203,6 @@ func GridDevice(rows, cols int) *Device { return arch.Grid(rows, cols) }
 
 // FullDevice returns an all-to-all coupled topology on n qubits.
 func FullDevice(n int) *Device { return arch.FullyConnected(n) }
-
-// DeviceFromSpec resolves a textual device spec — a catalogue name
-// ("tokyo", "qx5", "falcon27") or a parameterized form ("line:16",
-// "ring:12", "star:8", "full:6", "grid:4x5", "sycamore:3x3",
-// "aspen:2") — the same grammar the sabred daemon accepts.
-func DeviceFromSpec(spec string) (*Device, error) { return arch.FromSpec(spec) }
 
 // IBMFalcon27 returns the 27-qubit heavy-hexagon IBM Falcon topology.
 func IBMFalcon27() *Device { return arch.IBMFalcon27() }
@@ -321,12 +309,6 @@ func CompileWithLayout(circ *Circuit, dev *Device, init Layout, opts Options) (*
 	return core.CompileWithLayout(context.Background(), circ, dev, init, opts)
 }
 
-// CompileContext is Compile with cancellation, honored at trial
-// boundaries.
-func CompileContext(ctx context.Context, circ *Circuit, dev *Device, opts Options) (*Result, error) {
-	return core.CompileContext(ctx, circ, dev, opts)
-}
-
 // CompileN routes circ with the paper's best-of-N protocol on a
 // bounded worker pool: n independent reverse-traversal trials (seeds
 // Seed..Seed+n-1) sharing the device's precomputed distance matrices,
@@ -346,9 +328,6 @@ func FindInitialMapping(circ *Circuit, dev *Device, opts Options) (Layout, error
 
 // IdentityLayout returns the layout mapping logical i to physical i.
 func IdentityLayout(n int) Layout { return mapping.Identity(n) }
-
-// RandomLayout returns a uniformly random layout.
-func RandomLayout(n int, rng *rand.Rand) Layout { return mapping.Random(n, rng) }
 
 // --- Streaming compilation ---
 
@@ -435,21 +414,13 @@ type (
 // --- Router registry ---
 
 // NewRouter resolves a routing backend by registry name: sabre,
-// greedy, astar, anneal, or any name added with
-// RegisterRouter. The empty name yields the default sabre backend;
-// unknown names return an error listing every registered router.
+// greedy, astar or anneal. The empty name yields the default sabre
+// backend; unknown names return an error listing every registered
+// router.
 func NewRouter(name string) (Router, error) { return route.New(name) }
 
 // RouterNames returns the registered routing-backend names, sorted.
 func RouterNames() []string { return route.Names() }
-
-// RegisterRouter adds a custom routing backend under name, making it
-// resolvable everywhere `route:<name>` strings are accepted: pipeline
-// construction, batch jobs, the sabred daemon, and the CLI flags. It
-// panics on a duplicate or empty name.
-func RegisterRouter(name string, factory func() Router) {
-	route.Register(name, route.Factory(factory))
-}
 
 // CompileAdaptive is CompileN with bandit-style early exit: trials
 // stop fanning out once patience consecutive seeds (in seed order)
@@ -501,9 +472,6 @@ type (
 	BatchStats = batch.Stats
 )
 
-// ErrEngineClosed is reported by jobs submitted after Engine.Close.
-var ErrEngineClosed = batch.ErrClosed
-
 // NewEngine starts a batch-compilation engine: a bounded worker pool
 // (default GOMAXPROCS workers) with a sharded LRU result cache and
 // deterministic per-job seeding. Close it when done.
@@ -531,7 +499,8 @@ type (
 	// finished jobs are retained for a TTL, and completion can be
 	// pushed to a webhook URL with bounded retries.
 	JobQueue = jobqueue.Queue
-	// JobQueueConfig configures NewJobQueue (zero value = defaults).
+	// JobQueueConfig configures NewAsyncEngine's job queue (zero value
+	// = defaults).
 	JobQueueConfig = jobqueue.Config
 	// JobRequest is one async submission: a BatchJob plus delivery
 	// options.
@@ -546,10 +515,10 @@ type (
 	// JobWebhookConfig bounds webhook delivery retries.
 	JobWebhookConfig = jobqueue.WebhookConfig
 	// JobDurability configures the crash-safe job log: set Dir (and a
-	// fsync policy) in JobQueueConfig.Durable and open the queue with
-	// OpenJobQueue — accepted jobs then survive a process crash and
-	// replay on the next boot. Durable submissions must carry
-	// JobRequest.DeviceSpec.
+	// fsync policy) in JobQueueConfig.Durable, and accepted jobs
+	// survive a process crash and replay on the next boot
+	// (NewAsyncEngine panics if the log cannot be opened or replayed).
+	// Durable submissions must carry JobRequest.DeviceSpec.
 	JobDurability = jobqueue.DurabilityConfig
 	// JobRecoveryStats reports what a durable queue replayed at boot
 	// (JobQueueStats.Recovery).
@@ -578,19 +547,6 @@ var (
 	// ErrJobNotFound is reported for unknown (or TTL-expired) job IDs.
 	ErrJobNotFound = jobqueue.ErrNotFound
 )
-
-// NewJobQueue starts an async job queue draining onto eng. The engine
-// is borrowed: closing the queue leaves it running.
-func NewJobQueue(eng *Engine, cfg JobQueueConfig) *JobQueue { return jobqueue.New(eng, cfg) }
-
-// OpenJobQueue starts a job queue like NewJobQueue but surfaces the
-// durable job log's boot errors instead of panicking: with
-// cfg.Durable.Dir set it replays the log (re-queueing every job that
-// was queued or running at the crash) and refuses to open on
-// mid-file corruption. Recovery counts land in Stats().Recovery.
-func OpenJobQueue(eng *Engine, cfg JobQueueConfig) (*JobQueue, error) {
-	return jobqueue.Open(eng, cfg)
-}
 
 // AsyncEngine couples a batch engine with an async job queue — the
 // in-process form of cmd/sabred's v2 API. Synchronous calls go
@@ -719,12 +675,6 @@ func VerifyRouted(orig *Circuit, res *Result) error {
 // (arbitrary gate kinds, ≤16 qubits).
 func VerifyRoutedStates(orig *Circuit, res *Result, trials int, rng *rand.Rand) error {
 	return verify.EquivalentStates(orig, res.Circuit, res.InitialLayout, res.FinalLayout, trials, rng)
-}
-
-// SampleCircuit runs c from |0...0⟩ and draws shots full-register
-// measurement samples, returning counts keyed by basis-state index.
-func SampleCircuit(c *Circuit, shots int, rng *rand.Rand) map[uint64]int {
-	return sim.SampleCircuit(c, shots, rng)
 }
 
 // Simulate applies the circuit to |0...0⟩ and returns the amplitude
