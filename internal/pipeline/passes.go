@@ -82,11 +82,9 @@ func (LayoutPass) Run(pc *Ctx) error {
 // bounded worker pool.
 type RoutePass struct {
 	// Router overrides the routing backend (nil = core.TrialRunner with
-	// this pass's Trials/Workers/Patience). Any backend from the
-	// router registry (internal/route) drops in here.
+	// this pass's Workers/Patience, running Options.Trials trials). Any
+	// backend from the router registry (internal/route) drops in here.
 	Router core.Router
-	// Trials overrides Options.Trials for the default runner.
-	Trials int
 	// Workers bounds the default runner's pool.
 	Workers int
 	// Patience enables the default runner's adaptive early exit
@@ -119,7 +117,7 @@ func (p RoutePass) Run(pc *Ctx) error {
 	case pc.Layout.Size() > 0:
 		res, err = core.CompileWithLayout(pc.Context(), pc.Circuit, pc.Device, pc.Layout, pc.Options)
 	default:
-		tr := core.TrialRunner{Trials: p.Trials, Workers: p.Workers, Patience: p.Patience}
+		tr := core.TrialRunner{Workers: p.Workers, Patience: p.Patience}
 		res, err = tr.Route(pc.Context(), pc.Circuit, pc.Device, pc.Options)
 	}
 	if err != nil {

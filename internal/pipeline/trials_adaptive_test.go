@@ -142,13 +142,16 @@ func TestRunTrialsCancelMidFeed(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRouteViaPassName exercises the Patience plumbing through
-// RoutePass and asserts exhaustive-vs-adaptive consistency end to end.
+// TestAdaptivePassRuns exercises the Patience plumbing through
+// RoutePass, with the trial count from Options.Trials, and asserts the
+// population stays within it end to end.
 func TestAdaptivePassRuns(t *testing.T) {
 	dev := arch.IBMQ20Tokyo()
 	circ := workloads.GHZ(10)
-	pm := New(RoutePass{Trials: 12, Patience: 2}, VerifyPass{})
-	pc, err := pm.Compile(context.Background(), circ, dev, adaptiveOptions())
+	opts := adaptiveOptions()
+	opts.Trials = 12
+	pm := New(RoutePass{Patience: 2}, VerifyPass{})
+	pc, err := pm.Compile(context.Background(), circ, dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
