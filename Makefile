@@ -43,7 +43,9 @@ bench:
 # final step runs the routing hot-path benchmarks once with allocation
 # reporting — the TestScoreRoundZeroAllocs and TestRecordStepZeroAllocs
 # guards in the same package fail the suite if a heap allocation
-# creeps back into the steady-state SWAP round or the op-log path, the
+# creeps back into the steady-state SWAP round or the op-log path,
+# TestTraverseZeroAllocs fails it if starting a traversal allocates
+# again (its router and start layout live in the scratch), the
 # TestTrialBytesPerGate and TestPrepareBytesPerGate byte guards fail
 # it if a trial or Prepare starts copying the circuit again,
 # TestCompileAllocs fails it if a whole 5-trial Compile allocates more
@@ -53,7 +55,7 @@ bench-smoke:
 	$(GO) run ./cmd/benchtab -batch -names 4mod5-v1_22,qft_10 -trials 4 -passes verify -rounds 1 -workers 2
 	$(GO) run ./cmd/benchtab -batch -names 4mod5-v1_22 -route anneal -trials 2 -passes verify -rounds 1 -workers 2
 	$(GO) run ./cmd/benchtab -async -names 4mod5-v1_22,qft_10 -passes verify -workers 2
-	$(GO) test ./internal/core -run 'TestScoreRoundZeroAllocs|TestRecordStepZeroAllocs|TestTrialBytesPerGate|TestPrepareBytesPerGate|TestCompileAllocs' -count=1 -v \
+	$(GO) test ./internal/core -run 'TestScoreRoundZeroAllocs|TestRecordStepZeroAllocs|TestTraverseZeroAllocs|TestTrialBytesPerGate|TestPrepareBytesPerGate|TestCompileAllocs' -count=1 -v \
 		-bench 'BenchmarkScoreRound|BenchmarkRoutePass/qft_20' -benchtime=1x -benchmem
 	$(GO) test ./internal/route -run 'TestAnnealBytesPerGatePerStep' -count=1 -v
 

@@ -18,8 +18,9 @@ import (
 // The forward rows run Prepared.Traverse, the entry annealing steps
 // and CompileWithLayout route through, recording the op log; all
 // share the prepared tables and a warm scratch, so the gaps are purely
-// the per-round scoring machinery. allocs/op is a handful per pass
-// (the router and its layout), none of them per round.
+// the per-round scoring machinery. allocs/op is the 2 of the generator
+// each iteration builds: the traversal itself allocates nothing
+// (TestTraverseZeroAllocs).
 func BenchmarkRoutePass(b *testing.B) {
 	dev := arch.IBMQ20Tokyo()
 	for _, name := range []string{"qft_16", "qft_20", "rd84_253", "9symml_195"} {
