@@ -17,9 +17,10 @@ import (
 // its (possibly noise-weighted) distance matrix, and the circuit
 // widened to the device (a view sharing the caller's gates, see
 // Circuit.Widen) with its qubit-pair table and its dependency table in
-// both directions. Every traversal starts from one — trial restarts,
-// InitialMapping's candidates, annealing steps, CompileWithLayout,
-// RouteStreamMaterialized — and reads it only: a Prepared is immutable
+// both directions. Every traversal of a materialized circuit starts
+// from one — trial restarts, InitialMapping's candidates, annealing
+// steps, CompileWithLayout, RouteStreamMaterialized — and reads it
+// only: a Prepared is immutable
 // after construction, and each traversal's mutable state lives in its
 // Scratch. TrialRunner prepares once and runs RunTrialCtx over many
 // seeds, sharing this state across its worker pool. Trial results
