@@ -98,9 +98,9 @@ crash-smoke:
 
 # Streaming-compilation smoke: stream a million-gate QASM trace
 # through POST /compile?stream=1 (bounded memory end to end), assert
-# the trailer accounting and run-to-run byte determinism, hold the
-# windowed arm byte-identical to the materialized oracle, and deliver
-# the same compilation as a /jobs?stream=1 per-chunk webhook job.
+# the trailer accounting and run-to-run byte determinism, and hold the
+# streamed bytes equal to the materialized oracle routed in process
+# (on a trace under 16 MiB).
 # STREAM_FIXTURE=path reuses a pre-generated trace (CI caches
 # `genbench -stream-gates 1000000 -stream-only` output); empty
 # generates one on the fly (~1s). SMOKE_RACE=1 race-builds the daemon.
@@ -146,7 +146,7 @@ help:
 	@echo "bench-guard  fail on perf regression vs the committed baseline"
 	@echo "sabred-smoke daemon end-to-end smoke (SMOKE_RACE=1 for -race)"
 	@echo "crash-smoke  SIGKILL + durable-log replay drill (always race-built)"
-	@echo "stream-smoke million-gate chunked /compile + webhook-chunk job smoke"
+	@echo "stream-smoke million-gate chunked /compile smoke vs the materialized oracle"
 	@echo "             (STREAM_FIXTURE=f reuses a cached trace, SMOKE_RACE=1 for -race)"
 	@echo "fuzz-smoke   FuzzParseScan for 20s (Parse vs GateScanner), then"
 	@echo "             FuzzProgramJSON for 10s (AppendJSON vs encoding/json), then"

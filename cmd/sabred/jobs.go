@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/batch"
-	"repro/internal/core"
 	"repro/internal/jobqueue"
 )
 
@@ -43,12 +42,6 @@ type jobResponse struct {
 	Webhook  *jobqueue.WebhookStatus `json:"webhook,omitempty"`
 	Fleet    *fleetJSON              `json:"fleet,omitempty"`
 	Result   *compileResponse        `json:"result,omitempty"`
-
-	// Streaming jobs only: chunks delivered so far and the routing
-	// summary of a completed stream (the program itself went out
-	// through the per-chunk webhook deliveries).
-	Chunks int               `json:"chunks,omitempty"`
-	Stream *core.StreamStats `json:"stream,omitempty"`
 }
 
 // jobResponseOf renders a queue snapshot. A done job embeds the
@@ -79,11 +72,6 @@ func jobResponseOf(snap jobqueue.Snapshot) jobResponse {
 		out.Webhook = &wh
 	}
 	out.Fleet = fleetJSONOf(snap.Request.Fleet)
-	out.Chunks = snap.Chunks
-	if snap.StreamResult != nil {
-		st := snap.StreamResult.Stats
-		out.Stream = &st
-	}
 	if snap.State == jobqueue.StateDone && snap.Result != nil {
 		in := &compileInput{circ: snap.Request.Job.Circuit, dev: snap.Request.Job.Device, fleet: snap.Request.Fleet}
 		cr := buildCompileResponse(in, snap.Result)
@@ -127,13 +115,14 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // handleJobSubmit accepts the same request forms as /compile (plus
 // the webhook field/param) and parks the compilation on the queue:
 // 202 Accepted with the queued jobResponse and a Location header.
+// Jobs do not stream: a ?stream= value that asks to is a 400.
 func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	if mode, err := streamMode(q); err != nil {
+	if stream, err := streaming(q); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	} else if mode != "" {
-		s.handleJobSubmitStream(w, r, q)
+	} else if stream {
+		http.Error(w, "jobs do not stream: "+errStreamPath, http.StatusBadRequest)
 		return
 	}
 	in, err := s.parseCompile(w, r, q)

@@ -115,22 +115,11 @@
 //	    X-Sabre-Gates-Per-Sec, X-Sabre-Bridges) arrive as HTTP trailers.
 //	    A response without trailers is torn — the compile failed after
 //	    bytes were committed. Client disconnect before the first byte
-//	    maps to 499. stream=materialized routes the same request through
-//	    the whole-circuit oracle (identical bytes, for differential
-//	    testing).
-//	POST /jobs?stream=1&device=tokyo&webhook=URL
-//	    Async form; the webhook is mandatory because the routed program
-//	    leaves through it. Each chunk is POSTed as text/plain with
-//	    X-Sabre-Job and X-Sabre-Chunk (0-based order) headers; the
-//	    concatenation of chunk bodies in X-Sabre-Chunk order is one
-//	    complete OpenQASM 2.0 program. Chunks are delivered once, in
-//	    order, and never retried — a rejected chunk fails the job. The
-//	    terminal webhook payload and the GET /jobs/{id} view carry
-//	    "chunks" (the delivery count) and a "stream" block (gates
-//	    in/out, swaps, high-water window, gates/sec) alongside the
-//	    usual state fields. Durable queues (-job-log)
-//	    refuse streaming jobs: a half-delivered stream has no replayable
-//	    representation.
+//	    maps to 499.
+//
+// That is the only streaming path: POST /jobs with a ?stream= value
+// that asks to stream, and any ?stream= value but 0 or 1 (false,
+// true and windowed are aliases), get a 400 naming it.
 //
 // # Durability & crash recovery
 //
@@ -760,11 +749,11 @@ func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	if mode, err := streamMode(q); err != nil {
+	if stream, err := streaming(q); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	} else if mode != "" {
-		s.handleCompileStream(w, r, q, mode)
+	} else if stream {
+		s.handleCompileStream(w, r, q)
 		return
 	}
 	in, err := s.parseCompile(w, r, q)

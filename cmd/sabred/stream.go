@@ -24,18 +24,14 @@ package main
 //	    status is committed, so a mid-stream failure — parse error a
 //	    megabyte into the body, client gone — aborts the connection:
 //	    consumers must treat a response without trailers as torn.
-//	    stream=materialized selects the materialized-DAG oracle (same
-//	    output bytes, whole-circuit memory) for differential testing.
 //
-// POST /jobs?stream=1 parks the same compilation on the async queue:
-// the routed program is pushed to the mandatory webhook chunk by
-// chunk (X-Sabre-Chunk orders them; the concatenation is one complete
-// program), with the usual terminal webhook delivery carrying the
-// stream statistics. Durable queues (-job-log) refuse streaming jobs.
+// This is the one streaming path. POST /jobs with a ?stream= value
+// that asks to stream, and a ?stream= value that is not 0 or 1 (or an
+// alias of either), answer 400 naming it, so a client that asks to
+// stream never silently gets a different kind of result.
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -43,31 +39,29 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/arch"
 	"repro/internal/batch"
-	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/jobqueue"
-	"repro/internal/qasm"
 )
 
 // statusClientClosedRequest is nginx's nonstandard 499: the client
 // disconnected before the daemon wrote a response.
 const statusClientClosedRequest = 499
 
-// streamMode classifies the ?stream= query value. Empty means the
-// request is not a streaming request.
-func streamMode(q url.Values) (string, error) {
+// errStreamPath names the one streaming path to a request that asked
+// to stream anywhere else.
+const errStreamPath = "stream through POST /compile?stream=1"
+
+// streaming reports whether the ?stream= query value asks for the
+// windowed streaming compiler.
+func streaming(q url.Values) (bool, error) {
 	v := strings.ToLower(q.Get("stream"))
 	switch v {
 	case "", "0", "false":
-		return "", nil
+		return false, nil
 	case "1", "true", "windowed":
-		return "windowed", nil
-	case "materialized":
-		return "materialized", nil
+		return true, nil
 	}
-	return "", fmt.Errorf("bad stream %q (1|materialized)", v)
+	return false, fmt.Errorf("bad stream %q: %s", v, errStreamPath)
 }
 
 // streamQueryOptions builds core.StreamOptions from ?lookahead= and
@@ -130,9 +124,9 @@ func (c *countingWriter) commit() error {
 	return nil
 }
 
-// handleCompileStream serves POST /compile?stream=1|materialized; q is
-// the request's parsed query.
-func (s *server) handleCompileStream(w http.ResponseWriter, r *http.Request, q url.Values, mode string) {
+// handleCompileStream serves POST /compile?stream=1; q is the
+// request's parsed query.
+func (s *server) handleCompileStream(w http.ResponseWriter, r *http.Request, q url.Values) {
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
 		http.Error(w, "streaming compiles take raw QASM bodies, not JSON envelopes", http.StatusBadRequest)
 		return
@@ -167,21 +161,15 @@ func (s *server) handleCompileStream(w http.ResponseWriter, r *http.Request, q u
 	cw := &countingWriter{w: w, f: flusher}
 	onChunk := func(int64) error { return cw.commit() }
 
-	var res *core.StreamResult
-	switch mode {
-	case "windowed":
-		// The body is never materialized: the scanner pulls statements
-		// off the wire as the router consumes them, so there is no body
-		// cap on this path. Interleaving body reads with response writes
-		// needs full duplex on HTTP/1.x — without it the server discards
-		// the rest of the body at the first flush. HTTP/2 is duplex
-		// already, so a not-supported error is fine to ignore.
-		_ = http.NewResponseController(w).EnableFullDuplex()
-		res, err = s.eng.CompileQASMStream(r.Context(), r.Body,
-			batch.StreamJob{Device: dev, Options: opts, Stream: sopts}, cw, onChunk)
-	default: // materialized oracle: whole-circuit memory, same bytes
-		res, err = s.compileStreamMaterialized(r.Context(), r, dev, opts, sopts, cw, onChunk)
-	}
+	// The body is never materialized: the scanner pulls statements off
+	// the wire as the router consumes them, so there is no body cap on
+	// this path. Interleaving body reads with response writes needs
+	// full duplex on HTTP/1.x — without it the server discards the rest
+	// of the body at the first flush. HTTP/2 is duplex already, so a
+	// not-supported error is fine to ignore.
+	_ = http.NewResponseController(w).EnableFullDuplex()
+	res, err := s.eng.CompileQASMStream(r.Context(), r.Body,
+		batch.StreamJob{Device: dev, Options: opts, Stream: sopts}, cw, onChunk)
 	if err != nil {
 		if cw.wrote {
 			// Bytes are on the wire under a committed 200: the only
@@ -208,106 +196,4 @@ func (s *server) handleCompileStream(w http.ResponseWriter, r *http.Request, q u
 	// A gate-free program never fires a chunk callback; release the
 	// held-back header so the response is still a complete program.
 	_ = cw.commit()
-}
-
-// compileStreamMaterialized is the oracle arm of the streaming
-// endpoint: it parses the whole body (bounded, like /compile) and
-// routes it through core.RouteStreamMaterialized, emitting through
-// the same incremental writer so the output bytes are identical to
-// the windowed path — which is the point: differential testing over
-// HTTP without touching the daemon's internals.
-func (s *server) compileStreamMaterialized(ctx context.Context, r *http.Request, dev *arch.Device, opts core.Options, sopts core.StreamOptions, w io.Writer, onChunk func(int64) error) (*core.StreamResult, error) {
-	body, err := readBody(nil, r)
-	if err != nil {
-		return nil, err
-	}
-	circ, err := qasm.Parse(bytesString(body))
-	if err != nil {
-		return nil, fmt.Errorf("parse QASM: %w", err)
-	}
-	sink := &qasmHTTPSink{w: qasm.NewStreamWriter(w, dev.NumQubits()), onChunk: onChunk}
-	res, err := core.RouteStreamMaterialized(ctx, circ, dev, opts, sopts, sink)
-	if err != nil {
-		return nil, err
-	}
-	return res, sink.w.Flush()
-}
-
-// qasmHTTPSink mirrors the engine's QASM sink for the oracle arm:
-// serialize the chunk, then fire the flush callback.
-type qasmHTTPSink struct {
-	w       *qasm.StreamWriter
-	onChunk func(int64) error
-	emitted int64
-}
-
-func (s *qasmHTTPSink) Emit(gates []circuit.Gate) error {
-	if err := s.w.WriteGates(gates); err != nil {
-		return err
-	}
-	s.emitted += int64(len(gates))
-	if s.onChunk != nil {
-		return s.onChunk(s.emitted)
-	}
-	return nil
-}
-
-// handleJobSubmitStream serves POST /jobs?stream=1: the body is the
-// QASM gate stream, ?webhook= is mandatory (chunks are delivered
-// through it), and the job queue streams the routed program out as
-// the compilation progresses. 202 Accepted mirrors the unit-job path.
-// q is the request's parsed query.
-func (s *server) handleJobSubmitStream(w http.ResponseWriter, r *http.Request, q url.Values) {
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-		http.Error(w, "streaming jobs take raw QASM bodies, not JSON envelopes", http.StatusBadRequest)
-		return
-	}
-	devName := q.Get("device")
-	if devName == "" {
-		devName = "tokyo"
-	}
-	dev, err := s.device(devName)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	opts, err := queryOptions(q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	sopts, err := streamQueryOptions(q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	webhook := q.Get("webhook")
-	if err := validWebhook(webhook); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if webhook == "" {
-		http.Error(w, "streaming jobs require ?webhook=: routed chunks are delivered through it", http.StatusBadRequest)
-		return
-	}
-	body, err := readBody(w, r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	snap, err := s.queue.SubmitStream(jobqueue.Request{
-		Job:     batch.Job{Device: dev, Options: opts},
-		Webhook: webhook,
-	}, jobqueue.StreamSpec{QASM: bytesString(body), Options: sopts})
-	if err != nil {
-		status := http.StatusServiceUnavailable
-		if strings.Contains(err.Error(), "durable") {
-			status = http.StatusBadRequest
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	w.Header().Set("Location", "/jobs/"+snap.ID)
-	w.WriteHeader(http.StatusAccepted)
-	s.writeJob(w, snap)
 }

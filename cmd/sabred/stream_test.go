@@ -3,19 +3,17 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
+	"repro/internal/core"
 	"repro/internal/qasm"
 	"repro/internal/workloads"
 )
@@ -41,31 +39,53 @@ func postStream(t *testing.T, url, body string) (*http.Response, []byte) {
 	return resp, out
 }
 
-// TestCompileStreamParity: the windowed arm and the materialized
-// oracle arm must produce byte-identical routed programs over HTTP,
-// and both must parse.
+// TestCompileStreamParity: the windowed stream the daemon serves is
+// byte-identical to core.RouteStreamMaterialized, the materialized
+// oracle, run in process under the options the same query yields and
+// written through the same QASM stream writer; and it parses.
 func TestCompileStreamParity(t *testing.T) {
 	ts, srv := newTestServer(t)
 	src := streamSource(t, 16, 2500)
+	const query = "device=tokyo&chunk=256"
 
-	windowed, wbody := postStream(t, ts.URL+"/compile?stream=1&device=tokyo&chunk=256", src)
+	windowed, wbody := postStream(t, ts.URL+"/compile?stream=1&"+query, src)
 	if windowed.StatusCode != http.StatusOK {
 		t.Fatalf("windowed status %d: %s", windowed.StatusCode, wbody)
-	}
-	oracle, obody := postStream(t, ts.URL+"/compile?stream=materialized&device=tokyo&chunk=256", src)
-	if oracle.StatusCode != http.StatusOK {
-		t.Fatalf("materialized status %d: %s", oracle.StatusCode, obody)
-	}
-	if !bytes.Equal(wbody, obody) {
-		t.Fatalf("windowed and materialized streams differ (%d vs %d bytes)", len(wbody), len(obody))
-	}
-	routed, err := qasm.Parse(string(wbody))
-	if err != nil {
-		t.Fatalf("streamed QASM does not parse: %v", err)
 	}
 	dev, err := srv.device("tokyo")
 	if err != nil {
 		t.Fatal(err)
+	}
+	q, err := url.ParseQuery(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := queryOptions(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sopts, err := streamQueryOptions(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	circ, err := qasm.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var oracle bytes.Buffer
+	sw := qasm.NewStreamWriter(&oracle, dev.NumQubits())
+	if _, err := core.RouteStreamMaterialized(context.Background(), circ, dev, opts, sopts, sw); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wbody, oracle.Bytes()) {
+		t.Fatalf("windowed stream and materialized oracle differ (%d vs %d bytes)", len(wbody), oracle.Len())
+	}
+	routed, err := qasm.Parse(string(wbody))
+	if err != nil {
+		t.Fatalf("streamed QASM does not parse: %v", err)
 	}
 	if routed.NumQubits() != dev.NumQubits() {
 		t.Fatalf("streamed width %d, want %d", routed.NumQubits(), dev.NumQubits())
@@ -118,8 +138,9 @@ func TestCompileStreamTrailers(t *testing.T) {
 	}
 }
 
-// TestCompileStreamRejects: malformed streaming requests fail before
-// the first byte with ordinary error statuses.
+// TestCompileStreamRejects: malformed streaming requests, and requests
+// to stream anywhere but POST /compile?stream=1, fail before the first
+// byte with ordinary error statuses.
 func TestCompileStreamRejects(t *testing.T) {
 	ts, _ := newTestServer(t)
 	cases := []struct {
@@ -127,6 +148,8 @@ func TestCompileStreamRejects(t *testing.T) {
 		status                 int
 	}{
 		{"bad stream value", "/compile?stream=definitely", "text/plain", "OPENQASM 2.0;", http.StatusBadRequest},
+		{"materialized arm", "/compile?stream=materialized", "text/plain", tinyQASM, http.StatusBadRequest},
+		{"streaming job", "/jobs?stream=1&webhook=http://127.0.0.1:1/hook", "text/plain", tinyQASM, http.StatusBadRequest},
 		{"json envelope", "/compile?stream=1", "application/json", `{"qasm":"x"}`, http.StatusBadRequest},
 		{"bad device", "/compile?stream=1&device=nope", "text/plain", "OPENQASM 2.0;", http.StatusBadRequest},
 		{"bad lookahead", "/compile?stream=1&lookahead=-3", "text/plain", "OPENQASM 2.0;", http.StatusBadRequest},
@@ -229,138 +252,31 @@ func TestCompileStreamTornOnBodyError(t *testing.T) {
 	}
 }
 
-// streamChunkSink records webhook chunk deliveries for the async path.
-type streamChunkSink struct {
-	mu       sync.Mutex
-	chunks   map[int][]byte
-	terminal []byte
-}
-
-func (c *streamChunkSink) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	body, _ := io.ReadAll(r.Body)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if h := r.Header.Get("X-Sabre-Chunk"); h != "" {
-		n, _ := strconv.Atoi(h)
-		if c.chunks == nil {
-			c.chunks = make(map[int][]byte)
-		}
-		c.chunks[n] = append([]byte(nil), body...)
-	} else {
-		c.terminal = append([]byte(nil), body...)
-	}
-	w.WriteHeader(http.StatusOK)
-}
-
-func (c *streamChunkSink) concat() []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ids := make([]int, 0, len(c.chunks))
-	for id := range c.chunks {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var out bytes.Buffer
-	for _, id := range ids {
-		out.Write(c.chunks[id])
-	}
-	return out.Bytes()
-}
-
-// TestJobStreamEndpoint: POST /jobs?stream=1 parks a streaming job,
-// the webhook receives ordered chunks whose concatenation equals the
-// synchronous /compile?stream=1 output for the same request.
-func TestJobStreamEndpoint(t *testing.T) {
+// TestJobStreamRejects: POST /jobs does not stream. Every ?stream=
+// value that asks to stream is a 400 naming /compile?stream=1, and
+// stream=0 submits a job exactly as no stream value does.
+func TestJobStreamRejects(t *testing.T) {
 	ts, _ := newTestServer(t)
-	src := streamSource(t, 14, 1000)
-
-	sink := &streamChunkSink{}
-	ws := httptest.NewServer(sink)
-	defer ws.Close()
-
-	url := ts.URL + "/jobs?stream=1&device=tokyo&chunk=200&webhook=" + ws.URL
-	resp, err := http.Post(url, "text/plain", strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var job jobResponse
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if loc := resp.Header.Get("Location"); loc != "/jobs/"+job.ID {
-		t.Fatalf("location %q", loc)
-	}
-
-	// Long-poll until terminal.
-	deadline := time.Now().Add(30 * time.Second)
-	for job.State != "done" {
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %s", job.State)
-		}
-		pr, err := http.Get(ts.URL + "/jobs/" + job.ID + "?wait=2s")
+	for _, v := range []string{"1", "true", "windowed"} {
+		resp, err := http.Post(ts.URL+"/jobs?stream="+v+"&webhook=http://127.0.0.1:1/hook", "text/plain", strings.NewReader(tinyQASM))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := json.NewDecoder(pr.Body).Decode(&job); err != nil {
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "/compile?stream=1") {
+			t.Fatalf("stream=%s job: status %d body %q, want 400 naming /compile?stream=1", v, resp.StatusCode, body)
+		}
+	}
+	for _, query := range []string{"", "?stream=0"} {
+		resp, err := http.Post(ts.URL+"/jobs"+query, "text/plain", strings.NewReader(tinyQASM))
+		if err != nil {
 			t.Fatal(err)
 		}
-		pr.Body.Close()
-		if job.State == "failed" || job.State == "cancelled" {
-			t.Fatalf("job %s: %s", job.State, job.Error)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("job %q: status %d, want 202", query, resp.StatusCode)
 		}
-	}
-
-	// The terminal view carries the streaming accounting: how many
-	// chunks went out and the routing summary (the program itself
-	// lives only in the webhook deliveries).
-	if job.Chunks < 2 {
-		t.Fatalf("terminal chunks = %d, want >= 2", job.Chunks)
-	}
-	if job.Stream == nil || job.Stream.GatesOut < job.Stream.GatesIn || job.Stream.GatesIn != 1000 {
-		t.Fatalf("terminal stream stats = %+v", job.Stream)
-	}
-
-	// The chunk concatenation must equal the synchronous stream bytes.
-	want, wbody := postStream(t, ts.URL+"/compile?stream=1&device=tokyo&chunk=200", src)
-	if want.StatusCode != http.StatusOK {
-		t.Fatalf("sync stream status %d", want.StatusCode)
-	}
-	got := sink.concat()
-	if !bytes.Equal(got, wbody) {
-		t.Fatalf("webhook chunks differ from sync stream (%d vs %d bytes)", len(got), len(wbody))
-	}
-	if _, err := qasm.Parse(string(got)); err != nil {
-		t.Fatalf("chunk concatenation does not parse: %v", err)
-	}
-}
-
-// TestJobStreamRejects: webhook-less and JSON-bodied streaming job
-// submissions are refused up front.
-func TestJobStreamRejects(t *testing.T) {
-	ts, _ := newTestServer(t)
-	src := streamSource(t, 12, 200)
-
-	resp, err := http.Post(ts.URL+"/jobs?stream=1", "text/plain", strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("webhook-less stream job: status %d, want 400", resp.StatusCode)
-	}
-
-	resp, err = http.Post(ts.URL+"/jobs?stream=1&webhook=http://localhost:1/h", "application/json", strings.NewReader(`{"qasm":"x"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("JSON stream job: status %d, want 400", resp.StatusCode)
 	}
 }

@@ -24,10 +24,9 @@
 // million-gate QASM trace (generated on the fly, or -stream-fixture
 // for CI's cached copy) through POST /compile?stream=1 without ever
 // materializing the circuit, check the trailer accounting and that a
-// second identical stream is byte-identical, hold the windowed arm
-// equal to the materialized oracle, and run the same compilation as a
-// /jobs?stream=1 webhook job whose reassembled chunks match the
-// synchronous bytes.
+// second identical stream is byte-identical, and hold the streamed
+// bytes equal to the materialized oracle (core.RouteStreamMaterialized)
+// routed in process.
 //
 //	sabredsmoke [-race] [-crash | -stream [-stream-fixture f | -stream-gates N]] [-timeout 120s]
 package main
@@ -35,6 +34,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"flag"
@@ -46,13 +46,14 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
+	"repro/internal/arch"
+	"repro/internal/core"
 	"repro/internal/qasm"
 	"repro/internal/workloads"
 )
@@ -60,7 +61,7 @@ import (
 var (
 	raceFlag      = flag.Bool("race", false, "build the daemon with -race")
 	crashFlag     = flag.Bool("crash", false, "run the crash-recovery drill (SIGKILL + replay) instead of the standard lifecycle")
-	streamFlag    = flag.Bool("stream", false, "run the streaming smoke (chunked /compile + per-chunk webhook job) instead of the standard lifecycle")
+	streamFlag    = flag.Bool("stream", false, "run the streaming smoke (chunked /compile vs the in-process materialized oracle) instead of the standard lifecycle")
 	streamFixture = flag.String("stream-fixture", "", "-stream: path to a pre-generated QASM trace (e.g. genbench -stream-gates output); empty generates a temporary one")
 	streamGates   = flag.Int("stream-gates", 1000000, "-stream: gate count of the generated fixture when -stream-fixture is empty")
 	timeout       = flag.Duration("timeout", 3*time.Minute, "overall smoke budget")
@@ -491,10 +492,8 @@ func crashSmoke(bin string, deadline time.Time) {
 // streamSmoke is the -stream phase: boot the daemon and drive the
 // streaming API end to end — stream a large generated trace through
 // POST /compile?stream=1 (trailer accounting, determinism across two
-// runs), hold the windowed arm byte-identical to the materialized
-// oracle on a smaller trace, and deliver the same compilation as a
-// per-chunk webhook job whose reassembled chunks match the
-// synchronous bytes. It boots its own daemon because the standard
+// runs) and hold the streamed bytes equal to the materialized oracle
+// routed in process. It boots its own daemon because the standard
 // lifecycle asserts exact job counts.
 func streamSmoke(bin string, deadline time.Time, tmp, fixture string, gates int) {
 	daemon := startDaemon(bin)
@@ -526,39 +525,39 @@ func streamSmoke(bin string, deadline time.Time, tmp, fixture string, gates int)
 	}
 	step("fixture %s: %d gates", filepath.Base(fixture), wantGates)
 
-	// streamOnce streams the fixture through the given mode, discards
-	// the body through a hash, and returns (sha256, trailers).
-	streamOnce := func(mode string) (string, http.Header) {
+	// streamOnce streams the fixture, discards the body through a
+	// hash, and returns (sha256, trailers).
+	streamOnce := func() (string, http.Header) {
 		f, err := os.Open(fixture)
 		if err != nil {
 			daemon.fail("open fixture: %v", err)
 		}
 		defer f.Close()
-		req, err := http.NewRequest(http.MethodPost, base+"/compile?stream="+mode+"&device=tokyo", bufio.NewReaderSize(f, 1<<20))
+		req, err := http.NewRequest(http.MethodPost, base+"/compile?stream=1&device=tokyo", bufio.NewReaderSize(f, 1<<20))
 		if err != nil {
 			daemon.fail("stream request: %v", err)
 		}
 		req.Header.Set("Content-Type", "text/plain")
 		resp, err := client.Do(req)
 		if err != nil {
-			daemon.fail("stream %s: %v", mode, err)
+			daemon.fail("stream: %v", err)
 		}
 		defer resp.Body.Close()
 		h := sha256.New()
 		n, err := io.Copy(h, resp.Body)
 		if err != nil {
-			daemon.fail("stream %s: read: %v", mode, err)
+			daemon.fail("stream: read: %v", err)
 		}
 		if resp.StatusCode != http.StatusOK {
-			daemon.fail("stream %s: status %d", mode, resp.StatusCode)
+			daemon.fail("stream: status %d", resp.StatusCode)
 		}
 		if n == 0 {
-			daemon.fail("stream %s: empty body", mode)
+			daemon.fail("stream: empty body")
 		}
 		return fmt.Sprintf("%x", h.Sum(nil)), resp.Trailer
 	}
 
-	sum1, tr := streamOnce("1")
+	sum1, tr := streamOnce()
 	gatesIn := trailerInt(daemon, tr, "X-Sabre-Gates-In")
 	gatesOut := trailerInt(daemon, tr, "X-Sabre-Gates-Out")
 	chunks := trailerInt(daemon, tr, "X-Sabre-Chunks")
@@ -575,89 +574,24 @@ func streamSmoke(bin string, deadline time.Time, tmp, fixture string, gates int)
 		gatesIn, gatesOut, chunks, tr.Get("X-Sabre-Gates-Per-Sec"))
 
 	// Determinism: a second identical stream yields identical bytes.
-	sum2, _ := streamOnce("1")
+	sum2, _ := streamOnce()
 	if sum1 != sum2 {
 		daemon.fail("two identical windowed streams differ (%s vs %s)", sum1, sum2)
 	}
 	step("windowed stream deterministic across runs")
 
-	// Byte parity vs the materialized oracle over HTTP. The oracle arm
-	// buffers the whole body, so parity runs on the full fixture only
-	// while it fits the daemon's body cap; otherwise CI would need a
-	// second small fixture for no extra coverage.
+	// Byte parity vs the materialized oracle, routed in process. The
+	// oracle holds the whole circuit, so it runs only on a fixture under
+	// 16 MiB, the daemon's body cap; otherwise CI would need a second
+	// small fixture for no extra coverage.
 	if fi, err := os.Stat(fixture); err == nil && fi.Size() < 16<<20 {
-		msum, _ := streamOnce("materialized")
-		if msum != sum1 {
+		if msum := materializedSum(daemon, fixture); msum != sum1 {
 			daemon.fail("windowed stream differs from materialized oracle")
 		}
 		step("windowed bytes == materialized oracle bytes")
 	} else {
-		step("fixture over the materialized body cap; skipping HTTP parity arm")
+		step("fixture over the 16 MiB oracle cap; skipping the parity check")
 	}
-
-	// Per-chunk webhook job: the reassembled chunks must be the same
-	// program the synchronous endpoint streamed.
-	sink := newChunkSink()
-	sinkLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		daemon.fail("webhook listen: %v", err)
-	}
-	defer sinkLn.Close()
-	go func() { _ = http.Serve(sinkLn, sink) }()
-
-	small := filepath.Join(tmp, "stream_small.qasm")
-	sf, err := os.Create(small)
-	if err != nil {
-		daemon.fail("small fixture: %v", err)
-	}
-	if err := workloads.WriteRandomQASM(sf, 18, 30000, 0.55, 11); err != nil {
-		daemon.fail("small fixture: %v", err)
-	}
-	sf.Close()
-	body, err := os.ReadFile(small)
-	if err != nil {
-		daemon.fail("small fixture read: %v", err)
-	}
-
-	jurl := base + "/jobs?stream=1&device=tokyo&webhook=http://" + sinkLn.Addr().String()
-	resp, err := client.Post(jurl, "text/plain", bytes.NewReader(body))
-	if err != nil {
-		daemon.fail("stream job submit: %v", err)
-	}
-	jb, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		daemon.fail("stream job submit status %d: %s", resp.StatusCode, jb)
-	}
-	var job jobView
-	mustUnmarshal(jb, &job, daemon)
-	for !terminal(job.State) {
-		if time.Now().After(deadline) {
-			daemon.fail("stream job %s stuck in %s", job.ID, job.State)
-		}
-		mustUnmarshal(getOK(client, base+"/jobs/"+job.ID+"?wait=2s"), &job, daemon)
-	}
-	if job.State != "done" {
-		daemon.fail("stream job finished as %s (%s)", job.State, job.Error)
-	}
-
-	sresp, err := client.Post(base+"/compile?stream=1&device=tokyo", "text/plain", bytes.NewReader(body))
-	if err != nil {
-		daemon.fail("sync stream: %v", err)
-	}
-	sbytes, err := io.ReadAll(sresp.Body)
-	sresp.Body.Close()
-	if err != nil || sresp.StatusCode != http.StatusOK {
-		daemon.fail("sync stream: status %d err %v", sresp.StatusCode, err)
-	}
-	got := sink.concat()
-	if !bytes.Equal(got, sbytes) {
-		daemon.fail("webhook chunks (%d bytes) differ from synchronous stream (%d bytes)", len(got), len(sbytes))
-	}
-	if sink.count() < 2 {
-		daemon.fail("expected multiple webhook chunks, got %d", sink.count())
-	}
-	step("webhook job delivered %d chunks, reassembly byte-identical to /compile?stream=1", sink.count())
 
 	// Graceful drain.
 	if err := daemon.cmd.Process.Signal(syscall.SIGTERM); err != nil {
@@ -713,45 +647,35 @@ func trailerInt(d *daemon, tr http.Header, name string) int {
 	return n
 }
 
-// chunkSink collects X-Sabre-Chunk webhook deliveries.
-type chunkSink struct {
-	mu     sync.Mutex
-	chunks map[int][]byte
-}
-
-func newChunkSink() *chunkSink { return &chunkSink{chunks: map[int][]byte{}} }
-
-func (c *chunkSink) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	body, _ := io.ReadAll(r.Body)
-	if h := r.Header.Get("X-Sabre-Chunk"); h != "" {
-		if n, err := strconv.Atoi(h); err == nil {
-			c.mu.Lock()
-			c.chunks[n] = append([]byte(nil), body...)
-			c.mu.Unlock()
-		}
+// materializedSum routes the fixture through core.RouteStreamMaterialized
+// under the options POST /compile?stream=1&device=tokyo takes (sabred's
+// queryOptions with no knobs set: the paper's defaults at seed 0, and
+// the default stream options) and returns the sha256 of the program
+// qasm.StreamWriter writes, the writer the daemon streams through.
+func materializedSum(d *daemon, fixture string) string {
+	src, err := os.ReadFile(fixture)
+	if err != nil {
+		d.fail("oracle: read fixture: %v", err)
 	}
-	w.WriteHeader(http.StatusOK)
-}
-
-func (c *chunkSink) count() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.chunks)
-}
-
-func (c *chunkSink) concat() []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ids := make([]int, 0, len(c.chunks))
-	for id := range c.chunks {
-		ids = append(ids, id)
+	circ, err := qasm.Parse(string(src))
+	if err != nil {
+		d.fail("oracle: parse fixture: %v", err)
 	}
-	sort.Ints(ids)
-	var out bytes.Buffer
-	for _, id := range ids {
-		out.Write(c.chunks[id])
+	dev, err := arch.FromSpec("tokyo")
+	if err != nil {
+		d.fail("oracle: device: %v", err)
 	}
-	return out.Bytes()
+	opts := core.DefaultOptions()
+	opts.Seed = 0
+	h := sha256.New()
+	sw := qasm.NewStreamWriter(h, dev.NumQubits())
+	if _, err := core.RouteStreamMaterialized(context.Background(), circ, dev, opts, core.StreamOptions{}, sw); err != nil {
+		d.fail("oracle: route: %v", err)
+	}
+	if err := sw.Flush(); err != nil {
+		d.fail("oracle: write: %v", err)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // statsView mirrors the /stats fields the smokes assert.

@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/batch"
-	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/joblog"
 )
@@ -84,13 +83,6 @@ type Request struct {
 	// status responses can report how the device was picked; it does
 	// not act on it.
 	Fleet *fleet.Decision
-
-	// Stream, when non-nil, makes this a streaming job: Job.Circuit is
-	// ignored (the spec's QASM text is the source) and the routed
-	// output is pushed to Webhook chunk by chunk. Set via SubmitStream,
-	// which enforces the streaming invariants (webhook required,
-	// durable queues refuse).
-	Stream *StreamSpec
 }
 
 // Snapshot is a point-in-time, caller-safe view of one job.
@@ -108,19 +100,8 @@ type Snapshot struct {
 	Err string
 
 	// Result is the engine outcome, set only in StateDone. It is
-	// shared with the engine's result cache: read-only. Nil for
-	// streaming jobs, whose output left through the webhook; see
-	// StreamResult.
+	// shared with the engine's result cache: read-only.
 	Result *batch.Result
-
-	// StreamResult carries a completed streaming job's routing
-	// statistics and layouts (nil for unit jobs and until the stream
-	// finishes).
-	StreamResult *core.StreamResult
-
-	// Chunks counts the routed-QASM chunks delivered so far for a
-	// streaming job; it advances while the job runs.
-	Chunks int
 
 	// Webhook reports delivery progress for jobs that requested one.
 	Webhook WebhookStatus
@@ -252,11 +233,6 @@ type job struct {
 	result   *batch.Result
 	webhook  WebhookStatus
 
-	// Streaming-job progress: chunks delivered so far and the final
-	// stream statistics (set on the terminal transition).
-	chunks       int
-	streamResult *core.StreamResult
-
 	// payload is the encoded request as persisted in the job log's
 	// accepted record (nil on non-durable queues and once the job is
 	// terminal); compaction rewrites it verbatim for live jobs.
@@ -366,17 +342,7 @@ func applyDefaults(cfg *Config) {
 // (StateQueued) immediately. It fails fast with ErrQueueFull when the
 // backlog is at QueueDepth and ErrClosed after Close.
 func (q *Queue) Submit(req Request) (Snapshot, error) {
-	if req.Stream != nil {
-		if req.Job.Device == nil {
-			return Snapshot{}, errors.New("jobqueue: streaming job needs a non-nil Device")
-		}
-		if req.Webhook == "" {
-			return Snapshot{}, errStreamNeedsWebhook
-		}
-		if q.log != nil {
-			return Snapshot{}, errStreamDurable
-		}
-	} else if req.Job.Circuit == nil || req.Job.Device == nil {
+	if req.Job.Circuit == nil || req.Job.Device == nil {
 		return Snapshot{}, errors.New("jobqueue: job needs a non-nil Circuit and Device")
 	}
 	// The accepted record's payload formats the whole circuit. It reads
@@ -649,30 +615,17 @@ func (q *Queue) run(j *job) {
 	q.mu.Unlock()
 	defer cancel()
 
-	var runErr error
-	var res batch.Result
-	if j.req.Stream != nil {
-		sres, err := q.executeStream(ctx, j)
-		runErr = err
-		q.mu.Lock()
-		j.streamResult = sres
-		q.mu.Unlock()
-	} else {
-		res = q.execute(ctx, j)
-		runErr = res.Err
-	}
+	res := q.execute(ctx, j)
 
 	q.mu.Lock()
 	j.cancel = nil
 	switch {
-	case runErr == nil && j.req.Stream != nil:
-		q.finishLocked(j, StateDone, "", nil)
-	case runErr == nil:
+	case res.Err == nil:
 		q.finishLocked(j, StateDone, "", &res)
 	case j.cancelRequested:
 		q.finishLocked(j, StateCancelled, "cancelled while running", nil)
 	default:
-		q.finishLocked(j, StateFailed, runErr.Error(), nil)
+		q.finishLocked(j, StateFailed, res.Err.Error(), nil)
 	}
 	q.mu.Unlock()
 }
@@ -758,17 +711,15 @@ func (q *Queue) gc(now time.Time) int {
 // holds q.mu.
 func (j *job) snapshotLocked() Snapshot {
 	return Snapshot{
-		ID:           j.id,
-		State:        j.state,
-		Request:      j.req,
-		Created:      j.created,
-		Started:      j.started,
-		Finished:     j.finished,
-		Err:          j.err,
-		Result:       j.result,
-		StreamResult: j.streamResult,
-		Chunks:       j.chunks,
-		Webhook:      j.webhook,
+		ID:       j.id,
+		State:    j.state,
+		Request:  j.req,
+		Created:  j.created,
+		Started:  j.started,
+		Finished: j.finished,
+		Err:      j.err,
+		Result:   j.result,
+		Webhook:  j.webhook,
 	}
 }
 

@@ -26,7 +26,6 @@ type defaultPayload struct {
 	Depth    int    `json:"depth,omitempty"`
 	AddedG   int    `json:"added_gates,omitempty"`
 	Elapsed  int64  `json:"elapsed_ns,omitempty"`
-	Chunks   int    `json:"chunks,omitempty"` // streaming jobs only
 	Finished string `json:"finished,omitempty"`
 }
 
@@ -47,12 +46,6 @@ func (q *Queue) buildPayload(snap Snapshot) any {
 		p.Depth = snap.Result.Final.Depth()
 		p.AddedG = snap.Result.AddedGates
 		p.Elapsed = snap.Result.Elapsed.Nanoseconds()
-	}
-	if snap.StreamResult != nil {
-		p.Gates = int(snap.StreamResult.Stats.GatesOut)
-		p.AddedG = snap.StreamResult.Stats.AddedGates
-		p.Elapsed = snap.StreamResult.Stats.Elapsed.Nanoseconds()
-		p.Chunks = snap.Chunks
 	}
 	return p
 }

@@ -348,9 +348,6 @@ type (
 	// StreamJob describes one streaming compilation for the batch
 	// engine (Engine.CompileStream / Engine.CompileQASMStream).
 	StreamJob = batch.StreamJob
-	// StreamSpec is the streaming payload of an async job
-	// (JobQueue.SubmitStream); chunks leave through the job's webhook.
-	StreamSpec = jobqueue.StreamSpec
 	// GateScanner parses OpenQASM 2.0 incrementally off a reader; it
 	// satisfies GateSource without ever materializing the circuit.
 	GateScanner = qasm.GateScanner
