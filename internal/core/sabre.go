@@ -318,22 +318,13 @@ func SelectBest(results []*Result, depths []int) (*Result, error) {
 // §IV-C2), letting each traversal's final mapping seed the next as an
 // ever-better initial mapping; the last forward traversal produces the
 // output circuit. The best trial by added gates (ties: output depth)
-// wins. The trials run in order on one worker (TrialRunner).
+// wins. The trials run in order on one worker (TrialRunner); a caller
+// that needs cancellation or more workers calls TrialRunner.Route.
 //
 // The returned circuit acts on the device's physical qubits and
 // contains symbolic SWAPs; Result documents the accounting.
 func Compile(circ *circuit.Circuit, dev *arch.Device, opts Options) (*Result, error) {
-	return CompileContext(context.Background(), circ, dev, opts)
-}
-
-// CompileContext is Compile with cancellation, honored between trials
-// and — via RunTrialCtx — inside each trial's SWAP loop at round
-// granularity, so a cancelled caller (a dropped HTTP request, say)
-// stops burning CPU within one round even mid-way through a huge
-// single trial. Returns ctx.Err() when cancelled before a winner
-// exists.
-func CompileContext(ctx context.Context, circ *circuit.Circuit, dev *arch.Device, opts Options) (*Result, error) {
-	return TrialRunner{Workers: 1}.Route(ctx, circ, dev, opts)
+	return TrialRunner{Workers: 1}.Route(context.Background(), circ, dev, opts)
 }
 
 // CompileWithLayout routes circ starting from a caller-chosen initial
