@@ -23,10 +23,6 @@ type StreamJob struct {
 	Device  *arch.Device
 	Options core.Options
 	Stream  core.StreamOptions
-
-	// Tag is an optional caller label, echoed nowhere but useful to
-	// implementations wrapping the engine.
-	Tag string
 }
 
 // errNilStreamJob is reported for stream jobs missing a source or
@@ -81,7 +77,8 @@ func (e *Engine) CompileStream(ctx context.Context, job StreamJob, sink core.Str
 // the full bytes-to-bytes streaming path cmd/sabred serves; peak
 // memory is O(device + window) regardless of input length. The
 // chunk callback, when non-nil, runs after each flushed chunk with
-// the cumulative emitted-gate count (webhook and progress hooks).
+// the cumulative emitted-gate count; cmd/sabred flushes its chunked
+// response from it.
 func (e *Engine) CompileQASMStream(ctx context.Context, r io.Reader, job StreamJob, w io.Writer, onChunk func(emitted int64) error) (*core.StreamResult, error) {
 	if job.Device == nil {
 		return nil, errNilStreamJob

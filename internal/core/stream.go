@@ -111,9 +111,10 @@ func (o StreamOptions) normalized() StreamOptions {
 	return o
 }
 
-// StreamStats instruments one streaming traversal. The JSON names
-// match the daemon's snake_case API surface (it embeds this struct in
-// streaming job views).
+// StreamStats instruments one streaming traversal. The JSON names are
+// the daemon API's snake_case, for callers that serialize the struct;
+// the daemon itself reports these figures as the X-Sabre-* trailers
+// of POST /compile?stream=1.
 type StreamStats struct {
 	GatesIn  int64 `json:"gates_in"`  // gates admitted from the source
 	GatesOut int64 `json:"gates_out"` // gates emitted to the sink
