@@ -122,7 +122,7 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	} else if stream {
-		http.Error(w, "jobs do not stream: "+errStreamPath, http.StatusBadRequest)
+		http.Error(w, "jobs do not stream: "+streamHint, http.StatusBadRequest)
 		return
 	}
 	in, err := s.parseCompile(w, r, q)

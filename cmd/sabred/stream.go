@@ -47,9 +47,9 @@ import (
 // disconnected before the daemon wrote a response.
 const statusClientClosedRequest = 499
 
-// errStreamPath names the one streaming path to a request that asked
-// to stream anywhere else.
-const errStreamPath = "stream through POST /compile?stream=1"
+// streamHint names the one streaming path in the 400 a request gets
+// when it asks to stream anywhere else.
+const streamHint = "stream through POST /compile?stream=1"
 
 // streaming reports whether the ?stream= query value asks for the
 // windowed streaming compiler.
@@ -61,7 +61,7 @@ func streaming(q url.Values) (bool, error) {
 	case "1", "true", "windowed":
 		return true, nil
 	}
-	return false, fmt.Errorf("bad stream %q: %s", v, errStreamPath)
+	return false, fmt.Errorf("bad stream %q: %s", v, streamHint)
 }
 
 // streamQueryOptions builds core.StreamOptions from ?lookahead= and
